@@ -121,60 +121,69 @@ class BitVector:
     # ------------------------------------------------------------------
     def op_into(
         self,
-        op: BulkOp,
+        op,
         dst: "BitVector",
-        other: Optional["BitVector"] = None,
+        *others: Optional["BitVector"],
     ) -> "BitVector":
-        """``dst = op(self, other)`` chunk by chunk inside DRAM.
+        """``dst = op(self, *others)`` chunk by chunk inside DRAM.
+
+        ``op`` is one of the nine :class:`BulkOp`\\ s or a compiled op
+        (:class:`repro.compile.ops.CompiledOp`); ``None`` operands are
+        dropped.  A compiled op's scratch rows are leased from the
+        driver chunk-aligned with the destination.
 
         Chunks not co-located with the destination are staged through
         scratch rows (the driver's slow path); co-located layouts --
         anything allocated with ``like=`` -- run pure RowClone-FPM.
 
         With no tracer attached, co-located chunks execute through the
-        batch engine (:mod:`repro.engine`): one fused kernel per
-        (bank, subarray) group, issued round-robin across banks, with
-        identical results and identical timing/energy accounting.  With
-        a tracer attached, every chunk walks the per-row command path so
-        the emitted trace stream is unchanged.
+        batch engine (:mod:`repro.engine`, or the sharded device when
+        one wraps it): one fused kernel per (bank, subarray) group,
+        issued round-robin across banks, with identical results and
+        identical timing/energy accounting.  With a tracer attached,
+        every chunk walks the per-row command path so the emitted trace
+        stream is unchanged.
         """
-        operands = [self] + ([other] if other is not None else [])
-        for v in operands + [dst]:
+        vectors = [self] + [v for v in others if v is not None]
+        for v in vectors + [dst]:
             if v.handle.num_rows != self.handle.num_rows:
                 raise AllocationError("bitvector operands must have equal row counts")
         driver = self.system.driver
-        if self.device.tracer is not None:
+        device = self.device
+        traced = device.tracer is not None
+        with driver.temp_rows(dst.handle, op.num_temps) as temp_handles:
+            dst_rows = []
+            src_cols = [[] for _ in vectors]
+            temp_cols = [[] for _ in temp_handles]
             for i in range(self.handle.num_rows):
                 d = dst.handle.rows[i]
-                a = driver.stage_for(self.handle.rows[i], d, scratch_index=0)
-                b = None
-                if other is not None:
-                    b = driver.stage_for(other.handle.rows[i], d, scratch_index=1)
-                self.device.bbop_row(op, d, a, b)
-            return dst
-        # Batched path: fuse co-located chunks, stage strays per row.
-        dst_rows, src_rows, other_rows = [], [], []
-        for i in range(self.handle.num_rows):
-            d = dst.handle.rows[i]
-            a = self.handle.rows[i]
-            b = other.handle.rows[i] if other is not None else None
-            colocated = (a.bank, a.subarray) == (d.bank, d.subarray) and (
-                b is None or (b.bank, b.subarray) == (d.bank, d.subarray)
-            )
-            if colocated:
-                dst_rows.append(d)
-                src_rows.append(a)
-                if b is not None:
-                    other_rows.append(b)
-            else:
-                a = driver.stage_for(a, d, scratch_index=0)
-                if b is not None:
-                    b = driver.stage_for(b, d, scratch_index=1)
-                self.device.bbop_row(op, d, a, b)
-        if dst_rows:
-            self.device.engine.run_rows(
-                op, dst_rows, src_rows, other_rows if other is not None else None
-            )
+                srcs = [v.handle.rows[i] for v in vectors]
+                temps = [h.rows[i] for h in temp_handles]
+                strays = [
+                    k for k, s in enumerate(srcs)
+                    if (s.bank, s.subarray) != (d.bank, d.subarray)
+                ]
+                if not strays and not traced:
+                    # Batched path: fuse co-located chunks.
+                    dst_rows.append(d)
+                    for col, s in zip(src_cols, srcs):
+                        col.append(s)
+                    for col, t in zip(temp_cols, temps):
+                        col.append(t)
+                    continue
+                if len(strays) > 2:
+                    raise AllocationError(
+                        f"chunk {i} has {len(strays)} cross-subarray "
+                        f"operands; only 2 scratch rows exist -- allocate "
+                        f"operands with like= to co-locate them"
+                    )
+                for scratch, k in enumerate(strays):
+                    srcs[k] = driver.stage_for(
+                        srcs[k], d, scratch_index=scratch
+                    )
+                device.bbop_row(op, d, *srcs, temps=temps)
+            if dst_rows:
+                device.run_rows(op, dst_rows, *src_cols, temps=temp_cols)
         return dst
 
     def _binary(self, op: BulkOp, other: "BitVector") -> "BitVector":
@@ -230,11 +239,7 @@ class BitVector:
         vector co-located with ``self`` holding the result.
 
         Execution runs entirely in-DRAM through the synthesized
-        MAJ/NOT microprogram: scratch rows are leased from the driver
-        chunk-aligned with the destination, co-located chunks go
-        through the batch engine (or the sharded device when one wraps
-        it), strays are staged like :meth:`op_into`, and an attached
-        tracer sees the exact per-row command walk.
+        MAJ/NOT microprogram, by :meth:`op_into` like any other op.
         """
         from repro.compile.ir import Expr, parse_expr
         from repro.compile.ops import CompiledOp, compile_expr
@@ -271,9 +276,7 @@ class BitVector:
                 )
 
         dst = self.system.bitvector(self.nbits, like=self)
-        driver = self.system.driver
-        with driver.temp_rows(dst.handle, cop.num_temps) as temp_handles:
-            self._execute_compiled(cop, dst, vectors, temp_handles)
+        vectors[0].op_into(cop, dst, *vectors[1:])
         # A compiled function with a non-zero image of all-zero inputs
         # (xnor-shaped outputs) flips the padding of the final partial
         # row; re-zero it so popcount and round-trips stay correct.
@@ -283,65 +286,6 @@ class BitVector:
         if int(pad[0]):
             dst._clear_padding()
         return dst
-
-    def _execute_compiled(self, cop, dst, vectors, temp_handles) -> None:
-        driver = self.system.driver
-        num_rows = self.handle.num_rows
-
-        def row_operands(i):
-            d = dst.handle.rows[i]
-            srcs = [v.handle.rows[i] for v in vectors]
-            strays = [
-                s for s in srcs
-                if (s.bank, s.subarray) != (d.bank, d.subarray)
-            ]
-            if len(strays) > 2:
-                raise AllocationError(
-                    f"chunk {i} has {len(strays)} cross-subarray operands; "
-                    f"only 2 scratch rows exist -- allocate operands with "
-                    f"like= to co-locate them"
-                )
-            temps = [h.rows[i] for h in temp_handles]
-            return d, srcs, strays, temps
-
-        if self.device.tracer is not None:
-            for i in range(num_rows):
-                d, srcs, _, temps = row_operands(i)
-                staged = []
-                scratch = 0
-                for s in srcs:
-                    if (s.bank, s.subarray) != (d.bank, d.subarray):
-                        s = driver.stage_for(s, d, scratch_index=scratch)
-                        scratch += 1
-                    staged.append(s)
-                self.device.bbop_compiled_row(cop, d, staged, temps)
-            return
-        # Batched path: fuse co-located chunks, stage strays per row.
-        dst_rows = []
-        operand_cols = [[] for _ in range(cop.arity)]
-        temp_cols = [[] for _ in range(cop.num_temps)]
-        for i in range(num_rows):
-            d, srcs, strays, temps = row_operands(i)
-            if not strays:
-                dst_rows.append(d)
-                for col, s in zip(operand_cols, srcs):
-                    col.append(s)
-                for col, t in zip(temp_cols, temps):
-                    col.append(t)
-                continue
-            staged = []
-            scratch = 0
-            for s in srcs:
-                if (s.bank, s.subarray) != (d.bank, d.subarray):
-                    s = driver.stage_for(s, d, scratch_index=scratch)
-                    scratch += 1
-                staged.append(s)
-            self.device.bbop_compiled_row(cop, d, staged, temps)
-        if dst_rows:
-            runner = getattr(self.device, "run_compiled", None)
-            if runner is None:
-                runner = self.device.engine.run_compiled
-            runner(cop, dst_rows, operand_cols, temp_cols)
 
     def copy(self) -> "BitVector":
         """Duplicate the vector (RowClone copies, co-located)."""

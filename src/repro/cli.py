@@ -577,11 +577,11 @@ def _cmd_compile(args: argparse.Namespace) -> None:
             rows=64, row_bytes=args.row_bytes
         ))
         dk = cop.arity + cop.num_temps
-        plan = device.controller.plan_cache.get_compiled(
+        plan = device.controller.plan_cache.get(
             cop,
             dk,
-            tuple(range(cop.arity)),
-            tuple(cop.arity + t for t in range(cop.num_temps)),
+            *range(cop.arity),
+            temps=tuple(cop.arity + t for t in range(cop.num_temps)),
         )
         print(f"  plan   : {plan.num_commands} bus commands, "
               f"{plan.total_ns:.1f} ns per {args.row_bytes}-byte row")

@@ -1,15 +1,20 @@
 """Backend of the operation compiler: netlist -> AAP microprograms.
 
 A :class:`CompiledOp` is the compiled artefact: a straight-line
-sequence of :class:`Step`\\ s over an abstract row-slot space --
-input slots ``0..arity-1``, scratch slots ``arity..arity+num_temps-1``,
-plus the sentinels :data:`C0_SLOT`/:data:`C1_SLOT` (the pre-initialised
-all-zeros/all-ones control rows) and :data:`DST_SLOT` (the caller's
-destination row).  Each step is one *native* Ambit microprogram
-(AND/OR/NAND/NOR/XOR/XNOR/MAJ/NOT/COPY), so a compiled plan's cost is
-exactly the sum of the hand-written Figure-8 programs it strings
+sequence of :class:`~repro.core.microprograms.Step`\\ s over an abstract
+row-slot space -- input slots ``0..arity-1``, scratch slots
+``arity..arity+num_temps-1``, plus the sentinels :data:`C0_SLOT`/
+:data:`C1_SLOT` (the pre-initialised all-zeros/all-ones control rows)
+and :data:`DST_SLOT` (the caller's destination row).  Each step is one
+Figure-8 program (AND/OR/NAND/NOR/XOR/XNOR/MAJ/NOT/COPY), so a compiled
+plan's cost is exactly the sum of the hand-written programs it strings
 together; a compiled two-input AND or XOR is byte-for-byte the paper's
 own program.
+
+A compiled op is a :class:`~repro.core.microprograms.StepProgram`, like
+each of the nine :class:`~repro.core.microprograms.BulkOp`\\ s (which are
+one-step programs): the same interpreter binds it to rows and evaluates
+it, and every layer above runs it through the same path.
 
 Lowering applies NOT-pushdown through the dual-contact cells: a gate
 whose value is consumed only in negated form is emitted as its
@@ -21,22 +26,13 @@ DCC NOT, materialised once per value and shared.
 Scratch slots are assigned by a linear scan over step liveness, so a
 deep expression reuses a small set of reserved rows instead of one row
 per gate.
-
-The class is duck-typed against :class:`repro.core.microprograms.BulkOp`
-where the engine needs it (``.value``, ``.arity``, hashability) and
-adds the compiled-op protocol: :meth:`program` (bind slots to real row
-addresses and concatenate the native microprograms) and
-:meth:`eval_rows` (the functional model used by the fused batch kernel
-and the fault-tolerant shadow).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.compile.ir import Expr
 from repro.compile.netlist import (
@@ -47,43 +43,31 @@ from repro.compile.netlist import (
     Operand,
     build_netlist,
 )
-from repro.core.microprograms import BulkOp, Microprogram, compile_op
+from repro.core.microprograms import (
+    C0_SLOT,
+    C1_SLOT,
+    DST_SLOT,
+    DUAL_DCC_OPS,
+    BulkOp,
+    Step,
+    StepProgram,
+    xor_minimal_steps,
+)
 from repro.errors import CompileError
 
-#: Sentinel slots resolved at :meth:`CompiledOp.program` time.
-C0_SLOT = -1   # the all-zeros control row, amap.c(0)
-C1_SLOT = -2   # the all-ones control row, amap.c(1)
-DST_SLOT = -3  # the caller's destination row
-
-#: AAP/AP cost of each native microprogram (Section 3.4 / Figure 8).
-AAP_COUNTS = {
-    BulkOp.COPY: 1,
-    BulkOp.NOT: 2,
-    BulkOp.AND: 4,
-    BulkOp.OR: 4,
-    BulkOp.MAJ: 4,
-    BulkOp.NAND: 5,
-    BulkOp.NOR: 5,
-    BulkOp.XOR: 5,
-    BulkOp.XNOR: 5,
-}
-AP_COUNTS = {BulkOp.XOR: 2, BulkOp.XNOR: 2}
-
-_SINGLE_DCC_STEPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
-_DUAL_DCC_STEPS = (BulkOp.XOR, BulkOp.XNOR)
+__all__ = [
+    "C0_SLOT",
+    "C1_SLOT",
+    "DST_SLOT",
+    "CompiledOp",
+    "Step",
+    "compile_expr",
+    "without_dual_dcc",
+]
 
 
 @dataclass(frozen=True)
-class Step:
-    """One native microprogram: ``dst <- op(*srcs)`` over row slots."""
-
-    op: BulkOp
-    dst: int
-    srcs: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CompiledOp:
+class CompiledOp(StepProgram):
     """A synthesized bulk-bitwise operation (see module docstring)."""
 
     name: str
@@ -92,7 +76,6 @@ class CompiledOp:
     num_temps: int
     fingerprint: str
 
-    # -- the BulkOp-compatible surface -------------------------------
     @property
     def value(self) -> str:
         """Label used by metrics, tracing, and plan-cache stats."""
@@ -102,122 +85,9 @@ class CompiledOp:
     def arity(self) -> int:
         return len(self.inputs)
 
-    # -- static cost model -------------------------------------------
-    @property
-    def num_aap(self) -> int:
-        return sum(AAP_COUNTS[step.op] for step in self.steps)
-
-    @property
-    def num_ap(self) -> int:
-        return sum(AP_COUNTS.get(step.op, 0) for step in self.steps)
-
-    @property
-    def uses_single_dcc(self) -> bool:
-        """True when some step routes through one dual-contact cell."""
-        return any(step.op in _SINGLE_DCC_STEPS for step in self.steps)
-
-    @property
-    def uses_dual_dcc(self) -> bool:
-        """True when some step needs both dual-contact cells (XOR/XNOR)."""
-        return any(step.op in _DUAL_DCC_STEPS for step in self.steps)
-
-    # -- binding to real rows ----------------------------------------
-    def _row(self, slot: int, dk: int, srcs, temps, amap) -> int:
-        if slot == DST_SLOT:
-            return dk
-        if slot == C0_SLOT:
-            return amap.c(0)
-        if slot == C1_SLOT:
-            return amap.c(1)
-        if slot < self.arity:
-            return srcs[slot]
-        return temps[slot - self.arity]
-
-    def program(
-        self,
-        amap,
-        dk: int,
-        srcs: Sequence[int],
-        temps: Sequence[int],
-        dcc: int = 0,
-    ) -> Microprogram:
-        """Bind slots to row addresses and emit the full microprogram.
-
-        ``srcs`` are the operand rows in :attr:`inputs` order, ``temps``
-        the reserved scratch rows.  The destination and every scratch
-        row must be distinct from each other and from the operands
-        (scratch rows are clobbered; the destination is written last by
-        its final step but may be an intermediate of none).
-        """
-        srcs = tuple(srcs)
-        temps = tuple(temps)
-        if len(srcs) != self.arity:
-            raise CompileError(
-                f"{self.value} takes {self.arity} source rows; got {len(srcs)}"
-            )
-        if len(temps) != self.num_temps:
-            raise CompileError(
-                f"{self.value} needs {self.num_temps} scratch rows; "
-                f"got {len(temps)}"
-            )
-        if len(set(temps)) != len(temps) or set(temps) & set(srcs):
-            raise CompileError(
-                f"{self.value}: scratch rows must be distinct from each "
-                f"other and from the sources"
-            )
-        if dk in srcs or dk in temps:
-            raise CompileError(
-                f"{self.value}: destination row {dk} aliases an operand "
-                f"or scratch row"
-            )
-        primitives = []
-        for step in self.steps:
-            operands = [self._row(s, dk, srcs, temps, amap) for s in step.srcs]
-            kwargs = dict(zip(("di", "dj", "dl"), operands))
-            native = compile_op(
-                amap,
-                step.op,
-                dk=self._row(step.dst, dk, srcs, temps, amap),
-                dcc=dcc,
-                **kwargs,
-            )
-            primitives.extend(native.primitives)
-        return Microprogram(op=self, primitives=tuple(primitives))
-
-    # -- functional model --------------------------------------------
-    def eval_rows(self, sources: Sequence[np.ndarray]):
-        """Interpret the steps over row values.
-
-        Returns ``(dst_value, temp_values)`` where ``temp_values`` are
-        the *final* contents of each scratch row -- the fused batch
-        kernel pokes those too, so fused and per-row execution leave
-        bit-identical memory behind.
-        """
-        if len(sources) != self.arity:
-            raise CompileError(
-                f"{self.value} takes {self.arity} sources; got {len(sources)}"
-            )
-        values: Dict[int, np.ndarray] = {
-            i: np.asarray(src) for i, src in enumerate(sources)
-        }
-        sample = values[0]
-        zeros = sample ^ sample
-        values[C0_SLOT] = zeros
-        values[C1_SLOT] = ~zeros
-        dst = None
-        for step in self.steps:
-            operands = [values[s] for s in step.srcs]
-            result = _apply_native(step.op, operands)
-            if step.dst == DST_SLOT:
-                dst = result
-            else:
-                values[step.dst] = result
-        if dst is None:  # pragma: no cover - emitter always writes dst
-            raise CompileError(f"{self.value}: no step writes the destination")
-        temp_values = tuple(
-            values[self.arity + k] for k in range(self.num_temps)
-        )
-        return dst, temp_values
+    # The shared interpreter, bound in this class too so that compiled
+    # evaluation is an attribute of its own (bench/layers.py times it).
+    eval_rows = StepProgram.eval_rows
 
     # -- human-readable form -----------------------------------------
     def _slot_name(self, slot: int) -> str:
@@ -248,28 +118,37 @@ class CompiledOp:
         )
 
 
-def _apply_native(op: BulkOp, operands: List[np.ndarray]) -> np.ndarray:
-    if op is BulkOp.COPY:
-        return operands[0].copy()
-    if op is BulkOp.NOT:
-        return ~operands[0]
-    a, b = operands[0], operands[1]
-    if op is BulkOp.AND:
-        return a & b
-    if op is BulkOp.OR:
-        return a | b
-    if op is BulkOp.NAND:
-        return ~(a & b)
-    if op is BulkOp.NOR:
-        return ~(a | b)
-    if op is BulkOp.XOR:
-        return a ^ b
-    if op is BulkOp.XNOR:
-        return ~(a ^ b)
-    if op is BulkOp.MAJ:
-        c = operands[2]
-        return (a & b) | (a & c) | (b & c)
-    raise CompileError(f"cannot interpret native op {op!r}")
+def _fingerprint(inputs, steps) -> str:
+    return hashlib.sha1(repr((inputs, steps)).encode()).hexdigest()[:12]
+
+
+def without_dual_dcc(op: StepProgram) -> CompiledOp:
+    """``op`` with each XOR/XNOR step rewritten to need one DCC row.
+
+    Every XOR/XNOR step becomes the minimal-B-group composition of
+    :func:`~repro.core.microprograms.xor_minimal_steps` through two
+    extra scratch slots (the last two); other steps are kept.  This is
+    the degraded program the fault layer runs, with the healthy DCC as
+    its route, on a subarray where one DCC n-wordline is dead.
+    """
+    s0 = op.arity + op.num_temps
+    steps: List[Step] = []
+    for step in op.steps:
+        if step.op in DUAL_DCC_OPS:
+            di, dj = step.srcs
+            steps.extend(
+                xor_minimal_steps(step.op, di, dj, step.dst, s0, s0 + 1)
+            )
+        else:
+            steps.append(step)
+    inputs = tuple(f"x{i}" for i in range(op.arity))
+    return CompiledOp(
+        name=f"{op.value}~minimal",
+        inputs=inputs,
+        steps=tuple(steps),
+        num_temps=op.num_temps + 2,
+        fingerprint=_fingerprint(inputs, steps),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +363,7 @@ def compile_expr(expr: Expr, name: Optional[str] = None) -> CompiledOp:
     emitter = _Emitter(net)
     emitter.run()
     steps, num_temps = _allocate(emitter.steps, len(net.inputs))
-    blob = repr((net.inputs, steps)).encode()
-    fingerprint = hashlib.sha1(blob).hexdigest()[:12]
+    fingerprint = _fingerprint(net.inputs, steps)
     compiled = CompiledOp(
         name=name or f"expr_{fingerprint[:8]}",
         inputs=net.inputs,

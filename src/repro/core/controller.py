@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
-from repro.core.microprograms import BulkOp, Microprogram
+from repro.core.microprograms import BulkOp, Microprogram, StepProgram
 from repro.core.primitives import AAP, AP
 from repro.core.repair import RowRepairMap
 from repro.dram.chip import DramChip
@@ -124,19 +124,21 @@ class AmbitController:
     # ------------------------------------------------------------------
     def bbop(
         self,
-        op: BulkOp,
+        op: StepProgram,
         bank: int,
         subarray: int,
         dk: int,
-        di: int,
-        dj: Optional[int] = None,
-        dl: Optional[int] = None,
+        *srcs: Optional[int],
+        temps: Sequence[int] = (),
     ) -> Microprogram:
         """Execute one bulk bitwise operation on one subarray.
 
-        ``dk``/``di``/``dj`` are local row addresses (D-group for data,
-        C-group sources are allowed so tests can use constant rows).
-        Returns the microprogram that was executed.
+        ``op`` is one of the nine :class:`BulkOp`\\ s or a compiled op
+        (:class:`repro.compile.ops.CompiledOp`).  ``dk`` and ``srcs``
+        are local row addresses (D-group for data, C-group sources are
+        allowed so tests can use constant rows; ``None`` sources are
+        dropped), and ``temps`` the scratch rows a compiled op's steps
+        clobber.  Returns the microprogram that was executed.
 
         The compiled plan is memoised in :attr:`plan_cache`: repeated
         operations at the same local addresses (every row of a striped
@@ -146,50 +148,27 @@ class AmbitController:
         remapping) and the program through :attr:`dcc_route`, so callers
         never see repaired rows or rerouted negations.
         """
+        if None in srcs:
+            srcs = tuple(s for s in srcs if s is not None)
+        temps = tuple(temps)
         if self.repair:
-            dk = self.repair.translate(bank, subarray, dk)
-            di = self.repair.translate(bank, subarray, di)
-            if dj is not None:
-                dj = self.repair.translate(bank, subarray, dj)
-            if dl is not None:
-                dl = self.repair.translate(bank, subarray, dl)
+            translate = self.repair.translate
+            dk = translate(bank, subarray, dk)
+            srcs = tuple(translate(bank, subarray, r) for r in srcs)
+            temps = tuple(translate(bank, subarray, r) for r in temps)
         dcc = self.dcc_route.get((bank, subarray), 0)
-        plan = self.plan_cache.get(op, dk, di, dj, dl, dcc)
+        plan = self.plan_cache.get(op, dk, *srcs, temps=temps, dcc=dcc)
         self.run_plan(plan, bank, subarray)
         return plan.program
 
-    def bbop_compiled(
-        self,
-        cop,
-        bank: int,
-        subarray: int,
-        dk: int,
-        srcs: Tuple[int, ...],
-        temps: Tuple[int, ...],
-    ) -> Microprogram:
-        """Execute one compiled (synthesized) operation on one subarray.
+    def bbop_compiled(self, cop, bank, subarray, dk, srcs, temps):
+        """``bbop(cop, bank, subarray, dk, *srcs, temps=temps)``.
 
-        ``cop`` is a :class:`repro.compile.ops.CompiledOp`; ``srcs`` are
-        the operand rows in its input order and ``temps`` the reserved
-        scratch rows its steps clobber.  Same address path as
-        :meth:`bbop`: spare-row repair translates every row, the
-        subarray's DCC route picks the dual-contact cell for single
-        negations, and the bound plan memoises in :attr:`plan_cache`.
+        Kept only because ``bench/layers.py`` wraps this name; nothing
+        under ``src/`` calls it.  Remove it when a benchmark change
+        edits that file's ``LAYERS``.
         """
-        if self.repair:
-            dk = self.repair.translate(bank, subarray, dk)
-            srcs = tuple(
-                self.repair.translate(bank, subarray, r) for r in srcs
-            )
-            temps = tuple(
-                self.repair.translate(bank, subarray, r) for r in temps
-            )
-        dcc = self.dcc_route.get((bank, subarray), 0)
-        plan = self.plan_cache.get_compiled(
-            cop, dk, tuple(srcs), tuple(temps), dcc
-        )
-        self.run_plan(plan, bank, subarray)
-        return plan.program
+        return self.bbop(cop, bank, subarray, dk, *srcs, temps=temps)
 
     def run_program(self, program: Microprogram, bank: int, subarray: int) -> None:
         """Stream an already-compiled microprogram to the chip.
@@ -255,11 +234,7 @@ class AmbitController:
         has the same primitive structure, so the latency is uniform.
         The compiled plan is cached, so repeated queries are O(1).
         """
-        plan = self.plan_cache.get(
-            op, 3, 0,
-            None if op.arity == 1 else 1,
-            2 if op.arity == 3 else None,
-        )
+        plan = self.plan_cache.get(op, 3, *range(op.arity))
         return plan.total_ns
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.controller import AmbitController
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import StepProgram
 from repro.dram.chip import DramChip, RowLocation
 from repro.dram.geometry import DramGeometry
 from repro.dram.rowclone import psm_latency_ns, rowclone_psm
@@ -110,21 +110,23 @@ class AmbitDevice:
     # ------------------------------------------------------------------
     def bbop_row(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: RowLocation,
-        src1: RowLocation,
-        src2: Optional[RowLocation] = None,
-        src3: Optional[RowLocation] = None,
+        *srcs: Optional[RowLocation],
+        temps: Sequence[RowLocation] = (),
     ) -> None:
         """Execute one bulk bitwise operation on row-sized operands.
 
-        All operands must live in the same subarray (the driver's job,
-        Section 5.4.2); cross-subarray operands need explicit staging
-        via :meth:`psm_copy` first.
+        ``op`` is a :class:`BulkOp` or a compiled op; ``srcs`` bind its
+        inputs in order (``None`` entries are dropped) and ``temps`` are
+        the scratch rows a compiled op's steps clobber.  All rows must
+        live in the same subarray (the driver's job, Section 5.4.2);
+        cross-subarray operands need explicit staging via
+        :meth:`psm_copy` first.
         """
-        locs = [dst, src1] + [s for s in (src2, src3) if s is not None]
+        srcs = [s for s in srcs if s is not None]
         bank, sub = dst.bank, dst.subarray
-        for loc in locs:
+        for loc in srcs + list(temps):
             if (loc.bank, loc.subarray) != (bank, sub):
                 raise AddressError(
                     f"bbop operands must share a subarray: {loc} vs "
@@ -135,43 +137,22 @@ class AmbitDevice:
             op,
             bank,
             sub,
-            dk=dst.address,
-            di=src1.address,
-            dj=None if src2 is None else src2.address,
-            dl=None if src3 is None else src3.address,
+            dst.address,
+            *[loc.address for loc in srcs],
+            temps=[loc.address for loc in temps],
         )
 
-    def bbop_compiled_row(
+    def run_rows(
         self,
-        cop,
-        dst: RowLocation,
-        srcs: Sequence[RowLocation],
-        temps: Sequence[RowLocation],
-    ) -> None:
-        """Execute one compiled (synthesized) operation on row operands.
-
-        ``cop`` is a :class:`repro.compile.ops.CompiledOp`; ``srcs``
-        bind its inputs in order and ``temps`` are the scratch rows its
-        steps clobber.  Like :meth:`bbop_row`, every row must live in
-        the destination's subarray.
-        """
-        locs = [dst, *srcs, *temps]
-        bank, sub = dst.bank, dst.subarray
-        for loc in locs:
-            if (loc.bank, loc.subarray) != (bank, sub):
-                raise AddressError(
-                    f"bbop operands must share a subarray: {loc} vs "
-                    f"bank {bank} subarray {sub} "
-                    f"(stage cross-subarray operands with psm_copy)"
-                )
-        self.controller.bbop_compiled(
-            cop,
-            bank,
-            sub,
-            dk=dst.address,
-            srcs=tuple(loc.address for loc in srcs),
-            temps=tuple(loc.address for loc in temps),
-        )
+        op: StepProgram,
+        dst: Sequence[RowLocation],
+        *srcs: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
+    ):
+        """Execute a row batch through :attr:`engine` (same contract as
+        :meth:`repro.engine.batch.BatchEngine.run_rows`, and as the
+        sharded device's ``run_rows``)."""
+        return self.engine.run_rows(op, dst, *srcs, temps=temps)
 
     @property
     def engine(self):

@@ -15,21 +15,178 @@ rows":
 ``copy`` (one AAP) and ``init0``/``init1`` (an AAP from a control row)
 are included because RowClone-style copies are first-class citizens of
 the Ambit controller (Section 3.4).
+
+Every bulk operation the rest of the stack executes is a
+:class:`StepProgram`: a straight-line sequence of these Figure-8
+programs over row slots.  The nine :class:`BulkOp`\\ s are one-step
+programs; :class:`repro.compile.ops.CompiledOp` strings several steps
+together through scratch rows.  One interpreter binds either kind to
+rows (:meth:`StepProgram.program`) and evaluates it over row values
+(:meth:`StepProgram.eval_rows`, built on :func:`apply_bulk_op`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.primitives import AAP, AP, Primitive
 from repro.errors import AddressError
 
+#: Sentinel slots of a step program, resolved when it is bound to rows.
+C0_SLOT = -1   # the all-zeros control row, amap.c(0)
+C1_SLOT = -2   # the all-ones control row, amap.c(1)
+DST_SLOT = -3  # the caller's destination row
 
-class BulkOp(enum.Enum):
+
+@dataclass(frozen=True)
+class Step:
+    """One Figure-8 microprogram: ``dst <- op(*srcs)`` over row slots."""
+
+    op: "BulkOp"
+    dst: int
+    srcs: Tuple[int, ...]
+
+
+class StepProgram:
+    """The op protocol: a bulk operation as a program of Figure-8 steps.
+
+    Every layer (plan cache, controller, batch engine, sharded device,
+    fault-tolerant session) handles an operation only through this
+    surface: ``value`` (the label of its statistics, metrics and trace
+    events), ``arity``, ``num_temps``, ``steps``, :meth:`program`,
+    :meth:`eval_rows` and the DCC profile the recovery ladder reads.
+
+    Slots are inputs ``0..arity-1``, scratch rows
+    ``arity..arity+num_temps-1``, and the sentinels :data:`C0_SLOT`,
+    :data:`C1_SLOT` and :data:`DST_SLOT`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def num_aap(self) -> int:
+        return sum(AAP_COUNTS[step.op] for step in self.steps)
+
+    @property
+    def num_ap(self) -> int:
+        return sum(AP_COUNTS.get(step.op, 0) for step in self.steps)
+
+    @property
+    def uses_single_dcc(self) -> bool:
+        """True when some step routes through one dual-contact cell."""
+        return any(step.op in SINGLE_DCC_OPS for step in self.steps)
+
+    @property
+    def uses_dual_dcc(self) -> bool:
+        """True when some step needs both dual-contact cells (XOR/XNOR)."""
+        return any(step.op in DUAL_DCC_OPS for step in self.steps)
+
+    def program(
+        self,
+        amap: AmbitAddressMap,
+        dk: int,
+        srcs: Sequence[int],
+        temps: Sequence[int] = (),
+        dcc: int = 0,
+    ) -> "Microprogram":
+        """Bind slots to row addresses and emit the full microprogram.
+
+        ``srcs`` are the operand rows in input order and ``temps`` the
+        reserved scratch rows, which must be distinct from each other,
+        from the operands and from the destination (steps clobber them).
+        The destination may alias an operand: only the final step
+        writes it, after every read.  ``dcc`` routes single-negation
+        steps through the chosen dual-contact row.
+        """
+        srcs = tuple(srcs)
+        temps = tuple(temps)
+        if len(srcs) != self.arity:
+            raise AddressError(
+                f"{self.value} takes {self.arity} source rows; got {len(srcs)}"
+            )
+        if len(temps) != self.num_temps:
+            raise AddressError(
+                f"{self.value} needs {self.num_temps} scratch rows; "
+                f"got {len(temps)}"
+            )
+        if temps and (
+            len(set(temps)) != len(temps)
+            or set(temps) & set(srcs)
+            or dk in temps
+        ):
+            raise AddressError(
+                f"{self.value}: scratch rows must be distinct from each "
+                f"other, the sources and the destination"
+            )
+        rows = srcs + temps
+
+        def row(slot: int) -> int:
+            if slot >= 0:
+                return rows[slot]
+            if slot == DST_SLOT:
+                return dk
+            return amap.c(0) if slot == C0_SLOT else amap.c(1)
+
+        parts = [
+            compile_op(
+                amap, step.op, row(step.dst), *map(row, step.srcs), dcc=dcc
+            )
+            for step in self.steps
+        ]
+        if len(parts) == 1 and parts[0].op is self:
+            return parts[0]  # a BulkOp is its own Figure-8 program
+        return Microprogram(
+            self, tuple(p for part in parts for p in part.primitives)
+        )
+
+    def eval_rows(self, sources: Sequence[np.ndarray]):
+        """Interpret the steps over row values.
+
+        Returns ``(dst_value, temp_values)``, where ``temp_values`` are
+        the *final* contents of each scratch row -- the fused batch
+        kernel pokes those too, so fused and per-row execution leave
+        bit-identical memory behind.
+        """
+        arity = self.arity
+        if len(sources) != arity:
+            raise AddressError(
+                f"{self.value} takes {arity} sources; got {len(sources)}"
+            )
+        values: List[Optional[np.ndarray]] = list(sources)
+        if self.num_temps:
+            values += [None] * self.num_temps
+        dst = None
+        for step in self.steps:
+            operands = []
+            for slot in step.srcs:
+                operands.append(
+                    values[slot] if slot >= 0 else _constant(values[0], slot)
+                )
+            result = apply_bulk_op(step.op, *operands)
+            if step.dst == DST_SLOT:
+                dst = result
+            else:
+                values[step.dst] = result
+        return dst, tuple(values[arity:])
+
+
+def _constant(sample: np.ndarray, slot: int) -> np.ndarray:
+    """The C0/C1 control-row image shaped like ``sample``."""
+    zeros = sample ^ sample
+    return zeros if slot == C0_SLOT else ~zeros
+
+
+class BulkOp(StepProgram, enum.Enum):
     """The bulk bitwise operations Ambit supports.
+
+    Each is a one-step :class:`StepProgram` (its own Figure-8 program
+    over the input slots), so the nine ops and compiled expressions take
+    the same path through every layer.
 
     ``MAJ`` is the natural extension the paper's conclusion invites:
     triple-row activation *is* a majority gate, so exposing the raw
@@ -39,31 +196,87 @@ class BulkOp(enum.Enum):
     (:mod:`repro.apps.arithmetic`) possible.
     """
 
-    NOT = "not"
-    AND = "and"
-    OR = "or"
-    NAND = "nand"
-    NOR = "nor"
-    XOR = "xor"
-    XNOR = "xnor"
-    COPY = "copy"
-    MAJ = "maj"
+    NOT = ("not", 1)
+    AND = ("and", 2)
+    OR = ("or", 2)
+    NAND = ("nand", 2)
+    NOR = ("nor", 2)
+    XOR = ("xor", 2)
+    XNOR = ("xnor", 2)
+    COPY = ("copy", 1)
+    MAJ = ("maj", 3)
 
-    @property
-    def arity(self) -> int:
-        """Number of source operands."""
-        if self in (BulkOp.NOT, BulkOp.COPY):
-            return 1
-        if self is BulkOp.MAJ:
-            return 3
-        return 2
+    def __new__(cls, value: str, arity: int) -> "BulkOp":
+        op = object.__new__(cls)
+        op._value_ = value
+        #: Number of source operands.
+        op.arity = arity
+        op.num_temps = 0
+        op.steps = (Step(op, DST_SLOT, tuple(range(arity))),)
+        return op
+
+
+#: AAP/AP cost of each Figure-8 program (Section 3.4).
+AAP_COUNTS = {
+    BulkOp.COPY: 1,
+    BulkOp.NOT: 2,
+    BulkOp.AND: 4,
+    BulkOp.OR: 4,
+    BulkOp.MAJ: 4,
+    BulkOp.NAND: 5,
+    BulkOp.NOR: 5,
+    BulkOp.XOR: 5,
+    BulkOp.XNOR: 5,
+}
+AP_COUNTS = {BulkOp.XOR: 2, BulkOp.XNOR: 2}
+
+#: Programs whose negation routes through a single DCC row.
+SINGLE_DCC_OPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
+
+#: Programs that need *both* DCC rows (the 8-AAP xor/xnor).
+DUAL_DCC_OPS = (BulkOp.XOR, BulkOp.XNOR)
+
+
+def apply_bulk_op(
+    op: BulkOp,
+    src1: np.ndarray,
+    src2: Optional[np.ndarray] = None,
+    src3: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The functional effect of one Figure-8 program on packed uint64 rows.
+
+    This is the single definition of truth: :meth:`StepProgram.eval_rows`
+    applies it step by step, and the property tests pin it against the
+    command-level walk bit for bit.
+    """
+    if op is BulkOp.NOT:
+        return ~src1
+    if op is BulkOp.COPY:
+        return src1.copy()
+    if op is BulkOp.MAJ:
+        return (src1 & src2) | (src1 & src3) | (src2 & src3)
+    if src2 is None:
+        raise AddressError(f"{op.value} needs a second operand")
+    if op is BulkOp.AND:
+        return src1 & src2
+    if op is BulkOp.OR:
+        return src1 | src2
+    if op is BulkOp.XOR:
+        return src1 ^ src2
+    if op is BulkOp.NAND:
+        return ~(src1 & src2)
+    if op is BulkOp.NOR:
+        return ~(src1 | src2)
+    if op is BulkOp.XNOR:
+        return ~(src1 ^ src2)
+    raise AddressError(f"unknown bulk operation {op}")
 
 
 @dataclass(frozen=True)
 class Microprogram:
     """A compiled bulk operation: the primitive sequence plus metadata."""
 
-    op: BulkOp
+    op: StepProgram
     primitives: Tuple[Primitive, ...]
 
     @property
@@ -368,15 +581,32 @@ def compile_xor_minimal(
     s0, s1 = scratch
     if len({di, dj, dk, s0, s1}) != 5:
         raise AddressError("xor_minimal needs five distinct rows")
-    programs = [
-        compile_not(amap, dj, s0, dcc),        # s0 = !Dj
-        compile_and(amap, di, s0, s0),         # s0 = Di & !Dj
-        compile_not(amap, di, s1, dcc),        # s1 = !Di
-        compile_and(amap, dj, s1, s1),         # s1 = !Di & Dj
+    return tuple(
+        compile_op(amap, step.op, step.dst, *step.srcs, dcc=dcc)
+        for step in xor_minimal_steps(op, di, dj, dk, s0, s1)
+    )
+
+
+def xor_minimal_steps(
+    op: BulkOp, di: int, dj: int, dk: int, s0: int, s1: int
+) -> List[Step]:
+    """The steps of :func:`compile_xor_minimal`, over rows or slots.
+
+    ``Dk = (Di and not Dj) or (not Di and Dj)`` through the scratch
+    ``s0``/``s1``; ``op=BulkOp.XNOR`` negates the result.  The fault
+    layer rewrites the XOR/XNOR steps of any program with these when
+    one DCC row is dead.  ``dk`` is written only by the last step, so
+    it may alias ``di`` or ``dj``.
+    """
+    steps = [
+        Step(BulkOp.NOT, s0, (dj,)),        # s0 = !Dj
+        Step(BulkOp.AND, s0, (di, s0)),     # s0 = Di & !Dj
+        Step(BulkOp.NOT, s1, (di,)),        # s1 = !Di
+        Step(BulkOp.AND, s1, (dj, s1)),     # s1 = !Di & Dj
     ]
     if op is BulkOp.XNOR:
-        programs.append(compile_or(amap, s0, s1, s0))   # s0 = Di ^ Dj
-        programs.append(compile_not(amap, s0, dk, dcc))  # Dk = !(Di ^ Dj)
+        steps.append(Step(BulkOp.OR, s0, (s0, s1)))   # s0 = Di ^ Dj
+        steps.append(Step(BulkOp.NOT, dk, (s0,)))     # Dk = !(Di ^ Dj)
     else:
-        programs.append(compile_or(amap, s0, s1, dk))   # Dk = s0 | s1
-    return tuple(programs)
+        steps.append(Step(BulkOp.OR, dk, (s0, s1)))   # Dk = s0 | s1
+    return steps

@@ -42,15 +42,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import StepProgram, apply_bulk_op
 from repro.dram.chip import RowLocation
 from repro.engine.plan import RowPlan
 from repro.engine.scheduler import BatchScheduler, CommandGroup, ParallelismReport
 from repro.errors import AddressError, DramProtocolError
+
+__all__ = ["BatchEngine", "BatchReport", "apply_bulk_op"]
+
+#: One row list per operand (or scratch) slot, aligned with ``dst``.
+Columns = Sequence[Sequence[RowLocation]]
 
 
 @dataclass(frozen=True)
@@ -67,40 +70,6 @@ class BatchReport:
     parallelism: ParallelismReport
     #: Worker processes the batch was sharded across (1 = in-process).
     shards: int = 1
-
-
-def apply_bulk_op(
-    op: BulkOp,
-    src1: np.ndarray,
-    src2: Optional[np.ndarray] = None,
-    src3: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The functional effect of a bulk operation on packed uint64 rows.
-
-    This is the single definition of truth the fused kernels use; the
-    property tests pin it against the command-level walk bit for bit.
-    """
-    if op is BulkOp.NOT:
-        return ~src1
-    if op is BulkOp.COPY:
-        return src1.copy()
-    if op is BulkOp.MAJ:
-        return (src1 & src2) | (src1 & src3) | (src2 & src3)
-    if src2 is None:
-        raise AddressError(f"{op.value} needs a second operand")
-    if op is BulkOp.AND:
-        return src1 & src2
-    if op is BulkOp.OR:
-        return src1 | src2
-    if op is BulkOp.XOR:
-        return src1 ^ src2
-    if op is BulkOp.NAND:
-        return ~(src1 & src2)
-    if op is BulkOp.NOR:
-        return ~(src1 | src2)
-    if op is BulkOp.XNOR:
-        return ~(src1 ^ src2)
-    raise AddressError(f"unknown bulk operation {op}")
 
 
 class _Group:
@@ -156,32 +125,31 @@ class BatchEngine:
 
     def run_rows(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *srcs: Optional[Sequence[RowLocation]],
+        temps: Columns = (),
         fuse: bool = True,
     ) -> BatchReport:
-        """Execute ``dst[i] = op(src1[i], src2[i], src3[i])`` for every row.
+        """Execute ``dst[i] = op(srcs[0][i], srcs[1][i], ...)`` for every row.
 
-        All operands of row ``i`` must share ``dst[i]``'s (bank,
-        subarray); stage strays first (:meth:`repro.core.driver.AmbitDriver.stage_for`).
-        Timing, energy, statistics, and the command trace are charged
-        exactly as the per-row path would.
+        ``op`` is one of the nine :class:`~repro.core.microprograms.BulkOp`\\ s
+        or a compiled op; ``srcs`` hold one row list per input (``None``
+        entries are dropped) and ``temps`` one row list per scratch slot
+        the op clobbers.  All rows of index ``i`` must share ``dst[i]``'s
+        (bank, subarray); stage strays first
+        (:meth:`repro.core.driver.AmbitDriver.stage_for`).  Timing,
+        energy, statistics, and the command trace are charged exactly as
+        the per-row path would.
 
         ``fuse=False`` forces every group down the per-row command walk
         -- the dispatch auto-tuner's "serial" tier.  The observable
         outcome is identical either way (that is the engine's core
         parity property); only wall-clock changes.
         """
+        srcs = [col for col in srcs if col is not None]
         n = len(dst)
-        for name, rows in (("src1", src1), ("src2", src2), ("src3", src3)):
-            if rows is not None and len(rows) != n:
-                raise AddressError(
-                    f"batch operand lists must align: {name} has "
-                    f"{len(rows)} rows, dst has {n}"
-                )
+        _check_aligned(n, srcs, temps)
         if n == 0:
             return BatchReport(
                 rows=0, fused_rows=0, fallback_rows=0,
@@ -191,10 +159,9 @@ class BatchEngine:
         # Runtime spare-row remapping happens here, at batch entry, so
         # planning, fusion, and accounting all see the repaired rows.
         dst = self.translate_rows(dst)
-        src1 = self.translate_rows(src1)
-        src2 = self.translate_rows(src2)
-        src3 = self.translate_rows(src3)
-        groups = self.plan_groups(op, dst, src1, src2, src3)
+        srcs = [self.translate_rows(col) for col in srcs]
+        temps = [self.translate_rows(col) for col in temps]
+        groups = self.plan_groups(op, dst, *srcs, temps=temps)
         command_groups = [
             CommandGroup(bank=g.bank, duration_ns=g.duration_ns, payload=g)
             for g in groups
@@ -204,8 +171,8 @@ class BatchEngine:
         fused = 0
         for issued in self.scheduler.order(command_groups):
             group: _Group = issued.payload
-            if fuse and self._fused_eligible(group, dst, src1, src2, src3):
-                self._run_group_fused(op, group, dst, src1, src2, src3)
+            if fuse and self._fused_eligible(group, dst, srcs, temps):
+                self._run_group_fused(op, group, dst, srcs, temps)
                 fused += len(group.indices)
             else:
                 self._run_group_per_row(group)
@@ -222,81 +189,15 @@ class BatchEngine:
         )
 
     def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-        fuse: bool = True,
+        self, cop, dst, operands, temps, fuse: bool = True
     ) -> BatchReport:
-        """Execute a compiled op over row batches: one dst row, one row
-        per input, and one row per scratch slot, for every index.
+        """``run_rows(cop, dst, *operands, temps=temps, fuse=fuse)``.
 
-        ``operands`` holds one row list per compiled input (in
-        ``cop.inputs`` order) and ``temps`` one row list per scratch
-        slot; all lists align with ``dst``.  Planning, fusion
-        eligibility, bank-interleaved issue, accounting, and the
-        metrics/trace surface are shared with :meth:`run_rows`, so
-        synthesized ops inherit the whole engine behind one call.
+        Kept only because ``bench/layers.py`` wraps this name; nothing
+        under ``src/`` calls it.  Remove it when a benchmark change
+        edits that file's ``LAYERS``.
         """
-        n = len(dst)
-        if len(operands) != cop.arity:
-            raise AddressError(
-                f"{cop.value} takes {cop.arity} operand columns; "
-                f"got {len(operands)}"
-            )
-        if len(temps) != cop.num_temps:
-            raise AddressError(
-                f"{cop.value} needs {cop.num_temps} scratch columns; "
-                f"got {len(temps)}"
-            )
-        for name, rows in [
-            (f"operand {i}", col) for i, col in enumerate(operands)
-        ] + [(f"temp {i}", col) for i, col in enumerate(temps)]:
-            if len(rows) != n:
-                raise AddressError(
-                    f"batch operand lists must align: {name} has "
-                    f"{len(rows)} rows, dst has {n}"
-                )
-        if n == 0:
-            return BatchReport(
-                rows=0, fused_rows=0, fallback_rows=0,
-                parallelism=self.scheduler.report(()),
-            )
-
-        dst = self.translate_rows(dst)
-        operands = [self.translate_rows(col) for col in operands]
-        temps = [self.translate_rows(col) for col in temps]
-        groups = self.plan_groups_compiled(cop, dst, operands, temps)
-        command_groups = [
-            CommandGroup(bank=g.bank, duration_ns=g.duration_ns, payload=g)
-            for g in groups
-        ]
-        parallelism = self.scheduler.report(command_groups)
-
-        fused = 0
-        for issued in self.scheduler.order(command_groups):
-            group: _Group = issued.payload
-            if fuse and self._fused_eligible_compiled(
-                group, dst, operands, temps
-            ):
-                self._run_group_fused_compiled(
-                    cop, group, dst, operands, temps
-                )
-                fused += len(group.indices)
-            else:
-                self._run_group_per_row(group)
-        if self._m_batches is not None:
-            self._m_batches.inc()
-            self._m_rows.labels(path="fused").inc(fused)
-            self._m_rows.labels(path="fallback").inc(n - fused)
-            self._m_makespan.observe(parallelism.makespan_ns)
-        return BatchReport(
-            rows=n,
-            fused_rows=fused,
-            fallback_rows=n - fused,
-            parallelism=parallelism,
-        )
+        return self.run_rows(cop, dst, *operands, temps=temps, fuse=fuse)
 
     # ------------------------------------------------------------------
     # Planning
@@ -323,11 +224,10 @@ class BatchEngine:
 
     def plan_groups(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *srcs: Optional[Sequence[RowLocation]],
+        temps: Columns = (),
     ) -> List[_Group]:
         """Validate co-location and compile the batch into per-(bank,
         subarray) groups of cached plans.
@@ -335,32 +235,34 @@ class BatchEngine:
         This is the planning front half of :meth:`run_rows`; the sharded
         device calls it directly so its plan-cache traffic (and thus the
         hit/miss counters) matches the single-process engine exactly.
+        The co-location contract covers destination, operand *and*
+        scratch rows.
         """
+        srcs = [col for col in srcs if col is not None]
+        columns = srcs + list(temps)
+        arity = len(srcs)
         cache = self.plan_cache
+        route = self.controller.dcc_route
         groups: "OrderedDict[Tuple[int, int], _Group]" = OrderedDict()
-        for i in range(len(dst)):
-            d = dst[i]
-            sources = [src1[i]]
-            if src2 is not None:
-                sources.append(src2[i])
-            if src3 is not None:
-                sources.append(src3[i])
-            for loc in sources:
-                if (loc.bank, loc.subarray) != (d.bank, d.subarray):
+        for i, d in enumerate(dst):
+            key = (d.bank, d.subarray)
+            addresses = []
+            for col in columns:
+                loc = col[i]
+                if (loc.bank, loc.subarray) != key:
                     raise AddressError(
                         f"batch operands of row {i} must share a subarray: "
                         f"{loc} vs bank {d.bank} subarray {d.subarray} "
                         f"(stage cross-subarray operands first)"
                     )
+                addresses.append(loc.address)
             plan = cache.get(
                 op,
                 d.address,
-                sources[0].address,
-                sources[1].address if len(sources) > 1 else None,
-                sources[2].address if len(sources) > 2 else None,
-                dcc=self.controller.dcc_route.get((d.bank, d.subarray), 0),
+                *addresses[:arity],
+                temps=tuple(addresses[arity:]),
+                dcc=route.get(key, 0),
             )
-            key = (d.bank, d.subarray)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = _Group(d.bank, d.subarray)
@@ -368,46 +270,14 @@ class BatchEngine:
             group.plans.append(plan)
         return list(groups.values())
 
-    def plan_groups_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> List[_Group]:
-        """Compiled-op variant of :meth:`plan_groups`.
+    def plan_groups_compiled(self, cop, dst, operands, temps) -> List[_Group]:
+        """``plan_groups(cop, dst, *operands, temps=temps)``.
 
-        Validates the driver's co-location contract over destination,
-        operand, *and* scratch rows, then binds one
-        :meth:`~repro.engine.plan.PlanCache.get_compiled` plan per row.
+        Kept only because ``bench/layers.py`` wraps this name; nothing
+        under ``src/`` calls it.  Remove it when a benchmark change
+        edits that file's ``LAYERS``.
         """
-        cache = self.plan_cache
-        groups: "OrderedDict[Tuple[int, int], _Group]" = OrderedDict()
-        for i in range(len(dst)):
-            d = dst[i]
-            row_srcs = tuple(col[i] for col in operands)
-            row_temps = tuple(col[i] for col in temps)
-            for loc in row_srcs + row_temps:
-                if (loc.bank, loc.subarray) != (d.bank, d.subarray):
-                    raise AddressError(
-                        f"batch operands of row {i} must share a subarray: "
-                        f"{loc} vs bank {d.bank} subarray {d.subarray} "
-                        f"(stage cross-subarray operands first)"
-                    )
-            plan = cache.get_compiled(
-                cop,
-                d.address,
-                tuple(loc.address for loc in row_srcs),
-                tuple(loc.address for loc in row_temps),
-                dcc=self.controller.dcc_route.get((d.bank, d.subarray), 0),
-            )
-            key = (d.bank, d.subarray)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _Group(d.bank, d.subarray)
-            group.indices.append(i)
-            group.plans.append(plan)
-        return list(groups.values())
+        return self.plan_groups(cop, dst, *operands, temps=temps)
 
     # ------------------------------------------------------------------
     # Eligibility
@@ -416,55 +286,25 @@ class BatchEngine:
         self,
         group: _Group,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]],
-        src3: Optional[Sequence[RowLocation]],
+        srcs: Columns,
+        temps: Columns,
     ) -> bool:
         if self.chip.tracer is not None:
             return False
         subarray = self.chip.bank(group.bank).subarray(group.subarray)
         if subarray.has_faults or subarray.amps.charge_model is not None:
             return False
-        # Hazard check: the fused kernel reads every source before any
-        # destination is written, so a row whose source is another row's
-        # destination (or duplicate destinations) must take the
-        # sequential walk.
-        dst_addrs = [dst[i].address for i in group.indices]
-        if len(set(dst_addrs)) != len(dst_addrs):
-            return False
-        src_addrs = set()
-        for i in group.indices:
-            src_addrs.add(src1[i].address)
-            if src2 is not None:
-                src_addrs.add(src2[i].address)
-            if src3 is not None:
-                src_addrs.add(src3[i].address)
-        return not (set(dst_addrs) & src_addrs)
-
-    def _fused_eligible_compiled(
-        self,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> bool:
-        if self.chip.tracer is not None:
-            return False
-        subarray = self.chip.bank(group.bank).subarray(group.subarray)
-        if subarray.has_faults or subarray.amps.charge_model is not None:
-            return False
-        # The fused kernel reads every operand column up front, then
-        # writes the destination *and* scratch columns; any write-write
-        # aliasing across the group's rows (shared scratch rows, say) or
-        # write-read overlap must take the sequential per-row walk.
+        # Hazard check: the fused kernel reads every operand column up
+        # front, then writes the destination and scratch columns; any
+        # write-write aliasing across the group's rows (duplicate
+        # destinations, shared scratch rows) or write-read overlap must
+        # take the sequential per-row walk.
         write_addrs = [dst[i].address for i in group.indices]
         for col in temps:
-            write_addrs.extend(col[i].address for i in group.indices)
+            write_addrs.extend([col[i].address for i in group.indices])
         if len(set(write_addrs)) != len(write_addrs):
             return False
-        read_addrs = {
-            col[i].address for col in operands for i in group.indices
-        }
+        read_addrs = {col[i].address for col in srcs for i in group.indices}
         return not (set(write_addrs) & read_addrs)
 
     # ------------------------------------------------------------------
@@ -472,12 +312,11 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def _run_group_fused(
         self,
-        op: BulkOp,
+        op: StepProgram,
         group: _Group,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]],
-        src3: Optional[Sequence[RowLocation]],
+        srcs: Columns,
+        temps: Columns,
     ) -> None:
         bank, sub = group.bank, group.subarray
         if self.chip.bank(bank).open_subarray is not None:
@@ -488,50 +327,12 @@ class BatchEngine:
         indices = group.indices
         start_ns = self.chip.clock_ns
 
-        # Functional effect: one numpy operation over the whole group.
-        a = subarray.peek_batch([src1[i].address for i in indices])
-        b = c = None
-        if src2 is not None:
-            b = subarray.peek_batch([src2[i].address for i in indices])
-        if src3 is not None:
-            c = subarray.peek_batch([src3[i].address for i in indices])
-        result = apply_bulk_op(op, a, b, c)
-        dst_addrs = [dst[i].address for i in indices]
-        subarray.poke_batch(dst_addrs, result, now_ns=start_ns)
-        # Source activations restore (and thereby refresh) their rows.
-        touched = list(dst_addrs)
-        for i in indices:
-            touched.append(src1[i].address)
-            if src2 is not None:
-                touched.append(src2[i].address)
-            if src3 is not None:
-                touched.append(src3[i].address)
-        subarray.touch_rows(touched, now_ns=start_ns)
-
-        self.account_group(op, group)
-
-    def _run_group_fused_compiled(
-        self,
-        cop,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> None:
-        bank, sub = group.bank, group.subarray
-        if self.chip.bank(bank).open_subarray is not None:
-            raise DramProtocolError(
-                f"bank {bank} must be precharged before a bulk operation"
-            )
-        subarray = self.chip.bank(bank).subarray(sub)
-        indices = group.indices
-        start_ns = self.chip.clock_ns
-
+        # Functional effect: the op's steps over the whole group at once.
         sources = [
             subarray.peek_batch([col[i].address for i in indices])
-            for col in operands
+            for col in srcs
         ]
-        result, temp_values = cop.eval_rows(sources)
+        result, temp_values = op.eval_rows(sources)
         dst_addrs = [dst[i].address for i in indices]
         subarray.poke_batch(dst_addrs, result, now_ns=start_ns)
         # Scratch rows end a per-row walk holding their final step
@@ -542,11 +343,12 @@ class BatchEngine:
             temp_addrs = [col[i].address for i in indices]
             subarray.poke_batch(temp_addrs, values, now_ns=start_ns)
             touched.extend(temp_addrs)
-        for col in operands:
-            touched.extend(col[i].address for i in indices)
+        # Source activations restore (and thereby refresh) their rows.
+        for col in srcs:
+            touched.extend([col[i].address for i in indices])
         subarray.touch_rows(touched, now_ns=start_ns)
 
-        self.account_group(cop, group)
+        self.account_group(op, group)
 
     def account_group(self, op, group: _Group) -> None:
         """Charge one group's exact per-row command schedule.
@@ -588,3 +390,14 @@ class BatchEngine:
     def _run_group_per_row(self, group: _Group) -> None:
         for plan in group.plans:
             self.controller.run_plan(plan, group.bank, group.subarray)
+
+
+def _check_aligned(n: int, srcs: Columns, temps: Columns) -> None:
+    """Raise unless every operand and scratch row list has ``n`` rows."""
+    for kind, columns in (("source", srcs), ("temp", temps)):
+        for k, rows in enumerate(columns):
+            if len(rows) != n:
+                raise AddressError(
+                    f"batch operand lists must align: {kind} {k} has "
+                    f"{len(rows)} rows, dst has {n}"
+                )

@@ -18,34 +18,31 @@ handful of distinct plans.  :class:`PlanCache` memoises that compilation:
   trace (wordline counts and AAP-overlap flags included), so the batch
   engine can extend the trace without re-executing the state machine.
 
-Cache keys are ``(op, dk, di, dj, dl)`` local addresses under one fixed
-``(address map, timing, split_decoder)`` configuration -- the cache is
-per-controller, and the controller's configuration is immutable.
-
-Synthesized operations (:class:`repro.compile.ops.CompiledOp`) register
-through :meth:`PlanCache.get_compiled`: their keys carry the compiled
-op itself plus the bound source/scratch rows, so compiled plans are
-memoised, trimmed, and expanded to command schedules exactly like the
-paper's fixed nine.  Hit/miss statistics are additionally kept per
-operation label (``hits_by_op``/``misses_by_op``), so ``repro profile``
-shows each compiled op as its own line instead of folding every
-synthesized plan into one catch-all bucket.
+Cache keys are ``(op, dk, srcs, temps, dcc)``: the operation (any
+:class:`~repro.core.microprograms.StepProgram` -- one of the paper's
+nine ops or a :class:`repro.compile.ops.CompiledOp`), its local
+destination, source and scratch rows, and the DCC route, under one
+fixed ``(address map, timing, split_decoder)`` configuration -- the
+cache is per-controller, and the controller's configuration is
+immutable.  Hit/miss statistics are additionally kept per operation
+label (``hits_by_op``/``misses_by_op``), so ``repro profile`` shows
+each compiled op as its own line.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.addressing import AmbitAddressMap
-from repro.core.microprograms import BulkOp, Microprogram, compile_op
-from repro.core.primitives import AAP, AP
+from repro.core.microprograms import Microprogram, StepProgram
+from repro.core.primitives import AAP
 from repro.dram.commands import Command, IssuedCommand, Opcode
 from repro.dram.timing import TimingParameters
 
-#: Cache key: the operation, its local row addresses, and the DCC route.
-PlanKey = Tuple[BulkOp, int, int, Optional[int], Optional[int], int]
+#: Cache key: the operation, its local rows, and the DCC route.
+PlanKey = Tuple[StepProgram, int, Tuple[int, ...], Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,15 @@ class RowPlan:
     num_ap: int
     #: Bus commands the plan expands to (3 per AAP, 2 per AP).
     num_commands: int
+    #: ``(bank, subarray)`` -> the plan's flat command schedule there
+    #: (see :meth:`PlanCache.issued_commands`); held by the plan, so an
+    #: evicted plan takes its schedules with it.
+    schedules: Dict[Tuple[int, int], Tuple[IssuedCommand, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
-    def op(self) -> BulkOp:
+    def op(self) -> StepProgram:
         return self.program.op
 
 
@@ -97,7 +100,6 @@ class PlanCache:
         self.timing = timing
         self.split_decoder = split_decoder
         self._plans: "OrderedDict[PlanKey, RowPlan]" = OrderedDict()
-        self._commands: Dict[Tuple[PlanKey, int, int], Tuple[IssuedCommand, ...]] = {}
         self._wordline_counts: Optional[Dict[int, int]] = None
         #: Cache statistics; reset with :meth:`reset_counters` (the
         #: compiled plans themselves survive a stats reset).
@@ -157,65 +159,46 @@ class PlanCache:
 
     def _trim(self) -> None:
         while self._max_plans is not None and len(self._plans) > self._max_plans:
-            key, _ = self._plans.popitem(last=False)
-            # The flat command schedules are keyed by plan; drop them
-            # with it or the cache bound would not bound memory.
-            for ckey in [c for c in self._commands if c[0] == key]:
-                del self._commands[ckey]
+            # Command schedules live on the plan, so they go with it.
+            self._plans.popitem(last=False)
             self.evictions += 1
             if self._m_evictions is not None:
                 self._m_evictions.inc()
 
+    @property
+    def _commands(self) -> List[Tuple[PlanKey, int, int]]:
+        """``(plan key, bank, subarray)`` of every cached schedule."""
+        return [
+            (key, bank, subarray)
+            for key, plan in self._plans.items()
+            for bank, subarray in plan.schedules
+        ]
+
     def get(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dk: int,
-        di: int,
-        dj: Optional[int] = None,
-        dl: Optional[int] = None,
+        *srcs: int,
+        temps: Tuple[int, ...] = (),
         dcc: int = 0,
     ) -> RowPlan:
-        """The plan for ``op`` at the given local addresses (compiling on miss).
+        """The plan for ``op`` at the given local rows (compiling on miss).
 
-        ``dcc`` selects the dual-contact row carrying single negations
-        (not/nand/nor); it is part of the cache key, so rerouting a
-        subarray around a broken DCC never aliases the healthy plans.
+        ``srcs`` are the operand rows in input order (``None`` entries,
+        for operands an op does not take, are dropped) and ``temps`` the
+        op's scratch rows.  ``dcc`` selects the dual-contact row
+        carrying single negations; it is part of the key, as is the full
+        row binding, so rerouted or differently placed plans never alias.
         """
-        key: PlanKey = (op, dk, di, dj, dl, dcc)
+        if None in srcs:
+            srcs = tuple(s for s in srcs if s is not None)
+        key = (op, dk, srcs, tuple(temps), dcc)
         plan = self._plans.get(key)
         if plan is not None:
             self._record_hit(op, key)
             return plan
         self._record_miss(op)
-        program = compile_op(self.amap, op, dk, di, dj, dl, dcc)
-        return self._install(key, program)
-
-    def get_compiled(
-        self,
-        cop,
-        dk: int,
-        srcs: Tuple[int, ...],
-        temps: Tuple[int, ...],
-        dcc: int = 0,
-    ) -> RowPlan:
-        """The plan for a compiled op bound to the given rows.
-
-        ``cop`` is a :class:`repro.compile.ops.CompiledOp`; ``srcs``
-        are the operand rows in its input order and ``temps`` its
-        reserved scratch rows.  The key carries the compiled op and the
-        full row binding, so distinct expressions (and distinct row
-        placements) never alias -- and the shared per-op counters keep
-        their statistics apart.
-        """
-        srcs = tuple(srcs)
-        temps = tuple(temps)
-        key = (cop, dk, srcs, temps, None, dcc)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._record_hit(cop, key)
-            return plan
-        self._record_miss(cop)
-        program = cop.program(self.amap, dk, srcs, temps, dcc=dcc)
+        program = op.program(self.amap, dk, srcs, temps, dcc)
         return self._install(key, program)
 
     def _record_hit(self, op, key) -> None:
@@ -277,8 +260,7 @@ class PlanCache:
         energy fold over the trace is order-independent, so repeated
         extension with the same tuple is byte-equivalent to re-execution.
         """
-        ckey = (plan.key, bank, subarray)
-        cached = self._commands.get(ckey)
+        cached = plan.schedules.get((bank, subarray))
         if cached is not None:
             return cached
         issued = []
@@ -294,7 +276,7 @@ class PlanCache:
                 )
             )
         commands = tuple(issued)
-        self._commands[ckey] = commands
+        plan.schedules[(bank, subarray)] = commands
         return commands
 
     def _activate(

@@ -2,10 +2,11 @@
 
 :class:`FaultTolerantSession` wraps a device (plain or sharded) and
 maintains a host-side *shadow*: a numpy image of every row the workload
-owns, advanced by :func:`~repro.engine.batch.apply_bulk_op` -- the same
-single source of functional truth the fused kernels and property tests
-use.  Every bulk operation is verified against the shadow by reading
-the destination back; a mismatch walks the recovery ladder:
+owns, advanced by each op's ``eval_rows`` -- the same interpreter over
+:func:`~repro.core.microprograms.apply_bulk_op` the fused kernels and
+property tests use.  Every bulk operation is verified against the
+shadow by reading the destination back; a mismatch walks the recovery
+ladder:
 
 1. **retry** -- restore the source rows from the shadow and re-execute.
    A transient variation-induced TRA failure (Section 6) does not
@@ -18,14 +19,16 @@ the destination back; a mismatch walks the recovery ladder:
    controller's :class:`~repro.core.repair.RowRepairMap`
    (Section 5.5.3), their contents rewritten from the shadow, and the
    operation re-executed.
-3. **DCC reroute** -- probe the dual-contact row the program used; if
-   its n-wordline is dead, flip the subarray's
+3. **DCC reroute** -- probe the dual-contact rows the program uses; if
+   an n-wordline is dead, flip the subarray's
    :attr:`~repro.core.controller.AmbitController.dcc_route` to the
-   healthy DCC (not/nand/nor) or degrade to the minimal-B-group xor
+   healthy DCC (ops whose negations use one DCC) or, for any op with
+   XOR/XNOR steps (which need both DCCs; one broken leaves no 8-AAP
+   path), run it with those steps rewritten into the minimal-B-group
    composition of :func:`~repro.core.microprograms.compile_xor_minimal`
-   (xor/xnor need both DCCs; one broken leaves no 8-AAP path).  The
-   broken route is memoised so later xor/xnor on that subarray skip the
-   ladder and take the degraded path directly.
+   (:func:`~repro.compile.ops.without_dual_dcc`) through the healthy
+   DCC.  The broken DCC is memoised so later such ops on that subarray
+   skip the ladder and take the degraded program directly.
 4. **unrecovered** -- counted, recorded, and (in strict mode) raised as
    :class:`~repro.errors.FaultError`.
 
@@ -44,18 +47,11 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.microprograms import BulkOp, compile_xor_minimal
+from repro.core.microprograms import Microprogram, StepProgram
 from repro.dram.chip import RowLocation
-from repro.engine.batch import apply_bulk_op
 from repro.errors import AddressError, FaultError
 from repro.faults.detect import probe_dcc, probe_row
 from repro.obs.metrics import fault_counters
-
-#: Operations whose microprogram routes through a single DCC.
-SINGLE_DCC_OPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
-
-#: Operations whose 8-AAP program needs *both* DCC rows.
-DUAL_DCC_OPS = (BulkOp.XOR, BulkOp.XNOR)
 
 #: How many timed ladder rungs a session retains.  The serving layer
 #: only ever reads the rungs appended during the current wave (via
@@ -138,6 +134,7 @@ class FaultTolerantSession:
         session.add_spares(bank, sub, range(10, 16))
         session.write_row(loc, data)          # verified store
         session.run_rows(BulkOp.AND, dsts, srcs1, srcs2)
+        session.run_rows(cop, dsts, *operand_rows, temps=scratch_rows)
         assert session.unrecovered_count == 0
 
     Works identically over :class:`~repro.core.device.AmbitDevice` and
@@ -154,10 +151,10 @@ class FaultTolerantSession:
         #: (bank, subarray, logical address) -> pristine numpy row image.
         self.shadow: Dict[Tuple[int, int, int], np.ndarray] = {}
         #: (bank, subarray) -> two reserved scratch D-group rows the
-        #: ladder may destroy (DCC probes, degraded xor).
+        #: ladder may destroy (DCC probes, degraded programs).
         self.scratch: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: (bank, subarray) -> DCC route diagnosed dead; xor/xnor on
-        #: these subarrays take the degraded path without a mismatch.
+        #: (bank, subarray) -> DCC diagnosed dead; ops with XOR/XNOR
+        #: steps on these subarrays run degraded without a mismatch.
         self.bad_dcc: Dict[Tuple[int, int], int] = {}
         self.log: List[RecoveryRecord] = []
         #: Timed ladder rungs (see :class:`RecoveryAttempt`), the most
@@ -261,108 +258,83 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     def run_rows(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *srcs: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
     ) -> None:
-        """Execute, verify each destination, recover on mismatch."""
+        """Execute, verify each destination, recover on mismatch.
+
+        ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
+        compiled op, with one row list per input in ``srcs`` (``None``
+        entries are dropped) and one per scratch slot in ``temps``.
+        The expected image comes from ``op.eval_rows`` over the shadow.
+        Scratch rows are clobbered by construction; their shadow entries
+        (when something else made them interesting) are re-synced to the
+        op's final scratch values.
+        """
+        srcs = [col for col in srcs if col is not None]
         n = len(dst)
-        sources = [
-            self._row_sources(src1, src2, src3, i) for i in range(n)
-        ]
+        sources = [[col[i] for col in srcs] for i in range(n)]
+        row_temps = [[col[i] for col in temps] for i in range(n)]
         expected = [
-            apply_bulk_op(op, *[self._shadow_value(s) for s in srcs])
-            for srcs in sources
+            op.eval_rows([self._shadow_value(s) for s in row])
+            for row in sources
         ]
 
-        # Rows on subarrays with a known-dead DCC cannot take the
-        # standard xor/xnor program; send them down the degraded path
-        # up front instead of rediscovering the fault every op.
-        degraded = [
-            i
-            for i in range(n)
-            if op in DUAL_DCC_OPS
-            and (dst[i].bank, dst[i].subarray) in self.bad_dcc
-        ]
-        normal = [i for i in range(n) if i not in set(degraded)]
+        # Rows on subarrays with a known-dead DCC cannot take XOR/XNOR
+        # steps; send them down the degraded program up front instead
+        # of rediscovering the fault every op.
+        degraded = set()
+        if self.bad_dcc and op.uses_dual_dcc:
+            degraded = {
+                i for i in range(n)
+                if (dst[i].bank, dst[i].subarray) in self.bad_dcc
+            }
+        normal = [i for i in range(n) if i not in degraded]
         if normal:
-            self._execute(
+            self.device.run_rows(
                 op,
                 [dst[i] for i in normal],
-                [src1[i] for i in normal],
-                None if src2 is None else [src2[i] for i in normal],
-                None if src3 is None else [src3[i] for i in normal],
+                *[[col[i] for i in normal] for col in srcs],
+                temps=[[col[i] for i in normal] for col in temps],
             )
-        for i in degraded:
-            self._run_xor_minimal(op, dst[i], sources[i])
+        for i in sorted(degraded):
+            self._run_degraded(op, dst[i], sources[i], row_temps[i])
 
         for i in range(n):
-            got = self.device.read_row(dst[i])
-            if np.array_equal(got, expected[i]):
-                self.shadow[self._key(dst[i])] = expected[i].copy()
+            want, want_temps = expected[i]
+            if np.array_equal(self.device.read_row(dst[i]), want):
+                self.shadow[self._key(dst[i])] = want.copy()
+                self._sync_temps(row_temps[i], want_temps)
             else:
-                self._recover(op, dst[i], sources[i], expected[i])
+                self._recover(
+                    op, dst[i], sources[i], row_temps[i], want, want_temps
+                )
 
     def bbop_row(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: RowLocation,
-        src1: RowLocation,
-        src2: Optional[RowLocation] = None,
-        src3: Optional[RowLocation] = None,
+        *srcs: Optional[RowLocation],
+        temps: Sequence[RowLocation] = (),
     ) -> None:
         """Single-row convenience wrapper over :meth:`run_rows`."""
         self.run_rows(
             op,
             [dst],
-            [src1],
-            None if src2 is None else [src2],
-            None if src3 is None else [src3],
+            *[[s] for s in srcs if s is not None],
+            temps=[[t] for t in temps],
         )
 
-    def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> None:
-        """Verified execution of a compiled op; recover on mismatch.
+    def run_compiled(self, cop, dst, operands, temps) -> None:
+        """``run_rows(cop, dst, *operands, temps=temps)``.
 
-        The expected image comes from
-        :meth:`~repro.compile.ops.CompiledOp.eval_rows` -- the same
-        functional oracle the fused kernels use -- so synthesized
-        operations get the identical shadow-verify-recover contract as
-        the fixed ops.  Scratch rows are clobbered by construction;
-        their shadow entries (when something else made them
-        interesting) are re-synced to the op's final temp values.
+        Kept only because ``bench/layers.py`` wraps this name; nothing
+        under ``src/`` calls it.  Remove it when a benchmark change
+        edits that file's ``LAYERS``.
         """
-        n = len(dst)
-        sources = [[column[i] for column in operands] for i in range(n)]
-        row_temps = [[column[i] for column in temps] for i in range(n)]
-        expected: List[np.ndarray] = []
-        expected_temps: List[List[np.ndarray]] = []
-        for srcs in sources:
-            result, temp_values = cop.eval_rows(
-                [self._shadow_value(s) for s in srcs]
-            )
-            expected.append(result)
-            expected_temps.append(temp_values)
-
-        self._execute_compiled(cop, dst, operands, temps)
-
-        for i in range(n):
-            got = self.device.read_row(dst[i])
-            if np.array_equal(got, expected[i]):
-                self.shadow[self._key(dst[i])] = expected[i].copy()
-                self._sync_temps(row_temps[i], expected_temps[i])
-            else:
-                self._recover_compiled(
-                    cop, dst[i], sources[i], row_temps[i],
-                    expected[i], expected_temps[i],
-                )
+        return self.run_rows(cop, dst, *operands, temps=temps)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -390,21 +362,24 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     def _recover(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: RowLocation,
         sources: List[RowLocation],
+        temps: List[RowLocation],
         expected: np.ndarray,
+        expected_temps: Sequence[np.ndarray],
     ) -> None:
         if not self.policy.enabled:
             self._counters["detected"].labels(kind="op_mismatch").inc()
             self._unrecovered(op.value, dst, "op_mismatch")
             return
+        rerun = (op, dst, sources, temps, expected, expected_temps)
 
         # Rung 1: restore sources and retry -- a transient TRA glitch
         # (the armed one-shot variation fault) does not recur.
         for _ in range(max(0, self.policy.max_retries)):
             started = time.perf_counter_ns()
-            recovered = self._reexecute(op, dst, sources, expected)
+            recovered = self._reexecute(*rerun)
             self._attempt(op.value, dst, "retry", recovered, started)
             if recovered:
                 self._counters["detected"].labels(kind="tra_flip").inc()
@@ -412,20 +387,21 @@ class FaultTolerantSession:
                 self._record(op.value, dst, "tra_flip", "retried")
                 return
 
-        # Rung 2: march-probe the operand rows; remap the dead ones to
-        # spares and rewrite their contents from the shadow.
+        # Rung 2: march-probe the operand and scratch rows (a stuck
+        # scratch row corrupts the result just as a stuck operand does);
+        # remap the dead ones to spares and rewrite them from the shadow.
         started = time.perf_counter_ns()
         recovered = self._remap_stuck_rows(
-            op, dst, sources
-        ) and self._reexecute(op, dst, sources, expected)
+            op, dst, sources + temps
+        ) and self._reexecute(*rerun)
         self._attempt(op.value, dst, "remap", recovered, started)
         if recovered:
             return
 
-        # Rung 3: probe the DCC route the program used; reroute or
+        # Rung 3: probe the DCC rows the program uses; reroute or
         # degrade around a dead n-wordline.
         started = time.perf_counter_ns()
-        recovered = self._reroute_dcc(op, dst, sources, expected)
+        recovered = self._reroute_dcc(*rerun)
         self._attempt(op.value, dst, "dcc_reroute", recovered, started)
         if recovered:
             return
@@ -434,42 +410,45 @@ class FaultTolerantSession:
 
     def _reexecute(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: RowLocation,
         sources: List[RowLocation],
+        temps: List[RowLocation],
         expected: np.ndarray,
+        expected_temps: Sequence[np.ndarray],
     ) -> bool:
-        """Restore sources from the shadow, re-run, verify.
+        """Restore sources from the shadow, re-run one row, verify.
 
         Restoring first matters for in-place operations: after a failed
         attempt the destination holds garbage, and the destination may
-        alias a source.
+        alias a source.  Scratch rows need no restore: every step writes
+        a scratch row before any step reads it.
         """
         self._restore_sources(sources)
         if (
-            op in DUAL_DCC_OPS
+            op.uses_dual_dcc
             and (dst.bank, dst.subarray) in self.bad_dcc
         ):
-            self._run_xor_minimal(op, dst, sources)
+            self._run_degraded(op, dst, sources, temps)
         else:
-            self._execute_one(op, dst, sources)
+            self.device.run_rows(
+                op, [dst], *[[s] for s in sources],
+                temps=[[t] for t in temps],
+            )
         if np.array_equal(self.device.read_row(dst), expected):
             self.shadow[self._key(dst)] = expected.copy()
+            self._sync_temps(temps, expected_temps)
             return True
         return False
 
     def _remap_stuck_rows(
-        self, op, dst: RowLocation, sources: List[RowLocation]
+        self, op: StepProgram, dst: RowLocation, rows: List[RowLocation]
     ) -> bool:
-        """Probe operands; remap+rewrite failures.  True if any remapped.
-
-        ``op`` is a :class:`BulkOp` or a compiled op (only ``op.value``
-        is read, for the recovery record).
-        """
+        """Probe rows; remap+rewrite failures.  True if any remapped."""
         repair = self.controller.repair
         remapped = False
         seen = set()
-        for loc in [dst] + list(sources):
+        for loc in [dst] + list(rows):
             key = self._key(loc)
             if key in seen or not self.amap.is_d_group(loc.address):
                 continue  # control rows cannot be remapped
@@ -509,30 +488,20 @@ class FaultTolerantSession:
 
     def _reroute_dcc(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: RowLocation,
         sources: List[RowLocation],
+        temps: List[RowLocation],
         expected: np.ndarray,
+        expected_temps: Sequence[np.ndarray],
     ) -> bool:
         bank, sub = dst.bank, dst.subarray
         scratch = self.scratch.get((bank, sub))
         if scratch is None:
             return False
-        if op in SINGLE_DCC_OPS:
-            route = self.controller.dcc_route.get((bank, sub), 0)
-            if probe_dcc(self.device, bank, sub, route, scratch):
-                return False
-            self._counters["detected"].labels(kind="dcc").inc()
-            other = 1 - route
-            if not probe_dcc(self.device, bank, sub, other, scratch):
-                return False  # both routes dead; unrecoverable here
-            self.controller.dcc_route[(bank, sub)] = other
-            if self._reexecute(op, dst, sources, expected):
-                self._counters["recovered"].labels(kind="dcc").inc()
-                self._record(op.value, dst, "dcc", "rerouted")
-                return True
-            return False
-        if op in DUAL_DCC_OPS:
+        if op.uses_dual_dcc:
+            # XOR/XNOR steps need both DCC rows: with exactly one dead,
+            # memoise it and rerun degraded through the other.
             broken = [
                 r
                 for r in (0, 1)
@@ -544,142 +513,25 @@ class FaultTolerantSession:
             if len(broken) == 2:
                 return False
             self.bad_dcc[(bank, sub)] = broken[0]
-            if self._reexecute(op, dst, sources, expected):
-                self._counters["recovered"].labels(kind="dcc").inc()
-                self._record(op.value, dst, "dcc", "rerouted")
-                return True
+        elif op.uses_single_dcc:
+            route = self.controller.dcc_route.get((bank, sub), 0)
+            if probe_dcc(self.device, bank, sub, route, scratch):
+                return False
+            self._counters["detected"].labels(kind="dcc").inc()
+            other = 1 - route
+            if not probe_dcc(self.device, bank, sub, other, scratch):
+                return False  # both routes dead; unrecoverable here
+            self.controller.dcc_route[(bank, sub)] = other
+        else:
             return False
-        return False
-
-    # ------------------------------------------------------------------
-    # The compiled-op recovery ladder
-    # ------------------------------------------------------------------
-    def _recover_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> None:
-        """:meth:`_recover`, generalized to synthesized microprograms.
-
-        Same rungs in the same order; the differences are that scratch
-        rows join the remap probe set (a stuck temp corrupts the result
-        just as a stuck operand does) and that the DCC rung keys off the
-        op's step profile (``uses_single_dcc``/``uses_dual_dcc``)
-        instead of the fixed-op tables.
-        """
-        if not self.policy.enabled:
-            self._counters["detected"].labels(kind="op_mismatch").inc()
-            self._unrecovered(cop.value, dst, "op_mismatch")
-            return
-
-        for _ in range(max(0, self.policy.max_retries)):
-            started = time.perf_counter_ns()
-            recovered = self._reexecute_compiled(
-                cop, dst, sources, temps, expected, expected_temps
-            )
-            self._attempt(cop.value, dst, "retry", recovered, started)
-            if recovered:
-                self._counters["detected"].labels(kind="tra_flip").inc()
-                self._counters["recovered"].labels(kind="tra_flip").inc()
-                self._record(cop.value, dst, "tra_flip", "retried")
-                return
-
-        started = time.perf_counter_ns()
-        recovered = self._remap_stuck_rows(
-            cop, dst, sources + temps
-        ) and self._reexecute_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        )
-        self._attempt(cop.value, dst, "remap", recovered, started)
-        if recovered:
-            return
-
-        started = time.perf_counter_ns()
-        recovered = self._reroute_dcc_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        )
-        self._attempt(cop.value, dst, "dcc_reroute", recovered, started)
-        if recovered:
-            return
-
-        self._unrecovered(cop.value, dst, "op_mismatch")
-
-    def _reexecute_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> bool:
-        """Restore sources from the shadow, re-run one row, verify.
-
-        Temps need no restore: every compiled step writes a scratch row
-        before any step reads it (SSA construction), so their entry
-        contents are irrelevant.
-        """
-        self._restore_sources(sources)
-        self._execute_compiled(
-            cop, [dst], [[s] for s in sources], [[t] for t in temps]
-        )
-        if np.array_equal(self.device.read_row(dst), expected):
-            self.shadow[self._key(dst)] = expected.copy()
-            self._sync_temps(temps, expected_temps)
-            return True
-        return False
-
-    def _reroute_dcc_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> bool:
-        bank, sub = dst.bank, dst.subarray
-        scratch = self.scratch.get((bank, sub))
-        if scratch is None:
-            return False
-        if cop.uses_dual_dcc:
-            # xor/xnor steps need both DCC rows and compiled programs
-            # carry no degraded composition; diagnose (so the counters
-            # tell the story) but let the rung fail.
-            broken = [
-                r
-                for r in (0, 1)
-                if not probe_dcc(self.device, bank, sub, r, scratch)
-            ]
-            if broken:
-                self._counters["detected"].labels(kind="dcc").inc(
-                    len(broken)
-                )
-            return False
-        if not cop.uses_single_dcc:
-            return False
-        route = self.controller.dcc_route.get((bank, sub), 0)
-        if probe_dcc(self.device, bank, sub, route, scratch):
-            return False
-        self._counters["detected"].labels(kind="dcc").inc()
-        other = 1 - route
-        if not probe_dcc(self.device, bank, sub, other, scratch):
-            return False  # both routes dead; unrecoverable here
-        self.controller.dcc_route[(bank, sub)] = other
-        if self._reexecute_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        ):
+        if self._reexecute(op, dst, sources, temps, expected, expected_temps):
             self._counters["recovered"].labels(kind="dcc").inc()
-            self._record(cop.value, dst, "dcc", "rerouted")
+            self._record(op.value, dst, "dcc", "rerouted")
             return True
         return False
 
     def _sync_temps(
-        self, temps: List[RowLocation], values: List[np.ndarray]
+        self, temps: List[RowLocation], values: Sequence[np.ndarray]
     ) -> None:
         # Scratch rows enter the shadow only through an explicit
         # verified write; fresh driver leases stay out of it so
@@ -692,41 +544,27 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _execute_compiled(self, cop, dst, operands, temps) -> None:
-        # Mirrors _execute: a ShardedDevice exposes run_compiled
-        # directly; a plain AmbitDevice goes through its batch engine.
-        runner = getattr(self.device, "run_compiled", None)
-        if runner is None:
-            runner = self.device.engine.run_compiled
-        runner(cop, dst, operands, temps)
-
-    def _execute(self, op, dst, src1, src2, src3) -> None:
-        # ShardedDevice exposes run_rows directly; a plain AmbitDevice
-        # goes through its batch engine.  Identical contracts.
-        runner = getattr(self.device, "run_rows", None)
-        if runner is None:
-            runner = self.device.engine.run_rows
-        runner(op, dst, src1, src2, src3)
-
-    def _execute_one(
-        self, op: BulkOp, dst: RowLocation, sources: List[RowLocation]
+    def _run_degraded(
+        self,
+        op: StepProgram,
+        dst: RowLocation,
+        sources: List[RowLocation],
+        temps: List[RowLocation],
     ) -> None:
-        self._execute(
-            op,
-            [dst],
-            [sources[0]],
-            [sources[1]] if len(sources) > 1 else None,
-            [sources[2]] if len(sources) > 2 else None,
-        )
+        """Run one row of ``op`` around a dead DCC (Section 5.1 path).
 
-    def _run_xor_minimal(
-        self, op: BulkOp, dst: RowLocation, sources: List[RowLocation]
-    ) -> None:
-        """Degraded xor/xnor through one healthy DCC (Section 5.1 path).
-
+        The op's XOR/XNOR steps are rewritten into the minimal-B-group
+        composition over the session's two scratch rows
+        (:func:`~repro.compile.ops.without_dual_dcc`) and every
+        negation goes through the healthy DCC.  The degraded program is
+        one execution of ``op``: it counts once, under ``op``'s label.
         ``run_program`` does not consult the repair map, so addresses
         are translated here first.
         """
+        # Imported here: only this rare path needs the compiler, and the
+        # serving layer does not otherwise load it.
+        from repro.compile.ops import without_dual_dcc
+
         bank, sub = dst.bank, dst.subarray
         scratch = self.scratch.get((bank, sub))
         if scratch is None:
@@ -734,34 +572,24 @@ class FaultTolerantSession:
                 f"degraded {op.value} on bank {bank} subarray {sub} needs "
                 f"session scratch rows; call set_scratch first"
             )
-        bad = self.bad_dcc.get((bank, sub), 1)
         repair = self.controller.repair
         t = lambda a: repair.translate(bank, sub, a)  # noqa: E731
-        programs = compile_xor_minimal(
+        program = without_dual_dcc(op).program(
             self.amap,
-            t(sources[0].address),
-            t(sources[1].address),
             t(dst.address),
-            scratch=(t(scratch[0]), t(scratch[1])),
-            dcc=1 - bad,
-            op=op,
+            [t(loc.address) for loc in sources],
+            [t(loc.address) for loc in temps] + [t(a) for a in scratch],
+            dcc=1 - self.bad_dcc.get((bank, sub), 1),
         )
-        for program in programs:
-            self.controller.run_program(program, bank, sub)
+        self.controller.run_program(
+            Microprogram(op, program.primitives), bank, sub
+        )
 
     def _restore_sources(self, sources: Sequence[RowLocation]) -> None:
         for loc in sources:
             value = self.shadow.get(self._key(loc))
             if value is not None:
                 self.device.write_row(loc, value)
-
-    def _row_sources(self, src1, src2, src3, i) -> List[RowLocation]:
-        sources = [src1[i]]
-        if src2 is not None:
-            sources.append(src2[i])
-        if src3 is not None:
-            sources.append(src3[i])
-        return sources
 
     def _shadow_value(self, loc: RowLocation) -> np.ndarray:
         key = self._key(loc)

@@ -64,7 +64,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.device import AmbitDevice
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import StepProgram
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import TimingParameters
@@ -93,7 +93,7 @@ from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import SharedRowStore
 from repro.parallel.tuner import AutoTuner, DispatchTier
 from repro.parallel.worker import (
-    COMPILED_OP,
+    RowSpec,
     ShardJob,
     ShardResult,
     WorkerConfig,
@@ -218,14 +218,12 @@ class ShardedDevice:
         #: crash context, and the linking spans of merged traces.
         self._batch_seq = 0
         self._spool_dir: Optional[str] = None
-        #: Published shard row-lists: nested rows tuple -> board entry
-        #: id (``None`` = board full, ship inline forever).
-        self._resident: Dict[Tuple, Optional[int]] = {}
-        #: Published (TracerConfig, spool_dir) pairs: payload -> id.
-        self._tracer_resident: Dict[bytes, Optional[int]] = {}
-        #: Published compiled ops: CompiledOp -> board entry id
-        #: (``None`` = board full, pickle the op inline with each job).
-        self._op_resident: Dict[object, Optional[int]] = {}
+        #: Plan-board entries the board accepted, by payload: shard
+        #: row-lists (nested rows tuple), ops, and (TracerConfig,
+        #: spool_dir) pairs.  Bounded by the board's slot count.
+        self._resident: Dict[Tuple, int] = {}
+        self._op_resident: Dict[StepProgram, int] = {}
+        self._tracer_resident: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Delegation
@@ -254,7 +252,7 @@ class ShardedDevice:
 
     @property
     def resident_plans(self) -> int:
-        """Batch shapes published to (or pinned inline by) the plan board."""
+        """Batch shapes published to the plan board."""
         return len(self._resident)
 
     def _ensure_pool(self) -> WorkerPool:
@@ -352,11 +350,10 @@ class ShardedDevice:
     # ------------------------------------------------------------------
     def run_rows(
         self,
-        op: BulkOp,
+        op: StepProgram,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *srcs: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
     ) -> BatchReport:
         """Execute ``dst[i] = op(...)`` for every row on the chosen tier.
 
@@ -364,15 +361,19 @@ class ShardedDevice:
         elapsed time, energy, command trace, tracer-sink aggregates) as
         :meth:`repro.engine.batch.BatchEngine.run_rows`; only the
         wall-clock time and the ``shards`` field of the report differ.
+        The op itself (one of the nine ops or a compiled op) is
+        published through the plan board once; workers resolve it by
+        entry id, and the parent re-derives accounting and traces from
+        its own plan cache under the op's label.
         """
+        srcs = [col for col in srcs if col is not None]
         engine = self.device.engine
         # Runtime spare-row remapping resolves here, before sharding, so
         # worker processes only ever see healthy (post-repair) rows and
         # need no view of the parent's repair table.
         dst = engine.translate_rows(dst)
-        src1 = engine.translate_rows(src1)
-        src2 = engine.translate_rows(src2)
-        src3 = engine.translate_rows(src3)
+        srcs = [engine.translate_rows(col) for col in srcs]
+        temps = [engine.translate_rows(col) for col in temps]
         banks = list(dict.fromkeys(loc.bank for loc in dst))
         shards = min(self.max_workers, len(banks))
         sharded_ok = (
@@ -386,17 +387,17 @@ class ShardedDevice:
         )
         self._m_dispatch.labels(tier=tier.value).inc()
         if tier is DispatchTier.SERIAL:
-            return engine.run_rows(op, dst, src1, src2, src3, fuse=False)
+            return engine.run_rows(op, dst, *srcs, temps=temps, fuse=False)
         if tier is DispatchTier.FUSED or not sharded_ok:
             # In-process fallback: plan-cache traffic, counters, trace,
             # and cells are those of the plain engine by construction.
-            return engine.run_rows(op, dst, src1, src2, src3)
+            return engine.run_rows(op, dst, *srcs, temps=temps)
 
-        groups = engine.plan_groups(op, dst, src1, src2, src3)
+        groups = engine.plan_groups(op, dst, *srcs, temps=temps)
         self._check_precharged(banks)
 
         assignment = {bank: i % shards for i, bank in enumerate(banks)}
-        shard_rows: List[List] = [[] for _ in range(shards)]
+        shard_rows: List[List[RowSpec]] = [[] for _ in range(shards)]
         #: Row index -> (shard, position in shard job); the merge walks
         #: this to replay worker event segments in canonical order.
         placement: Dict[int, Tuple[int, int]] = {}
@@ -410,82 +411,22 @@ class ShardedDevice:
                         group.bank,
                         group.subarray,
                         dst[i].address,
-                        src1[i].address,
-                        src2[i].address if src2 is not None else None,
-                        src3[i].address if src3 is not None else None,
+                        tuple(col[i].address for col in srcs),
+                        tuple(col[i].address for col in temps),
                     )
                 )
-
         return self._run_sharded(
-            op, op.value, engine, groups, len(dst), shards, shard_rows,
-            placement,
+            op, engine, groups, len(dst), shards, shard_rows, placement
         )
 
-    def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> BatchReport:
-        """Execute a compiled-op batch on the chosen dispatch tier.
+    def run_compiled(self, cop, dst, operands, temps) -> BatchReport:
+        """``run_rows(cop, dst, *operands, temps=temps)``.
 
-        Same contract and observable outcome as
-        :meth:`repro.engine.batch.BatchEngine.run_compiled` -- synthesized
-        operations inherit sharded dispatch exactly as the fixed ops do.
-        The :class:`~repro.compile.ops.CompiledOp` itself is published
-        through the plan board once per op (its steps never travel with
-        a warm batch); workers resolve it by entry id, and the parent
-        re-derives accounting and traces from its own plan cache under
-        the op's ``c:<name>`` label.
+        Kept only because ``bench/layers.py`` wraps this name; nothing
+        under ``src/`` calls it.  Remove it when a benchmark change
+        edits that file's ``LAYERS``.
         """
-        engine = self.device.engine
-        dst = engine.translate_rows(dst)
-        operands = [engine.translate_rows(column) for column in operands]
-        temps = [engine.translate_rows(column) for column in temps]
-        banks = list(dict.fromkeys(loc.bank for loc in dst))
-        shards = min(self.max_workers, len(banks))
-        sharded_ok = (
-            len(dst) > 0
-            and shards >= 2
-            and self._parallel_eligible()
-            and not self._faulty_subarrays(dst)
-        )
-        tier = self._select_tier(
-            len(dst), self.device.row_bytes, sharded_ok, shards
-        )
-        self._m_dispatch.labels(tier=tier.value).inc()
-        if tier is DispatchTier.SERIAL:
-            return engine.run_compiled(cop, dst, operands, temps, fuse=False)
-        if tier is DispatchTier.FUSED or not sharded_ok:
-            return engine.run_compiled(cop, dst, operands, temps)
-
-        groups = engine.plan_groups_compiled(cop, dst, operands, temps)
-        self._check_precharged(banks)
-
-        assignment = {bank: i % shards for i, bank in enumerate(banks)}
-        shard_rows: List[List] = [[] for _ in range(shards)]
-        placement: Dict[int, Tuple[int, int]] = {}
-        for group in groups:
-            shard = assignment[group.bank]
-            rows = shard_rows[shard]
-            for i in group.indices:
-                placement[i] = (shard, len(rows))
-                rows.append(
-                    (
-                        group.bank,
-                        group.subarray,
-                        dst[i].address,
-                        tuple(column[i].address for column in operands),
-                        tuple(column[i].address for column in temps),
-                    )
-                )
-
-        op_ref, op_inline = self._publish_op(cop)
-        return self._run_sharded(
-            cop, COMPILED_OP, engine, groups, len(dst), shards, shard_rows,
-            placement, op_ref=op_ref, op_inline=op_inline,
-        )
+        return self.run_rows(cop, dst, *operands, temps=temps)
 
     def _check_precharged(self, banks) -> None:
         # Fail before any worker mutates cells: the serial engine raises
@@ -499,30 +440,24 @@ class ShardedDevice:
 
     def _run_sharded(
         self,
-        op,
-        op_value: str,
+        op: StepProgram,
         engine,
         groups,
         total_rows: int,
         shards: int,
-        shard_rows: List[List],
+        shard_rows: List[List[RowSpec]],
         placement: Dict[int, Tuple[int, int]],
-        op_ref: Optional[int] = None,
-        op_inline: Optional[object] = None,
     ) -> BatchReport:
-        """Common sharded tail: publish, submit (with crash retry), merge.
-
-        ``op`` is a :class:`BulkOp` or a compiled op (anything with
-        ``.value``); ``op_value`` is what rides the job -- the enum value
-        for fixed ops, :data:`~repro.parallel.worker.COMPILED_OP` plus
-        ``op_ref``/``op_inline`` for synthesized ones.
-        """
+        """Sharded tail: publish, submit (with crash retry), merge."""
         chip = self.device.chip
         tracer = chip.tracer
         self._batch_seq += 1
         batch_id = self._batch_seq
 
+        # Rows first: on a nearly full board the batch shape, which the
+        # job would otherwise ship inline, gets the last slot.
         resident = self._publish_rows(shard_rows)
+        op_ref = self._publish_op(op)
         tracer_ref, tracer_inline, spool_dir_inline = (
             self._publish_tracer(tracer) if tracer is not None
             else (None, None, None)
@@ -539,7 +474,8 @@ class ShardedDevice:
                     pool.submit(
                         run_shard,
                         ShardJob(
-                            op_value,
+                            op=op_ref,
+                            op_inline=op if op_ref is None else None,
                             resident=resident,
                             rows=(
                                 tuple(rows) if resident is None else None
@@ -550,8 +486,6 @@ class ShardedDevice:
                             tracer_resident=tracer_ref,
                             tracer=tracer_inline,
                             spool_dir=spool_dir_inline,
-                            op_resident=op_ref,
-                            op_inline=op_inline,
                         ),
                         batch_id=batch_id,
                     )
@@ -607,68 +541,58 @@ class ShardedDevice:
     # ------------------------------------------------------------------
     # Resident-plan publication
     # ------------------------------------------------------------------
-    def _publish_rows(self, shard_rows: List[List]) -> Optional[int]:
+    def _publish_rows(self, shard_rows: List[List[RowSpec]]) -> Optional[int]:
         """Publish (or reuse) this batch shape's plan-board entry.
 
         The fingerprint is the nested row tuple itself -- independent of
         the operation, so e.g. an AND and an XOR over the same operand
         layout share one entry.  Returns ``None`` when the board is
-        full; the batch then ships rows inline (correct, just slower),
-        and the ``inline`` counter records the downgrade instead of
-        failing silently.
+        full; the batch then ships rows inline (correct, just slower).
         """
-        key = tuple(tuple(rows) for rows in shard_rows)
-        if key in self._resident:
-            rid = self._resident[key]
-            self._m_resident.labels(
-                event="reused" if rid is not None else "inline"
-            ).inc()
-            return rid
-        payload = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-        rid = self.block.publish(payload)
-        self._resident[key] = rid
-        self._m_resident.labels(
-            event="published" if rid is not None else "inline"
-        ).inc()
-        return rid
+        return self._publish(
+            self._resident, tuple(tuple(rows) for rows in shard_rows)
+        )
 
-    def _publish_op(self, cop) -> Tuple[Optional[int], Optional[object]]:
-        """Publish (or reuse) a compiled op's plan-board entry.
+    def _publish_op(self, op: StepProgram) -> Optional[int]:
+        """Publish (or reuse) an op's plan-board entry.
 
-        Compiled ops are frozen and hashable, so each distinct op's
-        steps cross the pool once; warm batches reference the entry id.
-        Returns ``(entry id, inline op)`` -- exactly one is non-``None``;
-        a full board downgrades to pickling the op with every job
-        (correct, just heavier), counted like any inline downgrade.
+        Ops are hashable and picklable, so each distinct op's steps
+        cross the pool once; warm batches reference the entry id.  On a
+        full board (``None``) the op pickles with every job instead.
         """
-        if cop in self._op_resident:
-            rid = self._op_resident[cop]
-            self._m_resident.labels(
-                event="reused" if rid is not None else "inline"
-            ).inc()
-            return rid, (None if rid is not None else cop)
-        payload = pickle.dumps(cop, protocol=pickle.HIGHEST_PROTOCOL)
-        rid = self.block.publish(payload)
-        self._op_resident[cop] = rid
-        self._m_resident.labels(
-            event="published" if rid is not None else "inline"
-        ).inc()
-        return rid, (None if rid is not None else cop)
+        return self._publish(self._op_resident, op)
 
     def _publish_tracer(self, tracer):
         """Publish the tracer config + spool dir; inline on a full board."""
         config = TracerConfig.from_tracer(tracer)
         spool_dir = self._ensure_spool_dir()
-        payload = pickle.dumps(
-            (config, spool_dir), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        if payload in self._tracer_resident:
-            return self._tracer_resident[payload], None, None
-        rid = self.block.publish(payload)
-        self._tracer_resident[payload] = rid
+        rid = self._publish(self._tracer_resident, (config, spool_dir))
         if rid is None:
             return None, config, spool_dir
         return rid, None, None
+
+    def _publish(self, memo: Dict[object, int], payload) -> Optional[int]:
+        """The board entry id of ``payload``, publishing it on first use.
+
+        Only accepted ids are memoised, so the memos stay as small as
+        the board; once its directory is full a new payload is not even
+        pickled.  Every rejection counts an ``inline`` event.
+        """
+        rid = memo.get(payload)
+        if rid is not None:
+            self._m_resident.labels(event="reused").inc()
+            return rid
+        block = self.block
+        if block.board_entries < block.board_slots:
+            rid = block.publish(
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        if rid is None:
+            self._m_resident.labels(event="inline").inc()
+            return None
+        memo[payload] = rid
+        self._m_resident.labels(event="published").inc()
+        return rid
 
     def _shard_results(self, shards: int, batch_id: int) -> List[ShardResult]:
         """Rebuild the batch's :class:`ShardResult` views from the block."""

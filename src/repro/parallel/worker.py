@@ -8,14 +8,14 @@ parent-visible cell arrays.
 
 The dispatch protocol is **resident-plan, zero-copy**:
 
-* **Plans ship once.**  A batch's shard row-lists (and, for traced
-  batches, the tracer configuration) are *published* by the parent to
-  the plan board of the shared
-  :class:`~repro.parallel.accounting.SharedAccountingBlock`; the
-  per-batch :class:`ShardJob` carries only the board entry id plus a
-  few integers.  Workers fetch an entry the first time they see its id
-  and memoise the decoded rows (:data:`_RESIDENT`), so a warm batch
-  costs one dict lookup -- and the worker's persistent
+* **Plans ship once.**  A batch's shard row-lists, its op (one of the
+  nine ops or a compiled op), and, for traced batches, the tracer
+  configuration are *published* by the parent to the plan board of the
+  shared :class:`~repro.parallel.accounting.SharedAccountingBlock`; the
+  per-batch :class:`ShardJob` carries only board entry ids plus a few
+  integers.  Workers fetch an entry the first time they see its id
+  and memoise the decoded payload (:data:`_RESIDENT`), so a warm batch
+  costs a couple of dict lookups -- and the worker's persistent
   :class:`~repro.engine.plan.PlanCache` keeps the compiled
   microprograms hot across batches on top of that.
 * **Results travel through shared memory.**  A worker writes its
@@ -66,20 +66,11 @@ from typing import Dict, Optional, Tuple
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import TimingParameters
 
-#: One row of a shard job: (bank, subarray, dk, di, dj, dl).
-RowSpec = Tuple[int, int, int, int, Optional[int], Optional[int]]
-
-#: One row of a *compiled* shard job: (bank, subarray, dk, src
-#: addresses in ``CompiledOp.inputs`` order, temp addresses in slot
-#: order).  The nested tuples make the spec self-describing for any
-#: arity/scratch count, so the worker needs no per-op schema.
-CompiledRowSpec = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
-
-#: Sentinel ``ShardJob.op`` marking a compiled-operation job.  Regular
-#: jobs resolve ``op`` by ``BulkOp(value)`` lookup; compiled ops are
-#: synthesized objects with no enum entry, so they ride the plan board
-#: (``op_resident``) or pickle inline (``op_inline``) instead.
-COMPILED_OP = "__compiled__"
+#: One row of a shard job: (bank, subarray, dk, source addresses in
+#: input order, scratch addresses in slot order).  The nested tuples
+#: make the spec self-describing for any op, so the worker needs no
+#: per-op schema.
+RowSpec = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -99,16 +90,18 @@ class ShardJob:
     """One worker's slice of a batched bulk operation.
 
     The resident-plan protocol keeps this O(1): after the parent has
-    published a batch shape once, a job is ``(op, entry id, shard,
-    batch id, clock)`` -- no row lists, no plan descriptions, no tracer
-    objects.  ``rows``/``tracer``/``spool_dir`` exist only as the
-    inline fallback for a full plan board, and the dispatch-budget
-    tests assert they stay ``None`` in the steady state.
+    published a batch shape and an op once, a job is ``(op entry id,
+    rows entry id, shard, batch id, clock)`` -- no row lists, no plan
+    descriptions, no tracer objects.  ``op_inline``/``rows``/``tracer``/
+    ``spool_dir`` exist only as the inline fallback for a full plan
+    board, and the dispatch-budget tests assert the row and tracer
+    fallbacks stay ``None`` in the steady state.
     """
 
-    #: ``BulkOp.value`` -- the enum member is resolved worker-side so the
-    #: job pickles to a handful of primitives.
-    op: str
+    #: Plan-board entry id of the published op.
+    op: Optional[int] = None
+    #: Inline op when the plan board was full.
+    op_inline: Optional[object] = None
     #: Plan-board entry id of the published shard row-lists.
     resident: Optional[int] = None
     #: Inline fallback when the plan board was full.
@@ -128,12 +121,6 @@ class ShardJob:
     #: Inline fallbacks for a full plan board (traced jobs only).
     tracer: Optional[object] = None
     spool_dir: Optional[str] = None
-    #: Plan-board entry id of the published
-    #: :class:`~repro.compile.ops.CompiledOp`; set (or ``op_inline``)
-    #: when ``op`` is :data:`COMPILED_OP`.
-    op_resident: Optional[int] = None
-    #: Inline compiled-op fallback for a full plan board.
-    op_inline: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -239,11 +226,11 @@ def _job_tracer(job: ShardJob):
 
 
 def _job_op(job: ShardJob):
-    """The CompiledOp of a compiled job: resident entry or inline."""
-    if job.op_resident is not None:
-        return _fetch_resident(job.op_resident)
+    """This job's op: resident entry, or the inline fallback."""
+    if job.op is not None:
+        return _fetch_resident(job.op)
     if job.op_inline is None:  # pragma: no cover - dispatch contract
-        raise RuntimeError("compiled shard job carries no operation")
+        raise RuntimeError("shard job carries no operation")
     return job.op_inline
 
 
@@ -254,7 +241,6 @@ def run_shard(job: ShardJob) -> int:
     pipe.  Everything else (counters, spool, health telemetry) is
     written into the job's telemetry slot of the shared block.
     """
-    from repro.core.microprograms import BulkOp
     from repro.dram.chip import RowLocation
 
     global _BATCHES_SERVED
@@ -268,45 +254,25 @@ def run_shard(job: ShardJob) -> int:
     device.reset_stats()
     device.chip.clock_ns = job.start_ns
 
-    tracer_config, spool_dir = _job_tracer(job)
-    if job.op == COMPILED_OP:
-        cop = _job_op(job)
-        dst, operands, temps = _decode_compiled(cop, _job_rows(job))
-        if tracer_config is not None:
-            _run_traced_compiled(
-                device, job, cop, dst, operands, temps, tracer_config,
-                spool_dir,
-            )
-            fused = 0
-        else:
-            report = device.engine.run_compiled(cop, dst, operands, temps)
-            fused = report.fused_rows
-    else:
-        op = BulkOp(job.op)
-        dst, src1, src2, src3 = [], [], [], []
-        for bank, sub, dk, di, dj, dl in _job_rows(job):
-            dst.append(RowLocation(bank, sub, dk))
-            src1.append(RowLocation(bank, sub, di))
-            if dj is not None:
-                src2.append(RowLocation(bank, sub, dj))
-            if dl is not None:
-                src3.append(RowLocation(bank, sub, dl))
+    op = _job_op(job)
+    dst = []
+    srcs = [[] for _ in range(op.arity)]
+    temps = [[] for _ in range(op.num_temps)]
+    for bank, sub, dk, src_addrs, temp_addrs in _job_rows(job):
+        dst.append(RowLocation(bank, sub, dk))
+        for column, address in zip(srcs, src_addrs):
+            column.append(RowLocation(bank, sub, address))
+        for column, address in zip(temps, temp_addrs):
+            column.append(RowLocation(bank, sub, address))
 
-        if tracer_config is not None:
-            _run_traced(
-                device, job, op, dst, src1, src2, src3, tracer_config,
-                spool_dir,
-            )
-            fused = 0
-        else:
-            report = device.engine.run_rows(
-                op,
-                dst,
-                src1,
-                src2 if src2 else None,
-                src3 if src3 else None,
-            )
-            fused = report.fused_rows
+    tracer_config, spool_dir = _job_tracer(job)
+    if tracer_config is not None:
+        _run_traced(
+            device, job, op, dst, srcs, temps, tracer_config, spool_dir
+        )
+        fused = 0
+    else:
+        fused = device.engine.run_rows(op, dst, *srcs, temps=temps).fused_rows
 
     _BATCHES_SERVED += 1
     _BLOCK.write_telemetry(
@@ -322,24 +288,8 @@ def run_shard(job: ShardJob) -> int:
     return job.shard
 
 
-def _decode_compiled(cop, rows):
-    """Split compiled rowspecs into dst / operand / temp row columns."""
-    from repro.dram.chip import RowLocation
-
-    dst = []
-    operands = [[] for _ in range(cop.arity)]
-    temps = [[] for _ in range(cop.num_temps)]
-    for bank, sub, dk, srcs, temp_addrs in rows:
-        dst.append(RowLocation(bank, sub, dk))
-        for column, address in zip(operands, srcs):
-            column.append(RowLocation(bank, sub, address))
-        for column, address in zip(temps, temp_addrs):
-            column.append(RowLocation(bank, sub, address))
-    return dst, operands, temps
-
-
 def _run_traced(
-    device, job: ShardJob, op, dst, src1, src2, src3, tracer_config, spool_dir
+    device, job: ShardJob, op, dst, srcs, temps, tracer_config, spool_dir
 ) -> None:
     """Execute a traced shard per-row, spooling events zero-copy.
 
@@ -362,36 +312,8 @@ def _run_traced(
             device.bbop_row(
                 op,
                 dst[i],
-                src1[i],
-                src2[i] if src2 else None,
-                src3[i] if src3 else None,
-            )
-    finally:
-        device.chip.tracer = None
-        tracer.close()
-    _publish_spool(job, buffer, spool_dir)
-
-
-def _run_traced_compiled(
-    device, job: ShardJob, cop, dst, operands, temps, tracer_config, spool_dir
-) -> None:
-    """Compiled twin of :func:`_run_traced`: per-row walk, spooled.
-
-    Each row runs through ``bbop_compiled_row`` -- the same per-row
-    command walk the serial engine traces -- so every row still
-    contributes one contiguous event segment ending in its ``kind="op"``
-    event and the parent's canonical-order merge applies unchanged.
-    """
-    buffer = io.StringIO()
-    tracer = tracer_config.build(buffer)
-    device.chip.tracer = tracer
-    try:
-        for i in range(len(dst)):
-            device.bbop_compiled_row(
-                cop,
-                dst[i],
-                [column[i] for column in operands],
-                [column[i] for column in temps],
+                *[column[i] for column in srcs],
+                temps=[column[i] for column in temps],
             )
     finally:
         device.chip.tracer = None

@@ -74,7 +74,7 @@ def _parity_case(op_name: str, expr_text: str, row_bytes: int, seed: int):
     _seed_rows(compiled, rng, (src1, src2))
     temps = [RowLocation(0, 0, 4 + t) for t in range(cop.num_temps)]
     log = CommandLog(compiled)
-    compiled.bbop_compiled_row(cop, dst, [src1, src2], temps)
+    compiled.bbop_row(cop, dst, src1, src2, temps=temps)
     compiled_text = log.text()
     log.detach()
     compiled_ns = compiled.elapsed_ns

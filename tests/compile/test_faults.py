@@ -153,6 +153,40 @@ class TestDccFaults:
         assert device.controller.dcc_route[(0, 0)] == 1
         assert session.unrecovered_count == 0
 
+    @pytest.mark.parametrize("dead", [0, 1])
+    @pytest.mark.parametrize(
+        "text, oracle",
+        [
+            ("a ^ b", lambda a, b, c: a ^ b),
+            ("~(a ^ b)", lambda a, b, c: ~(a ^ b)),
+            ("a ^ b ^ c", lambda a, b, c: a ^ b ^ c),
+            ("mux(c, a ^ b, a & b)",
+             lambda a, b, c: (c & (a ^ b)) | (~c & (a & b))),
+        ],
+        ids=["xor", "xnor", "xor3", "mux"],
+    )
+    def test_dual_dcc_op_degrades_around_one_dead_dcc(
+        self, rig, text, oracle, dead
+    ):
+        device, session, images = rig
+        cop = compile_expr(parse_expr(text))
+        assert cop.uses_dual_dcc
+        subarray = device.chip.bank(0).subarray(0)
+        subarray.inject_dcc_fault(device.amap.row_dcc(dead))
+        want = oracle(*images)
+        _run(session, cop)
+        assert np.array_equal(device.read_row(DST), want)
+        assert ("dcc", "rerouted") in _outcomes(session)
+        assert session.unrecovered_count == 0
+        assert session.bad_dcc[(0, 0)] == dead
+        # The dead DCC is memoised: the next run takes the degraded
+        # program up front, with no new mismatch to recover from.
+        before = len(session.log)
+        session.write_row(DST, np.zeros_like(want))
+        _run(session, cop)
+        assert np.array_equal(device.read_row(DST), want)
+        assert len(session.log) == before
+
     def test_dual_dcc_op_fails_gracefully(self, rig):
         device, session, _ = rig
         cop = compile_expr(parse_expr("a ^ b"), name="parity")

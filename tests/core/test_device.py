@@ -119,7 +119,7 @@ class TestControlRows:
         a = _row(rng)
         device.write_row(loc(0), a)
         device.controller.bbop(
-            BulkOp.AND, 0, 0, dk=2, di=0, dj=device.amap.c(1)
+            BulkOp.AND, 0, 0, 2, 0, device.amap.c(1)
         )
         assert np.array_equal(device.read_row(loc(2)), a)
 
@@ -133,7 +133,7 @@ class TestValidationAndAccounting:
     def test_open_bank_rejected(self, device):
         device.chip.activate(0, 0, 0)
         with pytest.raises(DramProtocolError):
-            device.controller.bbop(BulkOp.AND, 0, 0, dk=2, di=0, dj=1)
+            device.controller.bbop(BulkOp.AND, 0, 0, 2, 0, 1)
 
     def test_stats_accumulate(self, device, rng):
         device.write_row(loc(0), _row(rng))

@@ -195,7 +195,7 @@ class TestFaultRepairLoop:
             device.chip.activate(0, 0, row)
             bank.write_open_row(value)
             device.chip.precharge(0)
-        device.controller.bbop(BulkOp.AND, 0, 0, dk=2, di=0, dj=1)
+        device.controller.bbop(BulkOp.AND, 0, 0, 2, 0, 1)
         device.chip.activate(0, 0, 2)
         result = bank.read_open_row()
         device.chip.precharge(0)

@@ -55,7 +55,7 @@ class TestAmbitFreshnessInvariant:
         amap = AmbitAddressMap(GEO.subarray)
         # Let the whole device age to just under the retention window.
         device.chip.clock_ns = RETENTION_NS * 0.99
-        device.controller.bbop(BulkOp.AND, 0, 0, dk=2, di=0, dj=1)
+        device.controller.bbop(BulkOp.AND, 0, 0, 2, 0, 1)
         designated = [amap.row_t(0), amap.row_t(1), amap.row_t(2)]
         assert tra_inputs_fresh(device.chip, 0, 0, designated)
         # The designated rows were restored within microseconds of "now",

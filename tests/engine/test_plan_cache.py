@@ -67,9 +67,9 @@ class TestCaching:
 class TestControllerIntegration:
     def test_bbop_populates_and_reuses_cache(self, device):
         cache = device.controller.plan_cache
-        device.controller.bbop(BulkOp.AND, 0, 0, dk=3, di=0, dj=1)
+        device.controller.bbop(BulkOp.AND, 0, 0, 3, 0, 1)
         assert cache.misses == 1
-        device.controller.bbop(BulkOp.AND, 1, 1, dk=3, di=0, dj=1)
+        device.controller.bbop(BulkOp.AND, 1, 1, 3, 0, 1)
         assert cache.hits == 1  # other bank, same addresses: cache hit
 
     @pytest.mark.parametrize("op", GOLDEN_OPS)
@@ -83,14 +83,14 @@ class TestControllerIntegration:
 
     def test_reset_stats_keeps_plans_but_zeroes_counters(self, device):
         controller = device.controller
-        controller.bbop(BulkOp.XOR, 0, 0, dk=3, di=0, dj=1)
-        controller.bbop(BulkOp.XOR, 0, 0, dk=3, di=0, dj=1)
+        controller.bbop(BulkOp.XOR, 0, 0, 3, 0, 1)
+        controller.bbop(BulkOp.XOR, 0, 0, 3, 0, 1)
         cache = controller.plan_cache
         assert len(cache) == 1 and cache.hits == 1
         controller.reset_stats()
         assert len(cache) == 1  # compiled plans survive
         assert cache.hits == 0 and cache.misses == 0
-        controller.bbop(BulkOp.XOR, 0, 0, dk=3, di=0, dj=1)
+        controller.bbop(BulkOp.XOR, 0, 0, 3, 0, 1)
         assert cache.hits == 1 and cache.misses == 0  # still warm
 
 

@@ -105,7 +105,7 @@ def compiled_trace_text(name: str, expr_text: str, device=None) -> str:
     ]
     log = CommandLog(device)
     try:
-        device.bbop_compiled_row(cop, DST, sources, temps)
+        device.bbop_row(cop, DST, *sources, temps=temps)
         return log.text() + "\n"
     finally:
         log.detach()
@@ -119,10 +119,12 @@ def compiled_path(name: str) -> pathlib.Path:
 # Recovery-ladder traces (repro.faults)
 # ----------------------------------------------------------------------
 #: One scenario per recovery rung: transient-TRA retry, stuck-row
-#: spare remap, and dead-DCC reroute.  Each trace pins the *entire*
+#: spare remap, dead-DCC reroute of a single-DCC op (NOT), and the
+#: dead-DCC rung of a dual-DCC op (XOR), which runs the minimal-B-group
+#: composition through the healthy DCC.  Each trace pins the *entire*
 #: command stream of one faulty operation -- the failed attempt, the
 #: detection probes, and the recovered re-execution.
-RECOVERY_SCENARIOS = ("retry", "remap", "dcc")
+RECOVERY_SCENARIOS = ("retry", "remap", "dcc", "xor")
 
 #: Recovery working set inside the golden device's 14 data rows.
 RECOVERY_SCRATCH = (8, 9)
@@ -170,6 +172,11 @@ def recovery_trace_text(scenario: str) -> str:
         # DCC0's n-wordline fails open; the route must flip to DCC1.
         subarray.inject_dcc_fault(device.amap.row_dcc(0))
         expected_action = "rerouted"
+    elif scenario == "xor":
+        # The same dead DCC0 under XOR, whose 8-AAP program needs both
+        # DCC rows: the ladder must degrade to the composition.
+        subarray.inject_dcc_fault(device.amap.row_dcc(0))
+        expected_action = "rerouted"
     else:
         raise ValueError(f"unknown recovery scenario {scenario!r}")
 
@@ -178,6 +185,12 @@ def recovery_trace_text(scenario: str) -> str:
         if scenario == "dcc":
             session.bbop_row(BulkOp.NOT, DST, SRC1)
             reference = ~src1
+        elif scenario == "xor":
+            session.bbop_row(BulkOp.XOR, DST, SRC1, SRC2)
+            reference = src1 ^ src2
+            assert ("dcc", "rerouted") in {
+                (record.kind, record.action) for record in session.log
+            }, "the xor scenario must recover through the DCC rung"
         else:
             session.bbop_row(BulkOp.AND, DST, SRC1, SRC2)
             reference = src1 & src2

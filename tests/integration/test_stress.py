@@ -149,5 +149,5 @@ class TestProtocolViolationsAlwaysRaise:
         device.chip.activate(0, 0, 0)
         before = len(device.chip.trace)
         with pytest.raises(DramProtocolError):
-            device.controller.bbop(BulkOp.AND, 0, 0, dk=2, di=0, dj=1)
+            device.controller.bbop(BulkOp.AND, 0, 0, 2, 0, 1)
         assert len(device.chip.trace) == before  # nothing half-issued

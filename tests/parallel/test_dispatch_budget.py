@@ -174,3 +174,45 @@ def test_full_board_falls_back_inline_and_stays_correct():
             assert np.array_equal(
                 serial.read_row(loc), sharded.read_row(loc)
             )
+
+
+def test_full_board_memoises_only_accepted_entries():
+    from repro.core.device import AmbitDevice
+
+    shapes = [_batch(rows_per_bank=k) for k in range(1, 7)]
+    serial = AmbitDevice(geometry=GEO)
+    _fill(serial)
+    # Two slots: the first shape's rows and the AND op fill the board,
+    # so the other five shapes must ship inline on every batch.
+    with ShardedDevice(
+        geometry=GEO, max_workers=2, board_slots=2
+    ) as sharded:
+        _fill(sharded)
+        for batch in shapes:
+            serial.engine.run_rows(BulkOp.AND, *batch)
+            assert sharded.run_rows(BulkOp.AND, *batch).shards == 2
+        assert sharded.block.board_entries == 2
+
+        # A full directory is known before anything is pickled: the
+        # repeat round publishes nothing, and no rejected shape is
+        # remembered.
+        published = []
+        publish = sharded.block.publish
+        sharded.block.publish = lambda payload: published.append(payload)
+        try:
+            for batch in shapes:
+                serial.engine.run_rows(BulkOp.AND, *batch)
+                sharded.run_rows(BulkOp.AND, *batch)
+        finally:
+            sharded.block.publish = publish
+        assert published == []
+        assert sharded.resident_plans == 1
+        assert len(sharded._resident) + len(sharded._op_resident) == 2
+
+        family = sharded.metrics.get("ambit_resident_plans_total")
+        assert family.labels(event="inline").value == 10
+        for dst, _, _ in shapes:
+            for loc in dst:
+                assert np.array_equal(
+                    serial.read_row(loc), sharded.read_row(loc)
+                )
