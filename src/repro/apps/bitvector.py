@@ -136,13 +136,12 @@ class BitVector:
         scratch rows (the driver's slow path); co-located layouts --
         anything allocated with ``like=`` -- run pure RowClone-FPM.
 
-        With no tracer attached, co-located chunks execute through the
-        batch engine (:mod:`repro.engine`, or the sharded device when
-        one wraps it): one fused kernel per (bank, subarray) group,
-        issued round-robin across banks, with identical results and
-        identical timing/energy accounting.  With a tracer attached,
-        every chunk walks the per-row command path so the emitted trace
-        stream is unchanged.
+        Co-located chunks execute through the batch engine
+        (:mod:`repro.engine`, or the sharded device when one wraps it):
+        one fused kernel per (bank, subarray) group, issued round-robin
+        across banks, with identical results and identical
+        timing/energy accounting.  An attached tracer sees the same
+        events from them as from the per-row walk.
         """
         vectors = [self] + [v for v in others if v is not None]
         for v in vectors + [dst]:
@@ -150,7 +149,6 @@ class BitVector:
                 raise AllocationError("bitvector operands must have equal row counts")
         driver = self.system.driver
         device = self.device
-        traced = device.tracer is not None
         with driver.temp_rows(dst.handle, op.num_temps) as temp_handles:
             dst_rows = []
             src_cols = [[] for _ in vectors]
@@ -163,7 +161,7 @@ class BitVector:
                     k for k, s in enumerate(srcs)
                     if (s.bank, s.subarray) != (d.bank, d.subarray)
                 ]
-                if not strays and not traced:
+                if not strays:
                     # Batched path: fuse co-located chunks.
                     dst_rows.append(d)
                     for col, s in zip(src_cols, srcs):

@@ -20,7 +20,7 @@ overlapped AAP costs ``tRAS + 4ns + tRP`` (49 ns).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import ClassVar, Iterator, Tuple, Union
 
 from repro.core.addressing import AmbitAddressMap
 from repro.dram.commands import Command, Opcode
@@ -33,6 +33,8 @@ class AAP:
 
     addr1: int
     addr2: int
+    #: Bus commands :meth:`commands` expands to.
+    num_commands: ClassVar[int] = 3
 
     def commands(self, bank: int, subarray: int) -> Iterator[Command]:
         """Expand to ACTIVATE, ACTIVATE, PRECHARGE."""
@@ -66,6 +68,8 @@ class AP:
     """ACTIVATE-PRECHARGE on one local row address."""
 
     addr: int
+    #: Bus commands :meth:`commands` expands to.
+    num_commands: ClassVar[int] = 2
 
     def commands(self, bank: int, subarray: int) -> Iterator[Command]:
         """Expand to ACTIVATE, PRECHARGE."""

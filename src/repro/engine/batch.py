@@ -21,14 +21,17 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    comparing serialized vs bank-interleaved makespan.
 
 The fused kernel only engages when it is *provably* equivalent to the
-per-row walk: no tracer attached (a tracer observes per-primitive spans
-in execution order; the slow path preserves them byte-for-byte), no
-analog charge model (TRA outcomes would depend on cell-level state), no
-injected stuck-at faults in the target subarray (faults corrupt the
-B-group walk in ways the fused kernel cannot see), and no read/write
-hazards between the rows of a group.  Ineligible groups transparently
-fall back to the per-row walk -- results are always correct; batching is
-purely an optimisation.
+per-row walk: no analog charge model (TRA outcomes would depend on
+cell-level state), no injected stuck-at faults in the target subarray
+(faults corrupt the B-group walk in ways the fused kernel cannot see),
+and no read/write hazards between the rows of a group.  Ineligible
+groups transparently fall back to the per-row walk -- results are
+always correct; batching is purely an optimisation.
+
+An attached tracer does not change the path.  A fused group's rows
+emit the same op, primitive and command events as the per-row walk,
+from the same cached command schedules the accounting charges
+(:meth:`BatchEngine.account_group`).
 
 Known modelling deltas of the fast path (documented, not observable
 through the bulk-op API): B-group designated rows are not rewritten (all
@@ -42,10 +45,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.microprograms import StepProgram, apply_bulk_op
 from repro.dram.chip import RowLocation
+from repro.dram.commands import IssuedCommand
 from repro.engine.plan import RowPlan
 from repro.engine.scheduler import BatchScheduler, CommandGroup, ParallelismReport
 from repro.errors import AddressError, DramProtocolError
@@ -289,8 +294,6 @@ class BatchEngine:
         srcs: Columns,
         temps: Columns,
     ) -> bool:
-        if self.chip.tracer is not None:
-            return False
         subarray = self.chip.bank(group.bank).subarray(group.subarray)
         if subarray.has_faults or subarray.amps.charge_model is not None:
             return False
@@ -360,11 +363,16 @@ class BatchEngine:
         groups whose *functional* effect ran in a worker process --
         accounting always happens in the process that owns the stats, so
         merged counters, energy, and golden traces stay exact.
+
+        With a tracer attached, the same schedules also become the
+        tracer's events, equal to those the per-row walk emits.
         """
         bank, sub = group.bank, group.subarray
         cache = self.plan_cache
         stats = self.controller.stats
         trace = self.chip.trace
+        tracer = self.chip.tracer
+        clock_ns = self.chip.clock_ns
         ops_metric = self.controller._m_ops
         latency_metric = (
             None
@@ -373,7 +381,12 @@ class BatchEngine:
         )
         total_ns = 0.0
         for plan in group.plans:
-            trace.extend(cache.issued_commands(plan, bank, sub))
+            schedule = cache.issued_commands(plan, bank, sub)
+            trace.extend(schedule)
+            if tracer is not None:
+                clock_ns = _emit_plan(
+                    tracer, plan, schedule, bank, sub, clock_ns
+                )
             stats.aap_count += plan.num_aap
             stats.ap_count += plan.num_ap
             total_ns += plan.total_ns
@@ -390,6 +403,37 @@ class BatchEngine:
     def _run_group_per_row(self, group: _Group) -> None:
         for plan in group.plans:
             self.controller.run_plan(plan, group.bank, group.subarray)
+
+
+def _emit_plan(
+    tracer,
+    plan: RowPlan,
+    schedule: Tuple[IssuedCommand, ...],
+    bank: int,
+    subarray: int,
+    clock_ns: float,
+) -> float:
+    """Emit one row's tracer events from its command schedule.
+
+    The events and their order are those of
+    :meth:`repro.core.controller.AmbitController.run_plan`: each
+    primitive's commands at the primitive's start, then the primitive,
+    all inside one op span.  ``clock_ns`` is the row's start and steps
+    by each primitive's latency, as the controller's clock does; the
+    row's end is returned.
+    """
+    program = plan.program
+    tracer.begin_op(program.op.value, bank, subarray, clock_ns)
+    commands = iter(schedule)
+    for primitive, latency in zip(program.primitives, plan.latencies_ns):
+        for issued in islice(commands, primitive.num_commands):
+            tracer.record_command(issued, clock_ns)
+        tracer.record_primitive(
+            type(primitive).__name__, bank, subarray, clock_ns, latency
+        )
+        clock_ns += latency
+    tracer.end_op(clock_ns)
+    return clock_ns
 
 
 def _check_aligned(n: int, srcs: Columns, temps: Columns) -> None:

@@ -229,9 +229,7 @@ class PlanCache:
             total_ns=sum(latencies),
             num_aap=program.num_aap,
             num_ap=program.num_ap,
-            num_commands=sum(
-                3 if isinstance(p, AAP) else 2 for p in program.primitives
-            ),
+            num_commands=sum(p.num_commands for p in program.primitives),
         )
         self._plans[key] = plan
         self._trim()

@@ -9,7 +9,10 @@ artifact instead of a raw ``chip.trace`` list:
   choke point (:meth:`repro.dram.chip.DramChip.execute`), it turns every
   ACT/PRE/RD/WR/REF plus every AAP/AP primitive and bulk operation into
   a typed :class:`~repro.obs.events.TraceEvent` carrying the issue
-  clock, latency and energy, fanned out to pluggable sinks.
+  clock, latency and energy, fanned out to pluggable sinks.  Fused and
+  sharded batches emit the same events from their cached command
+  schedules, in the parent process, so tracing never changes the
+  execution path.
 * Sinks (:mod:`repro.obs.sinks`) -- in-memory ring buffer, JSON-lines
   file, and Chrome ``trace_event`` format (load the output in
   ``chrome://tracing`` or https://ui.perfetto.dev), plus a streaming
@@ -24,9 +27,6 @@ artifact instead of a raw ``chip.trace`` list:
   and fixed-bucket latency histograms threaded through the controller,
   plan cache, batch engine and worker pool, with Prometheus-text /
   JSON / JSON-lines exposition (``repro metrics``, ``repro top``).
-* :mod:`repro.obs.remote` -- cross-process trace collection: workers
-  trace into per-(batch, shard) JSON-lines spools that the parent
-  merges back into one stream, bit-identical to a serial traced run.
 * :mod:`repro.obs.spans` -- end-to-end *request* spans for the serving
   layer: per-request critical-path breakdowns that tile the wall clock,
   a bounded ring of recent traces (``repro spans``), and a flight
@@ -59,7 +59,6 @@ from repro.obs.regress import (
     RegressionReport,
     run_bench_check,
 )
-from repro.obs.remote import TracerConfig
 from repro.obs.spans import (
     STAGES,
     FlightRecorder,
@@ -109,7 +108,6 @@ __all__ = [
     "TraceSink",
     "TraceEvent",
     "Tracer",
-    "TracerConfig",
     "chrome_trace",
     "format_spans_table",
     "format_top",

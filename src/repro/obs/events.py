@@ -47,9 +47,9 @@ class TraceEvent:
     #: Wordlines raised by an ACTIVATE (1, 2 for DCC rows, 3 for a TRA).
     wordlines: int = 1
     energy_pj: float = 0.0
-    #: OS pid of the worker process that executed the event, for events
-    #: collected from shard workers (``None`` for in-process events).
-    #: The Chrome sink renders each pid as its own process lane.
+    #: OS pid of the shard worker a ``shard`` span ran in (``None`` for
+    #: everything else).  The Chrome sink renders each pid as its own
+    #: process lane.
     pid: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
@@ -73,28 +73,3 @@ class TraceEvent:
         if self.attrs:
             record["attrs"] = dict(self.attrs)
         return record
-
-    @classmethod
-    def from_json(cls, record: Dict[str, Any]) -> "TraceEvent":
-        """Rebuild an event from a :meth:`to_json` record.
-
-        The inverse used by the cross-process trace collector
-        (:mod:`repro.obs.remote`) to read worker spool files; round
-        trips are exact because :meth:`to_json` only elides fields at
-        their defaults.
-        """
-        return cls(
-            kind=record["kind"],
-            name=record["name"],
-            ts_ns=record["ts_ns"],
-            dur_ns=record.get("dur_ns", 0.0),
-            seq=record.get("seq", 0),
-            bank=record.get("bank"),
-            subarray=record.get("subarray"),
-            row=record.get("row"),
-            column=record.get("column"),
-            wordlines=record.get("wordlines", 1),
-            energy_pj=record.get("energy_pj", 0.0),
-            pid=record.get("pid"),
-            attrs=dict(record.get("attrs", {})),
-        )

@@ -572,8 +572,8 @@ class MetricsRegistry:
         """Write one JSON line per metric sample; returns the line count.
 
         Each line is ``{"metric": ..., "type": ..., ...sample}`` --
-        flat, appendable, and greppable, the same spirit as the trace
-        spool files of :mod:`repro.obs.remote`.
+        flat, appendable, and greppable, the same spirit as the
+        tracer's :class:`~repro.obs.sinks.JsonLinesSink`.
         """
         snapshot = self.snapshot()
         handle: IO[str]

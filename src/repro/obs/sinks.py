@@ -105,12 +105,12 @@ class ChromeTraceSink(TraceSink):
     The output loads directly in ``chrome://tracing`` and Perfetto.
     Layout: one process per execution context -- pid 0 ("ambit-device")
     for in-process events, and one process lane per shard-worker OS pid
-    ("worker-<pid>") for events collected by the cross-process trace
-    merge (:mod:`repro.obs.remote`).  Inside each process: per bank, a
-    command lane (tid ``2*bank``) carrying the raw ACT/PRE/RD/WR events
-    and an operation lane (tid ``2*bank + 1``) carrying primitive and
-    bulk-op spans.  Timestamps convert from model nanoseconds to the
-    format's microseconds.
+    ("worker-<pid>") for the ``shard`` spans of a sharded batch
+    (:class:`repro.parallel.device.ShardedDevice`).  Inside each
+    process: per bank, a command lane (tid ``2*bank``) carrying the raw
+    ACT/PRE/RD/WR events and an operation lane (tid ``2*bank + 1``)
+    carrying primitive and bulk-op spans.  Timestamps convert from model
+    nanoseconds to the format's microseconds.
     """
 
     #: tid used for events with no bank (REF, scheduler-level spans).

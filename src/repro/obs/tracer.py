@@ -5,7 +5,10 @@ A :class:`Tracer` hangs off :class:`~repro.dram.chip.DramChip` (see
 every executed bus command; the Ambit controller reports each AAP/AP
 primitive with its accounted latency and brackets whole bulk operations
 with :meth:`Tracer.begin_op` / :meth:`Tracer.end_op`, so op-level events
-carry exact per-instance aggregates (AAPs, APs, commands, energy).
+carry exact per-instance aggregates (AAPs, APs, commands, energy).  For
+rows that skip the per-row walk (fused in process, or run on a shard
+worker), the batch engine makes the same calls from their cached command
+schedules (:meth:`repro.engine.batch.BatchEngine.account_group`).
 
 Per-command durations and energies are *nominal*: durations come from
 the JEDEC identities of the attached
@@ -17,7 +20,6 @@ including the +22 %/extra-wordline activation surcharge.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Iterable, List, Optional
 
 from repro.dram.commands import IssuedCommand, Opcode
@@ -147,32 +149,9 @@ class Tracer:
         self._seq += 1
         return self._seq
 
-    def emit_foreign(
-        self,
-        event: TraceEvent,
-        ts_ns: Optional[float] = None,
-        pid: Optional[int] = None,
-    ) -> TraceEvent:
-        """Re-emit an event recorded by *another* tracer into this one.
-
-        The cross-process trace collector (:mod:`repro.obs.remote`) uses
-        this to fold worker-side event streams into the parent's sinks:
-        the event keeps its recorded payload (kind, name, duration,
-        energy, attrs) but receives this tracer's next sequence number,
-        optionally a rebased timestamp, and the worker's pid.  The
-        in-flight op stack is untouched -- foreign events are complete.
-        """
-        replaced = dataclasses.replace(
-            event,
-            seq=self._next_seq(),
-            ts_ns=event.ts_ns if ts_ns is None else ts_ns,
-            pid=event.pid if pid is None else pid,
-        )
-        self._emit(replaced)
-        return replaced
-
     def record_command(self, issued: IssuedCommand, clock_ns: float) -> None:
-        """Record one executed bus command (called by the chip)."""
+        """Record one executed bus command (called by the chip, and by
+        the batch engine for rows it did not walk command by command)."""
         command = issued.command
         energy_pj = self._command_energy_pj(issued)
         attrs: dict = {}
@@ -266,9 +245,14 @@ class Tracer:
         start_ns: float,
         dur_ns: float,
         bank: Optional[int] = None,
+        pid: Optional[int] = None,
         **attrs: Any,
     ) -> None:
-        """Record a free-form span (scheduler jobs, memory requests)."""
+        """Record a free-form span (scheduler jobs, memory requests).
+
+        ``pid`` names the OS process the span ran in when that is not
+        this one (a shard worker); Chrome traces give it its own lane.
+        """
         self._emit(
             TraceEvent(
                 kind=KIND_SPAN,
@@ -277,6 +261,7 @@ class Tracer:
                 dur_ns=dur_ns,
                 seq=self._next_seq(),
                 bank=bank,
+                pid=pid,
                 attrs=attrs,
             )
         )

@@ -5,27 +5,27 @@
 the data plane).  One ``multiprocessing.shared_memory`` segment holds
 three fixed-layout regions::
 
-    header     : int64[8]   magic, version, slots, spool capacity,
-                            board slots, board capacity, board count,
-                            board cursor
+    header     : int64[7]   magic, version, slots, board slots,
+                            board capacity, board count, board cursor
     telemetry  : per shard slot --
-                 int64[8]   pid, rows, fused, fallback, rss,
-                            batches served, spool length, spool flags
-                 float64[4] busy ns, heartbeat ts, (reserved x2)
-    spools     : per shard slot, ``spool_capacity`` raw bytes of
-                 JSON-lines trace events (traced jobs only)
+                 int64[6]   pid, rows, fused, fallback, rss,
+                            batches served
+                 float64[2] busy ns, heartbeat ts
     plan board : directory int64[2 x board_slots] of (offset, length)
                  plus ``board_capacity`` bytes of parent-published
-                 payloads (pickled shard row-lists / tracer configs)
+                 payloads (pickled shard row-lists and ops)
 
 Why this exists: before it, every shard job round-trip pickled an
 O(rows) row list out to the worker and a :class:`ShardResult` object
 back, per batch.  With the block in place the parent *publishes* a
 batch's row description once (:meth:`publish`), workers fetch and
-memoise it by entry id, write their result counters and trace spools
-straight into their slot, and the per-batch message shrinks to a
-handful of integers -- the dispatch-budget property the test suite
-pins (``tests/parallel/test_dispatch_budget.py``).
+memoise it by entry id, write their result counters straight into
+their slot, and the per-batch message shrinks to a handful of
+integers -- the dispatch-budget property the test suite pins
+(``tests/parallel/test_dispatch_budget.py``).
+
+The version in the header names this layout; attaching to a block
+written with another layout raises :class:`~repro.errors.ConfigError`.
 
 Concurrency contract (no locks needed):
 
@@ -33,7 +33,7 @@ Concurrency contract (no locks needed):
   submitting a job that names the new entry id -- the executor's job
   pipe provides the happens-before edge, so a worker never reads a
   half-written entry.
-* Telemetry/spool slots are indexed by **shard index**, shards of one
+* Telemetry slots are indexed by **shard index**, shards of one
   batch are distinct, and the parent runs one batch at a time, so no
   two writers ever share a slot.
 * The parent reads slots only after the batch's futures resolved.
@@ -59,22 +59,23 @@ from repro.errors import ConcurrencyError, ConfigError
 from repro.parallel.shm import NAME_PREFIX, _LIVE, _cleanup
 
 _MAGIC = 0x414D4249_54414343  # "AMBITACC"
-_VERSION = 1
+#: Layout version; 2 has no per-shard trace region (1 had one).
+_VERSION = 2
+
+#: int64 header fields, in order.
+(H_MAGIC, H_VERSION, H_SLOTS, H_BOARD_SLOTS, H_BOARD_CAPACITY,
+ H_BOARD_COUNT, H_BOARD_CURSOR) = range(7)
+_HEADER_INTS = 7
 
 #: int64 telemetry fields per slot, in order.
-F_PID, F_ROWS, F_FUSED, F_FALLBACK, F_RSS, F_BATCHES, F_SPOOL_LEN, F_SPOOL_FLAGS = range(8)
+F_PID, F_ROWS, F_FUSED, F_FALLBACK, F_RSS, F_BATCHES = range(6)
 #: float64 telemetry fields per slot, in order.
-F_BUSY_NS, F_HEARTBEAT = 0, 1
+F_BUSY_NS, F_HEARTBEAT = range(2)
 
-_TELEM_INTS = 8
-_TELEM_FLOATS = 4
+_TELEM_INTS = 6
+_TELEM_FLOATS = 2
 
-#: ``spool flags`` bit: the spool overflowed the shared region and went
-#: to a file instead (the parent reconstructs the path).
-SPOOL_IN_FILE = 1
-
-#: Defaults, overridable per device and via environment.
-DEFAULT_SPOOL_CAPACITY = 512 * 1024
+#: Defaults, overridable per device.
 DEFAULT_BOARD_SLOTS = 512
 DEFAULT_BOARD_CAPACITY = 4 * 1024 * 1024
 
@@ -92,20 +93,13 @@ class ShardTelemetry:
     batches_served: int
     busy_ns: int
     heartbeat_ts: float
-    #: Bytes of trace spool in the shared region (0 = none).
-    spool_len: int
-    #: ``SPOOL_IN_FILE`` when the spool overflowed to a file.
-    spool_flags: int
 
 
-def _region_sizes(
-    slots: int, spool_capacity: int, board_slots: int, board_capacity: int
-):
-    header = 8 * 8
+def _region_sizes(slots: int, board_slots: int, board_capacity: int):
+    header = _HEADER_INTS * 8
     telem = slots * (_TELEM_INTS * 8 + _TELEM_FLOATS * 8)
-    spools = slots * spool_capacity
     directory = board_slots * 2 * 8
-    return header, telem, spools, directory, board_capacity
+    return header, telem, directory, board_capacity
 
 
 class SharedAccountingBlock:
@@ -114,23 +108,27 @@ class SharedAccountingBlock:
     def __init__(self, segment: shared_memory.SharedMemory, owner: bool):
         self._segment = segment
         self.owner = owner
-        header = np.ndarray(8, dtype=np.int64, buffer=segment.buf)
-        if int(header[0]) != _MAGIC:
+        header = np.ndarray(_HEADER_INTS, dtype=np.int64, buffer=segment.buf)
+        if int(header[H_MAGIC]) != _MAGIC:
             raise ConfigError(
                 f"segment {segment.name!r} is not an accounting block"
             )
-        self.slots = int(header[2])
-        self.spool_capacity = int(header[3])
-        self.board_slots = int(header[4])
-        self.board_capacity = int(header[5])
-        h, t, s, d, b = _region_sizes(
-            self.slots, self.spool_capacity,
-            self.board_slots, self.board_capacity,
+        if int(header[H_VERSION]) != _VERSION:
+            raise ConfigError(
+                f"accounting block {segment.name!r} has layout version "
+                f"{int(header[H_VERSION])}; this build reads version "
+                f"{_VERSION}"
+            )
+        self.slots = int(header[H_SLOTS])
+        self.board_slots = int(header[H_BOARD_SLOTS])
+        self.board_capacity = int(header[H_BOARD_CAPACITY])
+        h, t, d, b = _region_sizes(
+            self.slots, self.board_slots, self.board_capacity
         )
-        if segment.size < h + t + s + d + b:
+        if segment.size < h + t + d + b:
             raise ConfigError(
                 f"segment {segment.name!r} holds {segment.size} bytes; "
-                f"its own header implies {h + t + s + d + b}"
+                f"its own header implies {h + t + d + b}"
             )
         self._header = header
         self._telem_i = np.ndarray(
@@ -141,17 +139,12 @@ class SharedAccountingBlock:
             (self.slots, _TELEM_FLOATS), dtype=np.float64,
             buffer=segment.buf, offset=h + self.slots * _TELEM_INTS * 8,
         )
-        self._spool_base = h + t
-        self._spools = np.ndarray(
-            (self.slots, self.spool_capacity), dtype=np.uint8,
-            buffer=segment.buf, offset=self._spool_base,
-        )
         self._directory = np.ndarray(
             (self.board_slots, 2), dtype=np.int64,
-            buffer=segment.buf, offset=h + t + s,
+            buffer=segment.buf, offset=h + t,
         )
         self._board = np.ndarray(
-            b, dtype=np.uint8, buffer=segment.buf, offset=h + t + s + d
+            b, dtype=np.uint8, buffer=segment.buf, offset=h + t + d
         )
         self._finalizer = weakref.finalize(
             self, _cleanup, segment, segment.name, owner, os.getpid()
@@ -164,22 +157,20 @@ class SharedAccountingBlock:
     def create(
         cls,
         slots: int,
-        spool_capacity: int = DEFAULT_SPOOL_CAPACITY,
         board_slots: int = DEFAULT_BOARD_SLOTS,
         board_capacity: int = DEFAULT_BOARD_CAPACITY,
     ) -> "SharedAccountingBlock":
         """Allocate and initialise a block for ``slots`` shard workers."""
         if slots < 1:
             raise ConfigError(f"accounting block needs >= 1 slot; got {slots}")
-        sizes = _region_sizes(slots, spool_capacity, board_slots, board_capacity)
+        sizes = _region_sizes(slots, board_slots, board_capacity)
         name = f"{NAME_PREFIX}-acct-{secrets.token_hex(4)}"
         segment = shared_memory.SharedMemory(
             name=name, create=True, size=sum(sizes)
         )
-        header = np.ndarray(8, dtype=np.int64, buffer=segment.buf)
+        header = np.ndarray(_HEADER_INTS, dtype=np.int64, buffer=segment.buf)
         header[:] = (
-            _MAGIC, _VERSION, slots, spool_capacity,
-            board_slots, board_capacity, 0, 0,
+            _MAGIC, _VERSION, slots, board_slots, board_capacity, 0, 0,
         )
         _LIVE.add(name)
         return cls(segment, owner=True)
@@ -243,33 +234,7 @@ class SharedAccountingBlock:
             batches_served=int(ints[F_BATCHES]),
             busy_ns=int(floats[F_BUSY_NS]),
             heartbeat_ts=float(floats[F_HEARTBEAT]),
-            spool_len=int(ints[F_SPOOL_LEN]),
-            spool_flags=int(ints[F_SPOOL_FLAGS]),
         )
-
-    # ------------------------------------------------------------------
-    # Trace spools
-    # ------------------------------------------------------------------
-    def write_spool(self, shard: int, data: bytes) -> bool:
-        """Worker side: place a trace spool in the shared region.
-
-        Returns False (leaving the slot marked ``SPOOL_IN_FILE``) when
-        ``data`` exceeds the per-slot capacity; the caller then falls
-        back to a spool file.
-        """
-        if len(data) > self.spool_capacity:
-            self._telem_i[shard, F_SPOOL_LEN] = 0
-            self._telem_i[shard, F_SPOOL_FLAGS] = SPOOL_IN_FILE
-            return False
-        self._spools[shard, : len(data)] = np.frombuffer(data, dtype=np.uint8)
-        self._telem_i[shard, F_SPOOL_LEN] = len(data)
-        self._telem_i[shard, F_SPOOL_FLAGS] = 0
-        return True
-
-    def read_spool(self, shard: int) -> bytes:
-        """Parent side: the spool bytes a worker left in its slot."""
-        length = int(self._telem_i[shard, F_SPOOL_LEN])
-        return bytes(self._spools[shard, :length])
 
     # ------------------------------------------------------------------
     # Plan board
@@ -277,12 +242,12 @@ class SharedAccountingBlock:
     @property
     def board_entries(self) -> int:
         """Entries published so far (also the next entry id)."""
-        return int(self._header[6])
+        return int(self._header[H_BOARD_COUNT])
 
     @property
     def board_used(self) -> int:
         """Bytes of the board data region consumed."""
-        return int(self._header[7])
+        return int(self._header[H_BOARD_CURSOR])
 
     def publish(self, payload: bytes) -> Optional[int]:
         """Parent side: append a payload; returns its entry id.
@@ -292,8 +257,8 @@ class SharedAccountingBlock:
         just slower).  Entries are immutable and never evicted: an id,
         once handed to a worker, stays valid for the device's lifetime.
         """
-        count = int(self._header[6])
-        cursor = int(self._header[7])
+        count = int(self._header[H_BOARD_COUNT])
+        cursor = int(self._header[H_BOARD_CURSOR])
         if count >= self.board_slots:
             return None
         if cursor + len(payload) > self.board_capacity:
@@ -305,13 +270,13 @@ class SharedAccountingBlock:
         # Publish order matters: the entry becomes addressable only once
         # the counters advance, and jobs naming the id are submitted
         # strictly after this method returns.
-        self._header[7] = cursor + len(payload)
-        self._header[6] = count + 1
+        self._header[H_BOARD_CURSOR] = cursor + len(payload)
+        self._header[H_BOARD_COUNT] = count + 1
         return count
 
     def fetch(self, entry_id: int) -> bytes:
         """Worker side: the payload bytes of one published entry."""
-        if not 0 <= entry_id < int(self._header[6]):
+        if not 0 <= entry_id < int(self._header[H_BOARD_COUNT]):
             raise ConcurrencyError(
                 f"plan-board entry {entry_id} is not published "
                 f"({self.board_entries} entries exist); the dispatch "
@@ -328,7 +293,6 @@ class SharedAccountingBlock:
         self._header = None  # type: ignore[assignment]
         self._telem_i = None  # type: ignore[assignment]
         self._telem_f = None  # type: ignore[assignment]
-        self._spools = None  # type: ignore[assignment]
         self._directory = None  # type: ignore[assignment]
         self._board = None  # type: ignore[assignment]
         self._finalizer()

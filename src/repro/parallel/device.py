@@ -18,11 +18,11 @@ the shared cells, and the parent merges deterministically:
 * **clock** -- elapsed (makespan) time is the busiest bank's serial
   time, identical to the single-process convention; per-shard busy
   times sum into ``busy_ns``;
-* **trace events** -- with a tracer attached, workers run their rows
-  under real spooling tracers and the parent replays every worker event
-  through its own tracer in canonical serial order
-  (:mod:`repro.obs.remote`), bit-identical to a single-process traced
-  run.
+* **trace events** -- with a tracer attached, the same parent-side
+  accounting pass emits every row's events from the cached command
+  schedules, identical to a single-process traced run; workers never
+  trace.  The parent adds one ``shard`` span per shard, carrying the
+  worker's pid (a per-worker Chrome lane), and one ``batch`` span.
 
 The dispatch path is engineered for throughput (see
 ``docs/SCALING.md``):
@@ -33,9 +33,9 @@ The dispatch path is engineered for throughput (see
   batches of the same shape reuse the entry, so the per-batch message
   to each worker is a fingerprint id plus a few integers, never a row
   list or a plan object.
-* **Zero-copy results** -- workers write counters, health telemetry,
-  and trace spools into fixed-layout slots of the same block and
-  return a bare shard index; the parent pickles nothing per batch, and
+* **Zero-copy results** -- workers write counters and health telemetry
+  into fixed-layout slots of the same block and return a bare shard
+  index; the parent pickles nothing per batch, and
   the worker-health metric folding happens at *quiesce time* (or when
   statistics are observed), not per batch.
 * **Auto-tuned tiers** -- ``dispatch="auto"`` consults
@@ -58,8 +58,6 @@ flight; call :meth:`quiesce` first.  See ``docs/SCALING.md``.
 from __future__ import annotations
 
 import pickle
-import shutil
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,21 +69,9 @@ from repro.dram.timing import TimingParameters
 from repro.engine.batch import BatchReport
 from repro.engine.scheduler import CommandGroup
 from repro.errors import ConcurrencyError, ConfigError, DramProtocolError
-from repro.obs.events import KIND_SPAN, TraceEvent
-from repro.obs.remote import (
-    TracerConfig,
-    discard_spool,
-    events_from_bytes,
-    read_spool,
-    replay_row,
-    segment_rows,
-    shard_busy_ns,
-)
 from repro.parallel.accounting import (
     DEFAULT_BOARD_CAPACITY,
     DEFAULT_BOARD_SLOTS,
-    DEFAULT_SPOOL_CAPACITY,
-    SPOOL_IN_FILE,
     SharedAccountingBlock,
 )
 from repro.parallel.pmap import default_jobs
@@ -98,7 +84,6 @@ from repro.parallel.worker import (
     ShardResult,
     WorkerConfig,
     run_shard,
-    spool_file_path,
 )
 
 #: Valid ``dispatch`` modes: the three forced tiers plus the tuner.
@@ -142,11 +127,10 @@ class ShardedDevice:
         When set, a batch whose shards have not all answered within this
         many seconds counts a ``worker_stall`` detection (and, once the
         stragglers answer, a recovery) in the fault metrics.
-    spool_capacity / board_slots / board_capacity:
-        Sizing knobs of the shared accounting block (per-shard trace
-        spool bytes; plan-board entries and data bytes).  Overflow is
-        always safe: spools fall back to files, plans to inline
-        shipment.
+    board_slots / board_capacity:
+        Sizing knobs of the shared accounting block's plan board
+        (entries and data bytes).  Overflow is always safe: plans fall
+        back to inline shipment.
 
     Everything not overridden here (``bbop_row``, ``write_row``,
     ``profile``, ``elapsed_ns``, ...) delegates to the inner device,
@@ -167,7 +151,6 @@ class ShardedDevice:
         crash_retries: int = 2,
         crash_backoff_s: float = 0.05,
         stall_timeout_s: Optional[float] = None,
-        spool_capacity: int = DEFAULT_SPOOL_CAPACITY,
         board_slots: int = DEFAULT_BOARD_SLOTS,
         board_capacity: int = DEFAULT_BOARD_CAPACITY,
     ):
@@ -195,7 +178,6 @@ class ShardedDevice:
         self.stall_timeout_s = stall_timeout_s
         self.block = SharedAccountingBlock.create(
             slots=max(1, self.max_workers),
-            spool_capacity=spool_capacity,
             board_slots=board_slots,
             board_capacity=board_capacity,
         )
@@ -214,16 +196,14 @@ class ShardedDevice:
         self._start_method = start_method
         self._pool: Optional[WorkerPool] = None
         self._closed = False
-        #: Monotonic batch identity: stamps shard jobs, spool files,
-        #: crash context, and the linking spans of merged traces.
+        #: Monotonic batch identity: stamps crash context and the
+        #: linking spans of traced batches.
         self._batch_seq = 0
-        self._spool_dir: Optional[str] = None
         #: Plan-board entries the board accepted, by payload: shard
-        #: row-lists (nested rows tuple), ops, and (TracerConfig,
-        #: spool_dir) pairs.  Bounded by the board's slot count.
+        #: row-lists (nested rows tuple) and ops.  Bounded by the
+        #: board's slot count.
         self._resident: Dict[Tuple, int] = {}
         self._op_resident: Dict[StepProgram, int] = {}
-        self._tracer_resident: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Delegation
@@ -273,11 +253,6 @@ class ShardedDevice:
             )
         return self._pool
 
-    def _ensure_spool_dir(self) -> str:
-        if self._spool_dir is None:
-            self._spool_dir = tempfile.mkdtemp(prefix="repro-trace-spool-")
-        return self._spool_dir
-
     def quiesce(self) -> None:
         """Block until no shard jobs are in flight, then fold telemetry."""
         if self._pool is not None:
@@ -310,9 +285,6 @@ class ShardedDevice:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._spool_dir is not None:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
-            self._spool_dir = None
         self.block.release()
         self.device.close()
 
@@ -398,25 +370,19 @@ class ShardedDevice:
 
         assignment = {bank: i % shards for i, bank in enumerate(banks)}
         shard_rows: List[List[RowSpec]] = [[] for _ in range(shards)]
-        #: Row index -> (shard, position in shard job); the merge walks
-        #: this to replay worker event segments in canonical order.
-        placement: Dict[int, Tuple[int, int]] = {}
         for group in groups:
-            shard = assignment[group.bank]
-            rows = shard_rows[shard]
-            for i in group.indices:
-                placement[i] = (shard, len(rows))
-                rows.append(
-                    (
-                        group.bank,
-                        group.subarray,
-                        dst[i].address,
-                        tuple(col[i].address for col in srcs),
-                        tuple(col[i].address for col in temps),
-                    )
+            shard_rows[assignment[group.bank]].extend(
+                (
+                    group.bank,
+                    group.subarray,
+                    dst[i].address,
+                    tuple(col[i].address for col in srcs),
+                    tuple(col[i].address for col in temps),
                 )
+                for i in group.indices
+            )
         return self._run_sharded(
-            op, engine, groups, len(dst), shards, shard_rows, placement
+            op, engine, groups, len(dst), shard_rows, assignment
         )
 
     def run_compiled(self, cop, dst, operands, temps) -> BatchReport:
@@ -444,13 +410,12 @@ class ShardedDevice:
         engine,
         groups,
         total_rows: int,
-        shards: int,
         shard_rows: List[List[RowSpec]],
-        placement: Dict[int, Tuple[int, int]],
+        assignment: Dict[int, int],
     ) -> BatchReport:
         """Sharded tail: publish, submit (with crash retry), merge."""
         chip = self.device.chip
-        tracer = chip.tracer
+        shards = len(shard_rows)
         self._batch_seq += 1
         batch_id = self._batch_seq
 
@@ -458,10 +423,6 @@ class ShardedDevice:
         # job would otherwise ship inline, gets the last slot.
         resident = self._publish_rows(shard_rows)
         op_ref = self._publish_op(op)
-        tracer_ref, tracer_inline, spool_dir_inline = (
-            self._publish_tracer(tracer) if tracer is not None
-            else (None, None, None)
-        )
 
         start_ns = chip.clock_ns
         attempt = 0
@@ -481,11 +442,7 @@ class ShardedDevice:
                                 tuple(rows) if resident is None else None
                             ),
                             start_ns=start_ns,
-                            batch_id=batch_id,
                             shard=shard,
-                            tracer_resident=tracer_ref,
-                            tracer=tracer_inline,
-                            spool_dir=spool_dir_inline,
                         ),
                         batch_id=batch_id,
                     )
@@ -520,21 +477,21 @@ class ShardedDevice:
                 self._stalled_jobs
             )
             self._stalled_jobs = 0
-        # Zero-copy result read-back: every shard's counters, health
-        # telemetry, and trace spool live in the accounting block; the
-        # result pipe carried only shard indices.
-        results = self._shard_results(shards, batch_id)
+        # Zero-copy result read-back: every shard's counters and health
+        # telemetry live in the accounting block; the result pipe
+        # carried only shard indices.
+        results = self._shard_results(shards)
         pool.note_results(results, batch_id)
 
-        if tracer is not None:
-            self._merge_traces(
-                op, tracer, engine, groups, placement, shard_rows,
-                results, start_ns, batch_id,
-            )
-
-        # Deterministic merge: accounting in the parent, in the exact
-        # bank-interleaved order of the single-process engine.
+        # Deterministic merge: accounting (and any tracer events) in the
+        # parent, in the exact bank-interleaved order of the
+        # single-process engine.
         self._account(op, engine, groups)
+        if chip.tracer is not None:
+            self._trace_spans(
+                op, chip.tracer, groups, assignment, shard_rows, results,
+                start_ns, batch_id,
+            )
         fused = sum(result.fused_rows for result in results)
         return self._report(engine, groups, total_rows, fused, shards)
 
@@ -562,15 +519,6 @@ class ShardedDevice:
         """
         return self._publish(self._op_resident, op)
 
-    def _publish_tracer(self, tracer):
-        """Publish the tracer config + spool dir; inline on a full board."""
-        config = TracerConfig.from_tracer(tracer)
-        spool_dir = self._ensure_spool_dir()
-        rid = self._publish(self._tracer_resident, (config, spool_dir))
-        if rid is None:
-            return None, config, spool_dir
-        return rid, None, None
-
     def _publish(self, memo: Dict[object, int], payload) -> Optional[int]:
         """The board entry id of ``payload``, publishing it on first use.
 
@@ -594,16 +542,11 @@ class ShardedDevice:
         self._m_resident.labels(event="published").inc()
         return rid
 
-    def _shard_results(self, shards: int, batch_id: int) -> List[ShardResult]:
+    def _shard_results(self, shards: int) -> List[ShardResult]:
         """Rebuild the batch's :class:`ShardResult` views from the block."""
         results = []
         for shard in range(shards):
             t = self.block.read_telemetry(shard)
-            spool_path = (
-                spool_file_path(self._ensure_spool_dir(), batch_id, shard)
-                if t.spool_flags & SPOOL_IN_FILE
-                else None
-            )
             results.append(
                 ShardResult(
                     rows=t.rows,
@@ -614,80 +557,46 @@ class ShardedDevice:
                     rss_bytes=t.rss_bytes,
                     heartbeat_ts=t.heartbeat_ts,
                     batches_served=t.batches_served,
-                    spool_path=spool_path,
-                    spool_len=t.spool_len,
                 )
             )
         return results
 
     # ------------------------------------------------------------------
-    def _merge_traces(
+    def _trace_spans(
         self,
         op,
         tracer,
-        engine,
         groups,
-        placement: Dict[int, Tuple[int, int]],
-        shard_rows: List[List],
+        assignment: Dict[int, int],
+        shard_rows: List[List[RowSpec]],
         results: List[ShardResult],
         start_ns: float,
         batch_id: int,
     ) -> None:
-        """Replay worker spools through the parent tracer, serially ordered.
+        """Decorate a traced batch with its shard and batch spans.
 
-        Rows re-emit in the exact order the single-process engine would
-        have executed them (scheduler's bank-interleaved group order,
-        rows in group order) with serially reconstructed clocks, so sink
-        aggregations are bit-identical to a serial traced run; each
-        event carries its worker's pid for per-worker Chrome lanes.
-        Linking spans (one per shard, plus a parent batch span) share
-        the batch id so the lanes can be correlated in the viewer.
-
-        Spools normally arrive zero-copy through the accounting block;
-        a spool that overflowed its slot is read from the fallback file
-        instead (and the file discarded).
+        The rows' own events were already emitted by the accounting
+        pass.  Each shard gets one span over its groups' accounted time,
+        carrying the worker's pid for a per-worker Chrome lane; one
+        ``batch`` span covers the whole batch.  All share the batch id.
         """
-        segments = []
+        busy_ns = [0.0] * len(shard_rows)
+        for group in groups:
+            busy_ns[assignment[group.bank]] += group.duration_ns
         for shard, result in enumerate(results):
-            if result.spool_len:
-                events = events_from_bytes(self.block.read_spool(shard))
-            elif result.spool_path is not None:
-                events = read_spool(result.spool_path)
-                discard_spool(result.spool_path)
-            else:
-                raise ConcurrencyError(
-                    f"shard {shard} of traced batch {batch_id} returned "
-                    f"no trace spool; worker-side tracing failed"
-                )
-            segments.append(segment_rows(events, len(shard_rows[shard])))
-
-        clock = start_ns
-        for issued in engine.scheduler.order(self._command_groups(groups)):
-            for i in issued.payload.indices:
-                shard, pos = placement[i]
-                clock = replay_row(
-                    tracer, segments[shard][pos], clock, results[shard].pid
-                )
-
-        for shard, result in enumerate(results):
-            tracer.emit_foreign(
-                TraceEvent(
-                    kind=KIND_SPAN,
-                    name="shard",
-                    ts_ns=start_ns,
-                    dur_ns=shard_busy_ns(segments[shard]),
-                    attrs={
-                        "batch": batch_id,
-                        "shard": shard,
-                        "rows": len(shard_rows[shard]),
-                    },
-                ),
+            tracer.span(
+                "shard",
+                start_ns,
+                busy_ns[shard],
                 pid=result.pid,
+                batch=batch_id,
+                shard=shard,
+                rows=len(shard_rows[shard]),
             )
         tracer.span(
             "batch",
             start_ns,
-            clock - start_ns,
+            self.device.chip.clock_ns - start_ns,
             op=op.value,
             batch=batch_id,
             rows=sum(len(rows) for rows in shard_rows),
@@ -696,8 +605,6 @@ class ShardedDevice:
 
     # ------------------------------------------------------------------
     def _parallel_eligible(self) -> bool:
-        # A tracer is no bar to sharding: traced jobs spool real events
-        # worker-side and the parent merges them in canonical order.
         return self.max_workers >= 2 and not self._closed
 
     def _faulty_subarrays(self, dst: Sequence[RowLocation]) -> bool:

@@ -8,10 +8,10 @@ parent-visible cell arrays.
 
 The dispatch protocol is **resident-plan, zero-copy**:
 
-* **Plans ship once.**  A batch's shard row-lists, its op (one of the
-  nine ops or a compiled op), and, for traced batches, the tracer
-  configuration are *published* by the parent to the plan board of the
-  shared :class:`~repro.parallel.accounting.SharedAccountingBlock`; the
+* **Plans ship once.**  A batch's shard row-lists and its op (one of
+  the nine ops or a compiled op) are *published* by the parent to the
+  plan board of the shared
+  :class:`~repro.parallel.accounting.SharedAccountingBlock`; the
   per-batch :class:`ShardJob` carries only board entry ids plus a few
   integers.  Workers fetch an entry the first time they see its id
   and memoise the decoded payload (:data:`_RESIDENT`), so a warm batch
@@ -23,10 +23,6 @@ The dispatch protocol is **resident-plan, zero-copy**:
   its shard's fixed-layout telemetry slot and returns only its shard
   index; the parent reconstructs :class:`ShardResult` views from the
   block and pickles nothing.
-* **Trace spools are zero-copy too.**  A traced job serialises its
-  JSON-lines events into the slot's spool region when they fit
-  (falling back to a spool file on overflow, flagged in the slot), so
-  the common traced batch never touches the filesystem.
 
 The split of responsibilities is strict:
 
@@ -38,15 +34,8 @@ The split of responsibilities is strict:
 * **The parent computes accounting.**  Worker-side statistics, traces,
   and plan caches are private scratch state (reset per job); the parent
   re-derives the exact command trace, timing, and energy from its own
-  plan cache (see :meth:`repro.engine.batch.BatchEngine.account_group`).
-
-Traced jobs are the one exception to "engine runs the shard": when a
-tracer config rides along, the worker attaches a real tracer and
-executes its rows *one at a time* through the per-row command walk --
-the only path that emits genuine per-primitive events -- spooling them
-for the parent to merge in canonical serial order
-(:mod:`repro.obs.remote`).  Cells stay bit-exact (the per-row walk is
-always correct); only wall-clock changes.
+  plan cache (see :meth:`repro.engine.batch.BatchEngine.account_group`),
+  and with them any tracer events.  Workers never trace.
 
 Workers are handed *disjoint banks*, so no two processes ever write the
 same (bank, subarray) slice; B-group scratch rows are per-subarray and
@@ -56,7 +45,6 @@ batch at a time.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import time
@@ -91,11 +79,10 @@ class ShardJob:
 
     The resident-plan protocol keeps this O(1): after the parent has
     published a batch shape and an op once, a job is ``(op entry id,
-    rows entry id, shard, batch id, clock)`` -- no row lists, no plan
-    descriptions, no tracer objects.  ``op_inline``/``rows``/``tracer``/
-    ``spool_dir`` exist only as the inline fallback for a full plan
-    board, and the dispatch-budget tests assert the row and tracer
-    fallbacks stay ``None`` in the steady state.
+    rows entry id, shard, clock)`` -- no row lists, no plan
+    descriptions.  ``op_inline``/``rows`` exist only as the inline
+    fallback for a full plan board, and the dispatch-budget tests
+    assert the row fallback stays ``None`` in the steady state.
     """
 
     #: Plan-board entry id of the published op.
@@ -110,17 +97,8 @@ class ShardJob:
     #: use bank-parallel time (all shards start together, as on real
     #: hardware) rather than the serialized global clock.
     start_ns: float = 0.0
-    #: Parent-assigned batch identity, threaded through spool file names
-    #: and crash context.
-    batch_id: int = 0
     #: This job's shard index within the batch (and telemetry slot).
     shard: int = 0
-    #: Plan-board entry id of the published ``(TracerConfig,
-    #: spool_dir)`` pair; set on traced jobs.
-    tracer_resident: Optional[int] = None
-    #: Inline fallbacks for a full plan board (traced jobs only).
-    tracer: Optional[object] = None
-    spool_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -146,11 +124,6 @@ class ShardResult:
     heartbeat_ts: float = 0.0
     #: Shard jobs this worker process has served so far (including this).
     batches_served: int = 0
-    #: Spool file holding this job's trace events (overflow fallback
-    #: only; ``None`` when the spool lives in the shared block).
-    spool_path: Optional[str] = None
-    #: Bytes of trace spool in the shared block (0 = none).
-    spool_len: int = 0
 
 
 _STORE = None
@@ -218,13 +191,6 @@ def _job_rows(job: ShardJob) -> Tuple[RowSpec, ...]:
     return job.rows
 
 
-def _job_tracer(job: ShardJob):
-    """(TracerConfig, spool_dir) of a traced job, or (None, None)."""
-    if job.tracer_resident is not None:
-        return _fetch_resident(job.tracer_resident)
-    return job.tracer, job.spool_dir
-
-
 def _job_op(job: ShardJob):
     """This job's op: resident entry, or the inline fallback."""
     if job.op is not None:
@@ -238,8 +204,8 @@ def run_shard(job: ShardJob) -> int:
     """Execute one shard job; results land in the accounting block.
 
     Returns the shard index -- the only payload that crosses the result
-    pipe.  Everything else (counters, spool, health telemetry) is
-    written into the job's telemetry slot of the shared block.
+    pipe.  Everything else (counters, health telemetry) is written into
+    the job's telemetry slot of the shared block.
     """
     from repro.dram.chip import RowLocation
 
@@ -265,14 +231,7 @@ def run_shard(job: ShardJob) -> int:
         for column, address in zip(temps, temp_addrs):
             column.append(RowLocation(bank, sub, address))
 
-    tracer_config, spool_dir = _job_tracer(job)
-    if tracer_config is not None:
-        _run_traced(
-            device, job, op, dst, srcs, temps, tracer_config, spool_dir
-        )
-        fused = 0
-    else:
-        fused = device.engine.run_rows(op, dst, *srcs, temps=temps).fused_rows
+    fused = device.engine.run_rows(op, dst, *srcs, temps=temps).fused_rows
 
     _BATCHES_SERVED += 1
     _BLOCK.write_telemetry(
@@ -286,57 +245,6 @@ def run_shard(job: ShardJob) -> int:
         heartbeat_ts=time.time(),
     )
     return job.shard
-
-
-def _run_traced(
-    device, job: ShardJob, op, dst, srcs, temps, tracer_config, spool_dir
-) -> None:
-    """Execute a traced shard per-row, spooling events zero-copy.
-
-    Per-row execution in job order is what makes the parent-side merge
-    exact: every row contributes one contiguous event segment ending in
-    its ``kind="op"`` event, and rows of one bank retain the serial
-    engine's FIFO order (cross-bank order is functionally irrelevant --
-    shards own disjoint banks).
-
-    Events serialise into an in-memory buffer first; if they fit the
-    block's per-slot spool region they are published there (zero-copy),
-    otherwise they spill to the traditional per-(batch, shard) spool
-    file, with the slot flagged so the parent knows where to look.
-    """
-    buffer = io.StringIO()
-    tracer = tracer_config.build(buffer)
-    device.chip.tracer = tracer
-    try:
-        for i in range(len(dst)):
-            device.bbop_row(
-                op,
-                dst[i],
-                *[column[i] for column in srcs],
-                temps=[column[i] for column in temps],
-            )
-    finally:
-        device.chip.tracer = None
-        tracer.close()
-    _publish_spool(job, buffer, spool_dir)
-
-
-def _publish_spool(job: ShardJob, buffer: io.StringIO, spool_dir) -> None:
-    """Land a traced job's events in the block slot, or spill to a file."""
-    data = buffer.getvalue().encode("utf-8")
-    if not _BLOCK.write_spool(job.shard, data):
-        if spool_dir is None:  # pragma: no cover - dispatch contract
-            raise RuntimeError(
-                "trace spool overflowed the shared block and no spool "
-                "directory was provided"
-            )
-        with open(spool_file_path(spool_dir, job.batch_id, job.shard), "w") as f:
-            f.write(buffer.getvalue())
-
-
-def spool_file_path(spool_dir: str, batch_id: int, shard: int) -> str:
-    """The overflow spool file of one (batch, shard) -- both sides agree."""
-    return os.path.join(spool_dir, f"batch{batch_id}-shard{shard}.jsonl")
 
 
 def crash(exit_code: int = 1) -> None:  # pragma: no cover - runs in worker

@@ -19,6 +19,8 @@ from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
 from repro.engine.batch import apply_bulk_op
 from repro.errors import AddressError
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 
 ALL_OPS = tuple(BulkOp)
 LOGIC_OPS = tuple(op for op in BulkOp if op not in (BulkOp.COPY, BulkOp.MAJ))
@@ -174,16 +176,24 @@ class TestBitExactness:
 
 
 class TestFallbacks:
-    def test_tracer_forces_per_row_path(self):
-        """With a tracer attached nothing fuses, and results still match."""
+    def test_tracer_does_not_force_per_row_path(self):
+        """A tracer observes the fused kernel instead of replacing it:
+        every row fuses, and the event stream equals the per-row walk's."""
         slow, fast = _twin_devices(seed=11)
-        fast.attach_tracer()
+        rings = []
+        for device in (slow, fast):
+            rings.append(RingBufferSink())
+            device.attach_tracer(Tracer(
+                sinks=[rings[-1]], timing=device.timing,
+                row_bytes=device.row_bytes,
+            ))
         dst, src1, src2, _ = _layout(BulkOp.AND, [(0, 0, 0), (1, 1, 1)])
-        _run_per_row(slow, BulkOp.AND, dst, src1, src2)
+        slow.engine.run_rows(BulkOp.AND, dst, src1, src2, fuse=False)
         report = fast.engine.run_rows(BulkOp.AND, dst, src1, src2)
-        assert report.fused_rows == 0
-        assert report.fallback_rows == len(dst)
-        fast.detach_tracer()
+        assert report.fused_rows == report.rows == len(dst)
+        assert report.fallback_rows == 0
+        assert len(rings[1]) > 0
+        assert rings[1].events == rings[0].events
         _assert_equivalent(slow, fast)
 
     def test_stuck_row_forces_per_row_path(self):

@@ -1,13 +1,13 @@
-"""The shared accounting block: layout, spools, plan board, lifecycle.
+"""The shared accounting block: layout, plan board, lifecycle.
 
 Unit-level coverage of :class:`~repro.parallel.accounting.
 SharedAccountingBlock` -- the fixed-layout shared-memory region that
-carries worker telemetry, trace spools, and the resident plan board.
-The integration behaviour (what a :class:`ShardedDevice` does with it)
-lives in ``test_dispatch_budget.py`` / ``test_remote_trace.py``; this
-file pins the block's own contract, including the parts integration
-rarely exercises: magic validation, overflow edges, and cross-process
-attachment.
+carries worker telemetry and the resident plan board.  The integration
+behaviour (what a :class:`ShardedDevice` does with it) lives in
+``test_dispatch_budget.py`` / ``test_worker_health.py``; this file pins
+the block's own contract, including the parts integration rarely
+exercises: magic and version validation, overflow edges, and
+cross-process attachment.
 """
 
 import pickle
@@ -15,17 +15,12 @@ import pickle
 import pytest
 
 from repro.errors import ConcurrencyError, ConfigError
-from repro.parallel.accounting import (
-    SPOOL_IN_FILE,
-    SharedAccountingBlock,
-)
+from repro.parallel.accounting import SharedAccountingBlock
 from repro.parallel.shm import live_segment_names, system_segments
 
 
 def _block(**overrides):
-    kwargs = dict(
-        slots=3, spool_capacity=256, board_slots=4, board_capacity=1024
-    )
+    kwargs = dict(slots=3, board_slots=4, board_capacity=1024)
     kwargs.update(overrides)
     return SharedAccountingBlock.create(**kwargs)
 
@@ -61,28 +56,6 @@ def test_clear_slots_zeroes_only_the_batch_prefix():
         assert block.read_telemetry(0).rows == 0
         assert block.read_telemetry(1).rows == 0
         assert block.read_telemetry(2).rows == 5
-    finally:
-        block.release()
-
-
-def test_spool_write_read_and_overflow():
-    block = _block(spool_capacity=16)
-    try:
-        assert block.write_spool(0, b"0123456789") is True
-        assert block.read_spool(0) == b"0123456789"
-        assert block.read_telemetry(0).spool_len == 10
-        assert not block.read_telemetry(0).spool_flags & SPOOL_IN_FILE
-
-        # Exactly at capacity still fits.
-        assert block.write_spool(1, b"x" * 16) is True
-        assert block.read_spool(1) == b"x" * 16
-
-        # One byte over flips the in-file flag and empties the slot.
-        assert block.write_spool(2, b"y" * 17) is False
-        t = block.read_telemetry(2)
-        assert t.spool_flags & SPOOL_IN_FILE
-        assert t.spool_len == 0
-        assert block.read_spool(2) == b""
     finally:
         block.release()
 
@@ -143,13 +116,17 @@ def test_attach_sees_published_state_and_never_unlinks():
 
         attached = SharedAccountingBlock.attach(name)
         assert attached.slots == block.slots
-        assert attached.spool_capacity == block.spool_capacity
+        assert attached.board_slots == block.board_slots
+        assert attached.board_capacity == block.board_capacity
         assert pickle.loads(attached.fetch(entry)) == ("plan", [1, 2, 3])
         assert attached.read_telemetry(2).rows == 9
         # The attachment writes telemetry the owner can read (the
         # worker->parent direction of the real protocol).
-        attached.write_spool(0, b"from-attached")
-        assert block.read_spool(0) == b"from-attached"
+        attached.write_telemetry(
+            0, pid=8, rows=4, fused_rows=4, rss_bytes=0,
+            batches_served=2, busy_ns=5.0, heartbeat_ts=6.0,
+        )
+        assert block.read_telemetry(0).pid == 8
         attached.close()
         # A non-owner closing must not unlink the segment.
         assert SharedAccountingBlock.attach(name).slots == 3
@@ -168,6 +145,16 @@ def test_attach_rejects_foreign_segments():
     finally:
         segment.close()
         segment.unlink()
+
+
+def test_attach_rejects_another_layout_version():
+    block = _block()
+    try:
+        block._header[1] = 1  # the layout version field
+        with pytest.raises(ConfigError, match="layout version 1"):
+            SharedAccountingBlock.attach(block.name)
+    finally:
+        block.release()
 
 
 def test_create_rejects_zero_slots():

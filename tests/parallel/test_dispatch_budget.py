@@ -4,13 +4,13 @@ The resident-plan protocol's contract is *structural*, so it can be
 tested without a clock: after the first batch of a given shape has
 published its plan to the shared accounting block's board, every later
 batch of that shape must cross the process boundary as a fingerprint id
-plus a few integers -- never a row list, a plan object, or a tracer.
+plus a few integers -- never a row list or a plan object, traced or not.
 The pool's :class:`~repro.parallel.pool.PoolIOStats` counters measure
 exactly what the executor pickles, so a regression that quietly starts
 re-shipping payloads fails here long before it would show up as a
 wall-clock number on some particular CI host.
 
-Budgets are deliberately loose absolutes (a shard job message is ~176
+Budgets are deliberately loose absolutes (a shard job message is ~130
 bytes today; the gate says < 512) so refactors can move fields around
 without churn, while an O(rows) regression -- tens of kilobytes for the
 large shapes below -- still fails by an order of magnitude.
@@ -114,23 +114,30 @@ def test_same_shape_shares_a_plan_across_ops():
 def test_traced_batches_keep_the_budget():
     with ShardedDevice(geometry=GEO, max_workers=2) as sharded:
         _fill(sharded)
+        dst, src1, src2 = _batch(rows_per_bank=10)
+        sharded.run_rows(BulkOp.XOR, dst, src1, src2)  # warm-up
+
+        def window():
+            before = sharded.pool.io.snapshot()
+            sharded.run_rows(BulkOp.XOR, dst, src1, src2)
+            return sharded.pool.io.delta(before)
+
+        untraced = window()
+        board_entries = sharded.block.board_entries
         ring = RingBufferSink()
         sharded.attach_tracer(Tracer(
             sinks=(ring,), timing=sharded.timing,
             row_bytes=sharded.row_bytes,
         ))
-        dst, src1, src2 = _batch(rows_per_bank=10)
-        sharded.run_rows(BulkOp.XOR, dst, src1, src2)  # warm-up
+        traced = window()
 
-        before = sharded.pool.io.snapshot()
-        sharded.run_rows(BulkOp.XOR, dst, src1, src2)
-        delta = sharded.pool.io.delta(before)
-
-        # The tracer config shipped once at warm-up; traced steady-state
-        # jobs are still O(1), and the spools come back through the
-        # shared block, not the result pipe.
-        assert delta.max_submission_bytes < JOB_BUDGET
-        assert delta.received_bytes < delta.received_results * RESULT_BUDGET
+        # Workers never trace: a traced job is the untraced job, byte
+        # for byte, and nothing tracer-related reaches the plan board.
+        assert traced.submitted_jobs == untraced.submitted_jobs
+        assert traced.submitted_bytes == untraced.submitted_bytes
+        assert traced.max_submission_bytes < JOB_BUDGET
+        assert traced.received_bytes < traced.received_results * RESULT_BUDGET
+        assert sharded.block.board_entries == board_entries == 2
         assert len(ring.events) > 0
 
 

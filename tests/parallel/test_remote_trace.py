@@ -1,17 +1,22 @@
-"""Cross-process trace collection is bit-identical to a serial trace.
+"""Tracing observes every execution tier without changing it.
 
-The tentpole property of the distributed-telemetry PR: with a tracer
-attached, a :class:`~repro.parallel.device.ShardedDevice` batch still
-executes on the workers (no serial fallback); each worker traces its
-rows into a per-(batch, shard) JSON-lines spool, and the parent merges
-the spools back into one stream in canonical serial order.  The merged
-stream must be *bit-identical* to what a serial traced run emits --
-same events, same timestamps, same sequence numbers, same per-op
-:class:`~repro.obs.counters.CounterSet` fold -- plus worker-lane
-decoration: per-shard ``span`` events carrying the worker's pid and a
-parent ``batch`` span linking them by batch id.
+With a tracer attached, the serial per-row walk, the in-process fused
+engine and a :class:`~repro.parallel.device.ShardedDevice` batch emit
+one event stream.  The fused and sharded tiers emit each row's op,
+primitive and command events from the cached command schedules the
+accounting charges, in the parent process, so their streams equal the
+per-row walk's (``fuse=False``) exactly: same events, timestamps,
+sequence numbers and pids, and the same per-op
+:class:`~repro.obs.counters.CounterSet` fold.  A sharded batch adds only
+its decoration: one ``shard`` span per shard, carrying the worker's
+pid, and one ``batch`` span linking them by batch id.
+
+Tracing does not change the traced program either: on every tier a
+traced and an untraced run leave the same command trace, statistics,
+clocks and cells, and fault-free, hazard-free rows fuse in both.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,28 +24,36 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.compile import compile_expr, parse_expr
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
-from repro.obs.events import KIND_OP, KIND_SPAN, TraceEvent
-from repro.obs.remote import (
-    TracerConfig,
-    read_spool,
-    segment_rows,
-    shard_busy_ns,
-)
+from repro.obs.events import KIND_OP, KIND_SPAN
 from repro.obs.sinks import ChromeTraceSink, CounterSink, RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.parallel import ShardedDevice
+from tests.golden.regen import COMPILED_CASES
 
-ALL_OPS = tuple(BulkOp)
+#: The nine native ops plus the four golden compiled ops.
+ALL_OPS = tuple(BulkOp) + tuple(
+    compile_expr(parse_expr(expr_text), name=name)
+    for name, expr_text in COMPILED_CASES
+)
+TIERS = ("serial", "fused", "sharded")
 
-GEO = small_test_geometry(rows=32, row_bytes=64, banks=4, subarrays_per_bank=2)
+GEO = small_test_geometry(rows=64, row_bytes=64, banks=4, subarrays_per_bank=2)
 DATA_ROWS = GEO.subarray.data_rows
 WORDS = GEO.subarray.words_per_row
 
 UNEVEN_SPREAD = {(0, 0): 3, (0, 1): 2, (1, 0): 1, (3, 1): 4}
+
+#: Local rows each batch item owns: dst, three sources, two temps.
+STRIDE = 6
+
+
+def _op_id(op):
+    return op.value
 
 
 def _fill(device, seed):
@@ -54,32 +67,56 @@ def _fill(device, seed):
                 )
 
 
-def _spread_rows(spread, arity):
-    dst, src1, src2, src3 = [], [], [], []
+def _spread_rows(spread, op):
+    """Hazard-free operand lists over a {(bank, sub): count} spread.
+
+    Item ``j`` of a subarray owns rows ``6j .. 6j+5``: its destination,
+    then the op's sources, then its scratch rows.
+    """
+    dst = []
+    srcs = [[] for _ in range(op.arity)]
+    temps = [[] for _ in range(op.num_temps)]
     for (bank, sub), count in spread.items():
         for j in range(count):
-            dst.append(RowLocation(bank, sub, 3 * j))
-            src1.append(RowLocation(bank, sub, 3 * j + 1))
-            src2.append(RowLocation(bank, sub, 3 * j + 2))
-            src3.append(RowLocation(bank, sub, max(0, 3 * (j - 1))))
-    return (
-        dst,
-        src1,
-        src2 if arity >= 2 else None,
-        src3 if arity >= 3 else None,
+            base = STRIDE * j
+            dst.append(RowLocation(bank, sub, base))
+            for k, col in enumerate(srcs):
+                col.append(RowLocation(bank, sub, base + 1 + k))
+            for k, col in enumerate(temps):
+                col.append(RowLocation(bank, sub, base + 4 + k))
+    return dst, srcs, temps
+
+
+def _device(tier, workers=3):
+    if tier == "sharded":
+        return ShardedDevice(geometry=GEO, max_workers=workers)
+    return AmbitDevice(geometry=GEO)
+
+
+def _run(device, tier, op, spread):
+    dst, srcs, temps = _spread_rows(spread, op)
+    if tier == "sharded":
+        return device.run_rows(op, dst, *srcs, temps=temps)
+    return device.engine.run_rows(
+        op, dst, *srcs, temps=temps, fuse=tier == "fused"
     )
 
 
-def _traced_serial(op, seed, spread):
-    device = AmbitDevice(geometry=GEO)
-    _fill(device, seed)
+def _attach(device):
     ring, counters = RingBufferSink(), CounterSink()
     device.attach_tracer(Tracer(
         sinks=(ring, counters), timing=device.timing,
         row_bytes=device.row_bytes,
     ))
-    dst, src1, src2, src3 = _spread_rows(spread, op.arity)
-    device.engine.run_rows(op, dst, src1, src2, src3)
+    return ring, counters
+
+
+def _traced_serial(op, seed, spread):
+    """The reference: a traced per-row walk of one batch."""
+    device = AmbitDevice(geometry=GEO)
+    _fill(device, seed)
+    ring, counters = _attach(device)
+    _run(device, "serial", op, spread)
     return device, ring, counters
 
 
@@ -91,44 +128,61 @@ def _core_events(events):
     ]
 
 
-def _assert_streams_identical(serial_events, sharded_events):
-    import dataclasses
-
-    core = _core_events(sharded_events)
+def _assert_streams_identical(serial_events, tier_events):
+    core = _core_events(tier_events)
     assert len(serial_events) == len(core)
     for a, b in zip(serial_events, core):
-        # pid is the one sanctioned difference: serial events have none,
-        # replayed events carry their worker's pid (the Chrome lane).
-        assert a == dataclasses.replace(b, pid=a.pid), (a, b)
+        assert a == b, (a, b)
 
 
-@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.value)
+def _state(device):
+    """Cells, clocks, statistics and command trace of a device."""
+    stats = device.controller.stats
+    return {
+        "cells": {
+            (bank, sub, addr): device.read_row(
+                RowLocation(bank, sub, addr)
+            ).tobytes()
+            for bank in range(GEO.banks)
+            for sub in range(GEO.subarrays_per_bank)
+            for addr in range(DATA_ROWS)
+        },
+        "elapsed_ns": device.elapsed_ns,
+        "busy_ns": device.busy_ns,
+        "clock_ns": device.chip.clock_ns,
+        "aap_count": stats.aap_count,
+        "ap_count": stats.ap_count,
+        "ops": dict(stats.ops),
+        "bank_busy_ns": dict(stats.bank_busy_ns),
+        "trace": list(device.chip.trace),
+    }
+
+
+def _assert_same_state(a, b):
+    assert _state(a) == _state(b)
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=_op_id)
 def test_traced_sharded_run_bit_identical_to_serial(op):
     serial, ring_s, counters_s = _traced_serial(op, 21, UNEVEN_SPREAD)
 
     with ShardedDevice(geometry=GEO, max_workers=3) as sharded:
         _fill(sharded, 21)
-        ring_p, counters_p = RingBufferSink(), CounterSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p, counters_p), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        dst, src1, src2, src3 = _spread_rows(UNEVEN_SPREAD, op.arity)
-        report = sharded.run_rows(op, dst, src1, src2, src3)
+        ring_p, counters_p = _attach(sharded)
+        report = _run(sharded, "sharded", op, UNEVEN_SPREAD)
 
-        # No serial fallback: the batch really ran on the workers.
+        # No serial fallback: the batch really ran on the workers, and
+        # the tracer did not stop them fusing.
         assert report.shards == 3
+        assert report.fused_rows == report.rows
         assert sharded.pool is not None
 
         # Cells, accounting, and the tracer's CounterSet fold match
         # bit-for-bit.
-        for loc in dst:
-            assert np.array_equal(serial.read_row(loc), sharded.read_row(loc))
-        assert serial.elapsed_ns == sharded.elapsed_ns
-        assert serial.busy_ns == sharded.busy_ns
+        _assert_same_state(serial, sharded)
         assert counters_s.counters.as_dict() == counters_p.counters.as_dict()
 
-        # The merged event stream is the serial stream, bit-identical.
+        # The parent's stream is the serial stream, pids included.
         _assert_streams_identical(ring_s.events, ring_p.events)
 
         # Worker-lane decoration: one shard span per shard, pid-tagged,
@@ -147,6 +201,43 @@ def test_traced_sharded_run_bit_identical_to_serial(op):
         assert {e.attrs["batch"] for e in shard_spans} == {batch_id}
         assert all(e.pid not in (None, 0) for e in shard_spans)
         assert sum(e.attrs["rows"] for e in shard_spans) == report.rows
+        assert sum(e.dur_ns for e in shard_spans) == pytest.approx(
+            serial.busy_ns
+        )
+        assert batch_spans[0].dur_ns == serial.chip.clock_ns
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=_op_id)
+def test_traced_fused_run_bit_identical_to_serial(op):
+    serial, ring_s, counters_s = _traced_serial(op, 23, UNEVEN_SPREAD)
+
+    fused = AmbitDevice(geometry=GEO)
+    _fill(fused, 23)
+    ring_f, counters_f = _attach(fused)
+    report = _run(fused, "fused", op, UNEVEN_SPREAD)
+
+    assert report.fused_rows == report.rows
+    _assert_same_state(serial, fused)
+    assert counters_s.counters.as_dict() == counters_f.counters.as_dict()
+    assert ring_f.events == ring_s.events
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("op", ALL_OPS, ids=_op_id)
+def test_tracing_leaves_the_tier_unchanged(op, tier):
+    """A traced run of one tier is the same program as an untraced one."""
+    outcomes = []
+    for traced in (True, False):
+        with _device(tier) as device:
+            _fill(device, 25)
+            if traced:
+                ring, _ = _attach(device)
+            report = _run(device, tier, op, UNEVEN_SPREAD)
+            outcomes.append((report, _state(device)))
+    assert len(ring) > 0
+    assert outcomes[0] == outcomes[1]
+    if tier != "serial":
+        assert outcomes[0][0].fused_rows == outcomes[0][0].rows
 
 
 @settings(
@@ -169,34 +260,72 @@ def test_random_spreads_traced_parity(op, seed, counts, workers, data):
             spread[(bank, sub)] = count
     serial, ring_s, counters_s = _traced_serial(op, seed, spread)
 
+    fused = AmbitDevice(geometry=GEO)
+    _fill(fused, seed)
+    ring_f, counters_f = _attach(fused)
+    _run(fused, "fused", op, spread)
+    assert counters_s.counters.as_dict() == counters_f.counters.as_dict()
+    assert ring_f.events == ring_s.events
+
     with ShardedDevice(geometry=GEO, max_workers=workers) as sharded:
         _fill(sharded, seed)
-        ring_p, counters_p = RingBufferSink(), CounterSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p, counters_p), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        dst, src1, src2, src3 = _spread_rows(spread, op.arity)
-        sharded.run_rows(op, dst, src1, src2, src3)
+        ring_p, counters_p = _attach(sharded)
+        _run(sharded, "sharded", op, spread)
         assert counters_s.counters.as_dict() == counters_p.counters.as_dict()
         _assert_streams_identical(ring_s.events, ring_p.events)
+
+
+def test_profile_table_is_the_same_on_every_tier():
+    """``device.profile()`` reports one per-op table whichever tier ran."""
+    tables, folds = {}, {}
+    for tier in TIERS:
+        with _device(tier) as device:
+            _fill(device, 27)
+            with device.profile() as prof:
+                for op in ALL_OPS:
+                    _run(device, tier, op, UNEVEN_SPREAD)
+        tables[tier] = prof.format_table()
+        folds[tier] = (
+            prof.counters.as_dict(),
+            {
+                name: dataclasses.asdict(stats)
+                for name, stats in prof.per_op.items()
+            },
+        )
+    assert tables["fused"] == tables["serial"]
+    assert tables["sharded"] == tables["serial"]
+    assert folds["fused"] == folds["serial"]
+    assert folds["sharded"] == folds["serial"]
+    assert len(folds["serial"][1]) == len(ALL_OPS)
+
+
+def test_sharded_op_events_carry_the_request_span_context():
+    """The serving layer's trace id reaches every op event of a sharded
+    batch, as it does in process: the parent emits them all."""
+    spread = {(bank, 0): 1 for bank in range(GEO.banks)}
+    for tier in ("fused", "sharded"):
+        with _device(tier, workers=2) as device:
+            _fill(device, 29)
+            ring, _ = _attach(device)
+            device.tracer.span_context = ("trace-1", "wave:0")
+            report = _run(device, tier, BulkOp.AND, spread)
+        ops = [e for e in ring.events if e.kind == KIND_OP]
+        assert len(ops) == report.rows == GEO.banks
+        assert [(e.attrs.get("trace"), e.attrs.get("span"))
+                for e in ops] == [("trace-1", "wave:0")] * GEO.banks
+        assert report.shards == (2 if tier == "sharded" else 1)
 
 
 def test_consecutive_traced_batches_continue_the_clock():
     op = BulkOp.XOR
     serial, ring_s, _ = _traced_serial(op, 33, UNEVEN_SPREAD)
-    dst, src1, src2, src3 = _spread_rows(UNEVEN_SPREAD, op.arity)
-    serial.engine.run_rows(op, dst, src1, src2, src3)
+    _run(serial, "serial", op, UNEVEN_SPREAD)
 
     with ShardedDevice(geometry=GEO, max_workers=3) as sharded:
         _fill(sharded, 33)
-        ring_p = RingBufferSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p,), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        sharded.run_rows(op, dst, src1, src2, src3)
-        sharded.run_rows(op, dst, src1, src2, src3)
+        ring_p, _ = _attach(sharded)
+        _run(sharded, "sharded", op, UNEVEN_SPREAD)
+        _run(sharded, "sharded", op, UNEVEN_SPREAD)
         batch_spans = [
             e for e in ring_p.events
             if e.kind == KIND_SPAN and e.name == "batch"
@@ -206,13 +335,11 @@ def test_consecutive_traced_batches_continue_the_clock():
                 != batch_spans[1].attrs["batch"])
         # From the second batch on, seq drifts by the decoration spans
         # of earlier batches (they consume emission indices); timestamps
-        # and every other field still reconstruct exactly.
-        import dataclasses
-
+        # and every other field still match exactly.
         core = _core_events(ring_p.events)
         assert len(ring_s.events) == len(core)
         for a, b in zip(ring_s.events, core):
-            assert a == dataclasses.replace(b, pid=a.pid, seq=a.seq), (a, b)
+            assert a == dataclasses.replace(b, seq=a.seq), (a, b)
         assert serial.elapsed_ns == sharded.elapsed_ns
 
 
@@ -225,8 +352,7 @@ def test_chrome_trace_gets_per_worker_process_lanes(tmp_path):
             sinks=(sink,), timing=sharded.timing,
             row_bytes=sharded.row_bytes,
         ))
-        dst, src1, src2, src3 = _spread_rows(UNEVEN_SPREAD, 2)
-        report = sharded.run_rows(BulkOp.AND, dst, src1, src2)
+        report = _run(sharded, "sharded", BulkOp.AND, UNEVEN_SPREAD)
         sink.close()
 
     events = json.loads(path.read_text())["traceEvents"]
@@ -240,164 +366,41 @@ def test_chrome_trace_gets_per_worker_process_lanes(tmp_path):
     # Shards may share a worker process, so lanes <= shards (but >= 1).
     assert 1 <= len(worker_lanes) <= report.shards
     assert all(n.startswith("worker-") for n in worker_lanes)
-
-
-def test_spool_segmentation_and_replay_helpers():
-    cfg = TracerConfig(timing={}, energy=None, row_bytes=64)
-    assert cfg.row_bytes == 64
-
-    events = [
-        TraceEvent(kind="cmd", name="ACT", ts_ns=0.0, dur_ns=35.0),
-        TraceEvent(kind=KIND_OP, name="and", ts_ns=0.0, dur_ns=196.0),
-        TraceEvent(kind="cmd", name="ACT", ts_ns=5.0, dur_ns=35.0),
-        TraceEvent(kind=KIND_OP, name="and", ts_ns=5.0, dur_ns=196.0),
-    ]
-    segments = segment_rows(events, 2)
-    assert [len(s) for s in segments] == [2, 2]
-    assert shard_busy_ns(segments) == pytest.approx(392.0)
-
-    from repro.errors import ConcurrencyError
-
-    with pytest.raises(ConcurrencyError):
-        segment_rows(events, 3)
-    with pytest.raises(ConcurrencyError):
-        segment_rows(events[:3], 1)
-
-
-def test_spool_round_trips_events(tmp_path):
-    path = tmp_path / "spool.jsonl"
-    event = TraceEvent(
-        kind="primitive", name="AAP", ts_ns=1.5, dur_ns=84.0,
-        bank=2, subarray=1, seq=7, attrs={"rows": 3},
-    )
-    with open(path, "w") as handle:
-        handle.write(json.dumps(event.to_json()) + "\n")
-    (back,) = read_spool(str(path))
-    assert back.kind == event.kind and back.name == event.name
-    assert back.ts_ns == event.ts_ns and back.dur_ns == event.dur_ns
-    assert back.bank == event.bank and back.attrs == event.attrs
-
-
-def test_events_from_bytes_matches_file_parsing(tmp_path):
-    from repro.obs.remote import events_from_bytes
-
-    events = [
-        TraceEvent(kind="cmd", name="ACT", ts_ns=float(i), dur_ns=35.0,
-                   bank=i % 2, seq=i)
-        for i in range(4)
-    ]
-    blob = "".join(
-        json.dumps(e.to_json()) + "\n" for e in events
-    ).encode("utf-8")
-    path = tmp_path / "spool.jsonl"
-    path.write_bytes(blob)
-    assert events_from_bytes(blob) == read_spool(str(path))
-
-
-# ----------------------------------------------------------------------
-# Zero-copy spools through the shared accounting block
-# ----------------------------------------------------------------------
-def _spool_dir_files(sharded):
-    import os
-
-    if sharded._spool_dir is None:
-        return []
-    return os.listdir(sharded._spool_dir)
-
-
-def test_traced_spools_travel_zero_copy_not_as_files():
-    """In the steady state the spool never touches the filesystem: the
-    workers write it into their accounting-block slot and the parent
-    merges straight from shared memory."""
-    from repro.parallel.accounting import SPOOL_IN_FILE
-
-    serial, ring_s, _ = _traced_serial(BulkOp.AND, 55, UNEVEN_SPREAD)
-
-    with ShardedDevice(geometry=GEO, max_workers=3) as sharded:
-        _fill(sharded, 55)
-        ring_p = RingBufferSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p,), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        dst, src1, src2, _ = _spread_rows(UNEVEN_SPREAD, 2)
-        report = sharded.run_rows(BulkOp.AND, dst, src1, src2)
-
-        _assert_streams_identical(ring_s.events, ring_p.events)
-        # Every shard's spool stayed in the block...
-        for shard in range(report.shards):
-            telemetry = sharded.block.read_telemetry(shard)
-            assert telemetry.spool_len > 0
-            assert not telemetry.spool_flags & SPOOL_IN_FILE
-        # ...and the fallback directory holds no files.
-        assert _spool_dir_files(sharded) == []
-
-
-def test_spool_overflow_falls_back_to_files_bit_identically():
-    """A spool slot too small for the batch flips the SPOOL_IN_FILE flag
-    and routes through the legacy file path -- the merged stream must
-    not change, and the consumed files are discarded."""
-    from repro.parallel.accounting import SPOOL_IN_FILE
-
-    serial, ring_s, _ = _traced_serial(BulkOp.XOR, 66, UNEVEN_SPREAD)
-
-    with ShardedDevice(
-        geometry=GEO, max_workers=3, spool_capacity=64
-    ) as sharded:
-        _fill(sharded, 66)
-        ring_p = RingBufferSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p,), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        dst, src1, src2, _ = _spread_rows(UNEVEN_SPREAD, 2)
-        report = sharded.run_rows(BulkOp.XOR, dst, src1, src2)
-
-        _assert_streams_identical(ring_s.events, ring_p.events)
-        for shard in range(report.shards):
-            telemetry = sharded.block.read_telemetry(shard)
-            assert telemetry.spool_flags & SPOOL_IN_FILE
-            assert telemetry.spool_len == 0
-        # The merge consumed and discarded every fallback file.
-        assert _spool_dir_files(sharded) == []
+    # Worker lanes hold the shard spans; the rows' events are the
+    # parent's.
+    assert {e["name"] for e in events
+            if e.get("ph") == "X" and e["pid"] != 0} == {"shard"}
 
 
 def test_mid_run_quiesce_preserves_trace_identity():
     """Quiescing between traced batches (folding worker telemetry and
-    draining the pool) must not disturb the merged stream or the
-    accounting of later batches."""
+    draining the pool) must not disturb the stream or the accounting of
+    later batches."""
     op = BulkOp.OR
     serial, ring_s, _ = _traced_serial(op, 77, UNEVEN_SPREAD)
-    dst, src1, src2, src3 = _spread_rows(UNEVEN_SPREAD, op.arity)
-    serial.engine.run_rows(op, dst, src1, src2, src3)
+    _run(serial, "serial", op, UNEVEN_SPREAD)
 
     with ShardedDevice(geometry=GEO, max_workers=3) as sharded:
         _fill(sharded, 77)
-        ring_p = RingBufferSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p,), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
-        sharded.run_rows(op, dst, src1, src2, src3)
+        ring_p, _ = _attach(sharded)
+        _run(sharded, "sharded", op, UNEVEN_SPREAD)
         sharded.quiesce()
         batches = sharded.metrics.get("ambit_worker_batches_total")
         folded = sum(c.value for c in batches.children.values())
         assert folded == 3  # one shard job per worker slot folded
-        sharded.run_rows(op, dst, src1, src2, src3)
-
-        import dataclasses
+        _run(sharded, "sharded", op, UNEVEN_SPREAD)
 
         core = _core_events(ring_p.events)
         assert len(ring_s.events) == len(core)
         for a, b in zip(ring_s.events, core):
-            assert a == dataclasses.replace(b, pid=a.pid, seq=a.seq), (a, b)
+            assert a == dataclasses.replace(b, seq=a.seq), (a, b)
         assert serial.elapsed_ns == sharded.elapsed_ns
 
 
 def test_worker_crash_and_rebuild_keeps_traced_batches_exact():
     """A traced batch after a worker crash runs on the rebuilt pool and
-    still merges bit-identically -- the crashed pool left no partial
-    spool or telemetry behind."""
+    still traces bit-identically -- the crashed pool left no partial
+    telemetry behind."""
     from repro.errors import ConcurrencyError
     from repro.parallel.worker import crash
 
@@ -405,18 +408,13 @@ def test_worker_crash_and_rebuild_keeps_traced_batches_exact():
 
     with ShardedDevice(geometry=GEO, max_workers=3) as sharded:
         _fill(sharded, 88)
-        ring_p, counters_p = RingBufferSink(), CounterSink()
-        sharded.attach_tracer(Tracer(
-            sinks=(ring_p, counters_p), timing=sharded.timing,
-            row_bytes=sharded.row_bytes,
-        ))
+        ring_p, counters_p = _attach(sharded)
         pool = sharded._ensure_pool()
         future = pool.submit(crash, 5)
         with pytest.raises(ConcurrencyError, match="died"):
             pool.results([future])
 
-        dst, src1, src2, _ = _spread_rows(UNEVEN_SPREAD, 2)
-        report = sharded.run_rows(BulkOp.AND, dst, src1, src2)
+        report = _run(sharded, "sharded", BulkOp.AND, UNEVEN_SPREAD)
         assert report.shards == 3
         assert sharded.pool is not pool
 

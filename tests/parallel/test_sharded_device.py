@@ -7,7 +7,8 @@ counters, ``elapsed_ns``, per-bank busy time, and the full command trace
 (energy is a pure fold over it) identical to the serial engine -- plus
 the protocol edges: the stuck-row fallback, the quiesce-then-reset
 rule, and worker-crash containment.  (Tracer-attached batches shard
-too, with spool-merge parity -- see ``test_remote_trace.py``.)
+and fuse too, and trace exactly as in process -- see
+``test_remote_trace.py``.)
 """
 
 import time
@@ -158,6 +159,7 @@ def test_tracer_attached_still_shards():
         sharded.attach_tracer()
         report = sharded.run_rows(BulkOp.AND, dst, src1, src2)
         assert report.shards == 3
+        assert report.fused_rows == report.rows
         assert sharded.pool is not None
         _assert_same_state(serial, sharded)
 
