@@ -30,7 +30,9 @@ MAX_OVERHEAD = 0.10
 
 
 def test_bench_spans_overhead():
-    config = ServeBenchConfig()
+    # 32 ops per client: a run of 512 ops is too short to tell a few
+    # percent of tracing from scheduler noise.
+    config = ServeBenchConfig(ops=32)
     payload = run_spans_overhead_bench(config)
 
     # Correctness invariants hold on any host.

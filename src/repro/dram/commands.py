@@ -84,7 +84,7 @@ def write(bank: int, subarray: int, column: int) -> Command:
     return Command(Opcode.WRITE, bank=bank, subarray=subarray, column=column)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IssuedCommand:
     """A command together with the number of wordlines it raised.
 
@@ -92,6 +92,9 @@ class IssuedCommand:
     energy model charges +22% activation energy per extra wordline
     (Section 7), so the trace records how many wordlines each ACTIVATE
     actually raised, as reported back by the chip.
+
+    Frozen: one entry may sit in many traces and in the plan cache's
+    shared command schedules (see :mod:`repro.engine.plan`).
     """
 
     command: Command

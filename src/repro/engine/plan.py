@@ -18,6 +18,23 @@ handful of distinct plans.  :class:`PlanCache` memoises that compilation:
   trace (wordline counts and AAP-overlap flags included), so the batch
   engine can extend the trace without re-executing the state machine.
 
+Schedules are tuples of shared entries.  Every bulk op is a fixed
+AAP/AP sequence over a subarray's data rows and its reserved B- and
+C-group addresses (Figure 8, Table 1), so the geometry fixes the set of
+distinct commands a subarray can ever receive: at most two ACTIVATEs per
+``(bank, subarray, row address)`` -- a fresh sense, and the second
+ACTIVATE of an AAP landing on the open row -- plus one PRECHARGE per
+``(bank, subarray)``.  The cache builds each such command site's
+:class:`~repro.dram.commands.IssuedCommand` once, on first use, and
+keeps it for its own lifetime; a schedule only picks entries.  So an AND
+and an OR writing the same ``dk`` share the entries of their final
+``AAP(B12, dk)``, a plan recompiled after eviction gets the very same
+entries back, and ``chip.trace`` holds references rather than copies.
+Evicting a plan drops its schedule tuples but never the shared entries.
+Entries must never be mutated; ``IssuedCommand`` is frozen, so an
+assignment to one raises instead of rewriting other plans' schedules
+and past trace entries.
+
 Cache keys are ``(op, dk, srcs, temps, dcc)``: the operation (any
 :class:`~repro.core.microprograms.StepProgram` -- one of the paper's
 nine ops or a :class:`repro.compile.ops.CompiledOp`), its local
@@ -60,8 +77,11 @@ class RowPlan:
     #: Bus commands the plan expands to (3 per AAP, 2 per AP).
     num_commands: int
     #: ``(bank, subarray)`` -> the plan's flat command schedule there
-    #: (see :meth:`PlanCache.issued_commands`); held by the plan, so an
-    #: evicted plan takes its schedules with it.
+    #: (see :meth:`PlanCache.issued_commands`): a tuple of the cache's
+    #: shared per-site entries.  Held by the plan, so an evicted plan
+    #: takes its tuples with it; the entries stay in the cache's site
+    #: table, at most two ACTIVATEs per (bank, subarray, row address)
+    #: plus one PRECHARGE per (bank, subarray).
     schedules: Dict[Tuple[int, int], Tuple[IssuedCommand, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -100,7 +120,9 @@ class PlanCache:
         self.timing = timing
         self.split_decoder = split_decoder
         self._plans: "OrderedDict[PlanKey, RowPlan]" = OrderedDict()
-        self._wordline_counts: Optional[Dict[int, int]] = None
+        #: Command site -> its one shared schedule entry (see
+        #: :meth:`issued_commands`); never trimmed, bounded by geometry.
+        self._sites = _SiteTable(amap)
         #: Cache statistics; reset with :meth:`reset_counters` (the
         #: compiled plans themselves survive a stats reset).
         self.hits = 0
@@ -254,43 +276,64 @@ class PlanCache:
         ``onto_open_row`` annotations the chip's execute path would
         produce: the first ACTIVATE of an AAP (and the ACTIVATE of an AP)
         is a fresh sense, the second ACTIVATE of an AAP lands on the open
-        row.  Entries are immutable and shared across executions; the
-        energy fold over the trace is order-independent, so repeated
-        extension with the same tuple is byte-equivalent to re-execution.
+        row.  The energy fold over the trace is order-independent, so
+        repeated extension with the same tuple is byte-equivalent to
+        re-execution.
+
+        A hot plan's tuple is one dict lookup on the plan.  A cold plan's
+        tuple is assembled from the cache's shared entries, one per
+        command site: the ACTIVATE of ``(bank, subarray, row,
+        onto_open_row)`` -- at most two per row address -- and the
+        PRECHARGE of ``(bank, subarray)``.  Each entry is built once and
+        outlives every plan that uses it: evicting a plan drops its tuple,
+        never the entries.  Entries are shared by every schedule and by
+        ``chip.trace``, so they must never be mutated (``IssuedCommand``
+        is frozen).
         """
         cached = plan.schedules.get((bank, subarray))
         if cached is not None:
             return cached
+        sites = self._sites
         issued = []
         for primitive in plan.program.primitives:
             if isinstance(primitive, AAP):
-                issued.append(self._activate(primitive.addr1, bank, subarray, False))
-                issued.append(self._activate(primitive.addr2, bank, subarray, True))
+                issued.append(sites[bank, subarray, primitive.addr1, False])
+                issued.append(sites[bank, subarray, primitive.addr2, True])
             else:
-                issued.append(self._activate(primitive.addr, bank, subarray, False))
-            issued.append(
-                IssuedCommand(
-                    Command(Opcode.PRECHARGE, bank=bank, subarray=subarray)
-                )
-            )
-        commands = tuple(issued)
-        plan.schedules[(bank, subarray)] = commands
+                issued.append(sites[bank, subarray, primitive.addr, False])
+            issued.append(sites[bank, subarray])
+        commands = plan.schedules[bank, subarray] = tuple(issued)
         return commands
 
-    def _activate(
-        self, address: int, bank: int, subarray: int, onto_open: bool
-    ) -> IssuedCommand:
-        return IssuedCommand(
-            Command(Opcode.ACTIVATE, bank=bank, subarray=subarray, row=address),
-            wordlines_raised=self._wordlines(address),
-            onto_open_row=onto_open,
-        )
 
-    def _wordlines(self, address: int) -> int:
-        """Wordlines an ACTIVATE to ``address`` raises (Table 1)."""
-        if self._wordline_counts is None:
-            self._wordline_counts = {
-                addr: len(wordlines)
-                for addr, wordlines in self.amap.b_group_wordlines().items()
-            }
-        return self._wordline_counts.get(address, 1)
+class _SiteTable(dict):
+    """Command site -> its one shared schedule entry, built on first lookup.
+
+    Keys are ``(bank, subarray, row, onto_open_row)`` for an ACTIVATE and
+    ``(bank, subarray)`` for a PRECHARGE.
+    """
+
+    def __init__(self, amap: AmbitAddressMap):
+        super().__init__()
+        #: Wordlines an ACTIVATE raises, by B-group address (Table 1);
+        #: any other address raises one.
+        self._wordlines = {
+            addr: len(wordlines)
+            for addr, wordlines in amap.b_group_wordlines().items()
+        }
+
+    def __missing__(self, site: tuple) -> IssuedCommand:
+        if len(site) == 2:
+            bank, subarray = site
+            entry = IssuedCommand(
+                Command(Opcode.PRECHARGE, bank=bank, subarray=subarray)
+            )
+        else:
+            bank, subarray, row, onto_open = site
+            entry = IssuedCommand(
+                Command(Opcode.ACTIVATE, bank=bank, subarray=subarray, row=row),
+                wordlines_raised=self._wordlines.get(row, 1),
+                onto_open_row=onto_open,
+            )
+        self[site] = entry
+        return entry

@@ -27,9 +27,10 @@ engine at per-dispatch scale) -- becomes a single recorded ratio:
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.serve.loadgen import (
@@ -48,7 +49,7 @@ class ServeBenchConfig:
     ops: int = 8          # awaited ops per client, per arm
     bits: int = 2048
     seed: int = 7
-    repeats: int = 3      # best-of, per arm
+    repeats: int = 3      # best-of per arm (the spans bench runs each twice)
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ConfigError` on bad sizes."""
@@ -87,46 +88,48 @@ def _serve_config(
     )
 
 
-def _run_arm(
+def _run_once(
     config: ServeBenchConfig, coalesce: bool, trace: bool = True
 ) -> Dict[str, Any]:
-    best: Optional[Dict[str, Any]] = None
-    for repeat in range(config.repeats):
-        report = run_loadgen(LoadGenConfig(
-            clients=config.clients,
-            ops=config.ops,
-            bits=config.bits,
-            seed=config.seed,          # same swarm every repeat and arm
-            concurrency=config.clients,
-            quota_probe=False,
-            burst=0,
-            serve=_serve_config(config, coalesce, trace),
-        ))
-        if not report.bit_exact:
-            raise AssertionError(
-                f"{'coalesced' if coalesce else 'single'} arm lost "
-                f"{report.mismatches} bit(s) on repeat {repeat}; a "
-                f"throughput number from a corrupting server is void"
-            )
-        totals = report.server_totals
-        batches = totals.get("batches", 0.0)
-        arm = {
-            "throughput_ops_s": report.throughput_ops_s,
-            "wall_s": report.wall_s,
-            "p50_ms": report.p50_ms,
-            "p99_ms": report.p99_ms,
-            "ops_ok": report.ops_ok,
-            "batches": batches,
-            "coalesced_batches": totals.get("coalesced_batches", 0.0),
-            "mean_batch_requests": (
-                report.ops_ok / batches if batches else 0.0
-            ),
-            "bit_exact": report.bit_exact,
-        }
-        if best is None or arm["throughput_ops_s"] > best["throughput_ops_s"]:
-            best = arm
-    assert best is not None
-    return best
+    report = run_loadgen(LoadGenConfig(
+        clients=config.clients,
+        ops=config.ops,
+        bits=config.bits,
+        seed=config.seed,          # same swarm every repeat and arm
+        concurrency=config.clients,
+        quota_probe=False,
+        burst=0,
+        serve=_serve_config(config, coalesce, trace),
+    ))
+    if not report.bit_exact:
+        raise AssertionError(
+            f"{'coalesced' if coalesce else 'single'} arm lost "
+            f"{report.mismatches} bit(s); a throughput number from a "
+            f"corrupting server is void"
+        )
+    totals = report.server_totals
+    batches = totals.get("batches", 0.0)
+    return {
+        "throughput_ops_s": report.throughput_ops_s,
+        "wall_s": report.wall_s,
+        "p50_ms": report.p50_ms,
+        "p99_ms": report.p99_ms,
+        "ops_ok": report.ops_ok,
+        "batches": batches,
+        "coalesced_batches": totals.get("coalesced_batches", 0.0),
+        "mean_batch_requests": (
+            report.ops_ok / batches if batches else 0.0
+        ),
+        "bit_exact": report.bit_exact,
+    }
+
+
+def _best(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    return max(runs, key=lambda run: run["throughput_ops_s"])
+
+
+def _run_arm(config: ServeBenchConfig, coalesce: bool) -> Dict[str, Any]:
+    return _best([_run_once(config, coalesce) for _ in range(config.repeats)])
 
 
 def run_serve_bench(
@@ -164,11 +167,23 @@ def run_spans_overhead_bench(
     costs throughput), gated in ``BENCH_spans_overhead.json`` against
     an absolute ceiling rather than a baseline ratio -- the claim is
     "tracing is cheap", not "tracing costs what it cost last week".
+
+    Each repeat runs the arms in the balanced order traced, untraced,
+    untraced, traced, so drift over the runs cancels, and does a full
+    garbage collection before every run.  Without it, one collection of
+    the heap that earlier work in the process left behind (tens of
+    milliseconds, a sizeable share of a run) lands in whichever arm
+    happens to cross the threshold and decides the result.  Each arm
+    keeps its best run.
     """
     config = config if config is not None else ServeBenchConfig()
     config.validate()
-    traced = _run_arm(config, coalesce=True, trace=True)
-    untraced = _run_arm(config, coalesce=True, trace=False)
+    runs: Dict[bool, List[Dict[str, Any]]] = {True: [], False: []}
+    for _ in range(config.repeats):
+        for trace in (True, False, False, True):
+            gc.collect()
+            runs[trace].append(_run_once(config, coalesce=True, trace=trace))
+    traced, untraced = _best(runs[True]), _best(runs[False])
     overhead = (
         1.0 - traced["throughput_ops_s"] / untraced["throughput_ops_s"]
         if untraced["throughput_ops_s"]
@@ -192,7 +207,7 @@ def format_spans_overhead_bench(payload: Dict[str, Any]) -> str:
         "ambit spans bench: request tracing on vs off",
         f"  {config['clients']} clients x {config['ops']} ops x "
         f"{config['bits']} bits  seed {config['seed']}  "
-        f"best of {config['repeats']}",
+        f"best of {2 * config['repeats']} per arm",
     ]
     for name in ("traced", "untraced"):
         arm = payload[name]

@@ -45,21 +45,38 @@ def _workload(device, expr_text=EXPR, seed=3):
 
 class TestTierParity:
     def test_serial_fused_sharded_bit_exact(self):
+        # Two expressions in turn: with ``max_plans=1`` each evicts the
+        # other's plan and the third compute recompiles the first, the
+        # churn a bounded cache sees under the serve layer.
         outcomes = {}
-        for tier in ("serial", "fused", "sharded"):
-            with ShardedDevice(
-                geometry=small_test_geometry(**GEO),
-                max_workers=2,
-                dispatch=tier,
-            ) as device:
-                got, want, elapsed = _workload(device)
-                assert np.array_equal(got, want), tier
-                outcomes[tier] = (got.tobytes(), elapsed)
-        assert outcomes["serial"][0] == outcomes["fused"][0]
-        assert outcomes["fused"][0] == outcomes["sharded"][0]
+        for max_plans in (None, 1):
+            for tier in ("serial", "fused", "sharded"):
+                with ShardedDevice(
+                    geometry=small_test_geometry(**GEO),
+                    max_workers=2,
+                    dispatch=tier,
+                ) as device:
+                    cache = device.controller.plan_cache
+                    cache.max_plans = max_plans
+                    runs = [
+                        _workload(device, text)
+                        for text in (EXPR, "a & ~b", EXPR)
+                    ]
+                    for got, want, _ in runs:
+                        assert np.array_equal(got, want), (tier, max_plans)
+                    assert (cache.evictions > 0) == (max_plans is not None)
+                    outcomes[tier, max_plans] = (
+                        b"".join(got.tobytes() for got, _, _ in runs),
+                        runs[-1][2],
+                    )
+        assert len({bits for bits, _ in outcomes.values()}) == 1
         # Fused and sharded account identically (the sharded parent
-        # re-derives time from its own plan cache).
-        assert outcomes["fused"][1] == outcomes["sharded"][1]
+        # re-derives time from its own plan cache), evicting or not.
+        assert len({
+            elapsed
+            for (tier, _), (_, elapsed) in outcomes.items()
+            if tier != "serial"
+        }) == 1
 
     def test_plain_device_matches_sharded(self):
         plain = AmbitDevice(geometry=small_test_geometry(**GEO))

@@ -1,9 +1,12 @@
 """The microprogram plan cache: compile once, reuse everywhere."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp, compile_op
+from repro.core.primitives import AAP
 from repro.dram.commands import Opcode
 from repro.dram.geometry import small_test_geometry
 from repro.engine.plan import PlanCache
@@ -131,6 +134,49 @@ class TestIssuedCommands:
         b = cache.issued_commands(plan, 1, 0)
         assert b is not a
         assert all(ic.command.bank == 1 for ic in b)
+
+    def test_cold_plans_share_entries(self, device):
+        """A cold plan's schedule reuses the cache's per-site entries."""
+        cache = device.controller.plan_cache
+        amap = device.amap
+        # AND and OR on one subarray both end in AAP(B12, dk): the
+        # schedules' last three entries are the same objects.
+        and_plan = cache.get(BulkOp.AND, 3, 0, 1)
+        or_plan = cache.get(BulkOp.OR, 3, 0, 1)
+        for plan in (and_plan, or_plan):
+            assert plan.program.primitives[-1] == AAP(amap.b(12), 3)
+        and_tail = cache.issued_commands(and_plan, 0, 1)[-3:]
+        or_tail = cache.issued_commands(or_plan, 0, 1)[-3:]
+        assert all(a is b for a, b in zip(and_tail, or_tail))
+
+        # A plan recompiled after eviction gets the very same entries.
+        cache.max_plans = 1
+        plan = cache.get(BulkOp.XOR, 3, 0, 1)
+        first = cache.issued_commands(plan, 0, 0)
+        cache.get(BulkOp.XOR, 4, 0, 1)      # evicts the dk=3 plan
+        recompiled = cache.get(BulkOp.XOR, 3, 0, 1)
+        assert recompiled is not plan
+        again = cache.issued_commands(recompiled, 0, 0)
+        assert again is not first and len(again) == len(first)
+        assert all(a is b for a, b in zip(first, again))
+
+        # Thrashing the LRU a second time builds no new entry.
+        def thrash():
+            for op in (BulkOp.AND, BulkOp.OR, BulkOp.XOR, BulkOp.NAND):
+                for dk in range(3, 8):
+                    for bank in (0, 1):
+                        plan = cache.get(op, dk, 0, 1)
+                        cache.issued_commands(plan, bank, 0)
+
+        thrash()
+        sites, evictions = len(cache._sites), cache.evictions
+        thrash()
+        assert cache.evictions > evictions
+        assert len(cache._sites) == sites
+
+        # A shared entry cannot be rewritten under the plans using it.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            and_tail[-1].wordlines_raised = 3
 
     def test_tra_wordline_counts(self, device):
         """B12 raises three wordlines; the schedule must record it."""

@@ -95,6 +95,7 @@ def _assert_same_state(serial, sharded):
     cache_p = sharded.controller.plan_cache
     assert cache_s.hits == cache_p.hits
     assert cache_s.misses == cache_p.misses
+    assert cache_s.evictions == cache_p.evictions
 
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.value)

@@ -126,17 +126,27 @@ def test_invalid_dispatch_mode_rejected():
 # ----------------------------------------------------------------------
 # Execution layer: the tier choice never changes results
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.value)
-def test_auto_bit_exact_with_every_forced_tier(op):
+@pytest.mark.parametrize(
+    "op, max_plans",
+    [pytest.param(op, None, id=op.value) for op in ALL_OPS]
+    + [pytest.param(op, 1, id=f"{op.value}-max_plans=1") for op in ALL_OPS],
+)
+def test_auto_bit_exact_with_every_forced_tier(op, max_plans):
+    # ``max_plans=1`` stands in for the serve layer's bounded cache,
+    # where nearly every plan is evicted before its next use.
     serial = AmbitDevice(geometry=GEO)
+    serial.controller.plan_cache.max_plans = max_plans
     _fill(serial, seed=31)
     dst, src1, src2, src3 = _spread_rows(UNEVEN_SPREAD, op.arity)
     serial.engine.run_rows(op, dst, src1, src2, src3)
+    if max_plans is not None:
+        assert serial.controller.plan_cache.evictions > 0
 
     for mode in DISPATCH_MODES:
         with ShardedDevice(
             geometry=GEO, max_workers=3, dispatch=mode
         ) as device:
+            device.controller.plan_cache.max_plans = max_plans
             _fill(device, seed=31)
             device.run_rows(op, dst, src1, src2, src3)
             _assert_same_state(serial, device)
