@@ -828,7 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows per subarray (capacity)")
     p.add_argument("--row-bytes", type=int, default=512)
     p.add_argument("--jobs", type=int, default=1,
-                   help=">= 2 serves from a sharded multi-process device")
+                   help=">= 2 serves from a ShardedDevice that asks the "
+                        "dispatch auto-tuner per wave; waves stay in "
+                        "process unless sharding is predicted to win")
     p.add_argument("--no-coalesce", action="store_true",
                    help="dispatch one request per engine batch "
                         "(benchmark control arm)")

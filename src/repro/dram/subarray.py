@@ -238,8 +238,8 @@ class Subarray:
             )
         self.cells[index] = values
         if self.stuck:
-            for row in np.intersect1d(index, list(self.stuck)):
-                self.cells[row] = self.stuck[int(row)]
+            for row in self.stuck.keys() & index.tolist():
+                self.cells[row] = self.stuck[row]
         self.last_restore_ns[index] = now_ns
 
     def touch_rows(self, storage_rows, now_ns: float) -> None:
@@ -262,7 +262,10 @@ class Subarray:
                 raise AddressError(
                     f"batch rows out of range [0, {self.geometry.storage_rows})"
                 )
-            if unique and np.unique(index).size != index.size:
+            # A set, not ``np.unique``: on numpy 2 its first call imports
+            # ``numpy.ma``, a resident-memory cost for every process
+            # that runs a fused kernel.
+            if unique and len(set(index.tolist())) != index.size:
                 raise AddressError("batch write targets duplicate rows")
         return index
 

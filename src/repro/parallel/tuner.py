@@ -3,38 +3,43 @@
 The three execution tiers of a bulk batch trade fixed overhead against
 marginal row cost very differently:
 
-* **serial** -- the per-row command walk.  No planning or group setup,
-  but every row pays full Python dispatch; right only for tiny batches.
+* **serial** -- the per-row command walk.  Every row pays full Python
+  dispatch, so it wins only the empty batch.
 * **fused** -- the in-process batch engine: one planning pass, then one
   vectorised numpy kernel per (bank, subarray) group.  The default for
   anything that fits one process.
 * **sharded** -- fan the fused kernels across worker processes.  Adds a
-  fixed dispatch cost (submit + collect through the pool) and a
-  per-shard cost, but divides the numpy byte work by the effective
-  worker count.  Wins only when the divided byte work exceeds what the
-  dispatch overhead eats -- the Buddy-RAM lesson: amortize one-time
-  setup over *large* batches.
+  fixed dispatch cost (submit + collect through the pool) and divides
+  the numpy byte work among the workers that can run at once.  Wins
+  only when the divided byte work exceeds what the dispatch overhead
+  eats -- the Buddy-RAM lesson: amortize one-time setup over *large*
+  batches.
 
 :class:`AutoTuner` encodes those shapes as an explicit per-tier cost
 model (:class:`CostModel`) and picks the cheapest tier per request.
 The decision is a pure function of ``(rows, row_bytes, shards, jobs)``
 and the model constants, which is what makes it golden-testable: the
-decision table in ``tests/parallel/test_tuner.py`` pins every boundary.
+decision table in ``tests/parallel/test_tuner.py`` pins the measured
+winners.
 
 Constants come from one of two places: the shipped defaults (measured
-on a reference host; conservative toward ``fused``, the always-safe
-tier) or :meth:`AutoTuner.calibrate`, which times micro-probes on the
-caller's device and rebuilds the model from live measurements.
-Correctness never depends on the model -- every tier is bit-exact by
-construction -- so a mis-tuned model costs wall-clock only.
+with :meth:`AutoTuner.calibrate` on the recording host) or a
+calibration of the caller's own device, which times probe batches on
+every tier (:func:`run_probes`) and fits the model to them
+(:meth:`CostModel.fit`).  Correctness never depends on the model --
+every tier is bit-exact by construction -- so a mis-tuned model costs
+wall-clock only.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.errors import ConfigError
 
 
 class DispatchTier(enum.Enum):
@@ -50,45 +55,116 @@ _TIER_ORDER = (DispatchTier.SERIAL, DispatchTier.FUSED, DispatchTier.SHARDED)
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Per-tier cost constants, in seconds.
+class Probes:
+    """Best-of wall-clock seconds of the calibration probes.
 
-    The estimates deliberately stay three-term simple -- fixed + per-row
-    + per-byte -- because the decision only needs the *crossover points*
-    right, not absolute times.
+    One device shape: ``row_bytes`` per row, sharded probes on
+    ``shards`` workers, ``cores`` schedulable cores.  Each tier, and
+    ``kernel`` -- the fused kernels alone: gathers, op, scatter; no
+    planning or accounting -- maps to its times at the two batch sizes
+    in ``sizes`` (rows).
     """
 
+    row_bytes: int
+    shards: int
+    cores: int
+    sizes: Tuple[int, int]
+    serial: Tuple[float, float]
+    fused: Tuple[float, float]
+    sharded: Tuple[float, float]
+    kernel: Tuple[float, float]
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Per-tier cost constants, in seconds, and the host's core count.
+
+    With ``bytes = rows * row_bytes`` and ``workers = min(shards, jobs,
+    cores)``, each tier costs fixed + per-row + per-byte time:
+
+    * serial: ``batch_s + rows * serial_row_s + bytes * byte_s``;
+    * fused: ``batch_s + rows * fused_row_s + bytes * byte_s``;
+    * sharded: ``batch_s + sharded_batch_s + rows * fused_row_s
+      + bytes * shard_byte_s / workers``.
+
+    The estimates stay this simple because the decision only needs the
+    crossover points right, not absolute times.  The defaults are
+    :meth:`AutoTuner.calibrate` on the recording host (2 cores; 4 banks
+    of 8 KiB rows, 2 workers); see ``docs/SCALING.md`` for the probes
+    and how to re-fit them.
+    """
+
+    #: Fixed cost of an engine batch (planning pass, schedule, report),
+    #: paid on every tier.
+    batch_s: float = 565e-6
     #: Per-row cost of the per-row command walk (Python dispatch heavy).
-    serial_row_s: float = 110e-6
-    #: Fixed planning/report cost of an engine batch.
-    fused_batch_s: float = 60e-6
-    #: Per-row planning/accounting cost inside an engine batch.
-    fused_row_s: float = 7e-6
-    #: Per-byte cost of the fused numpy kernels (both in-process tiers
-    #: and the workers' shards run the same kernels).  A row operation
-    #: traverses each operand row several times (operand copies into
-    #: the B-group, the kernel itself, the result copy-back), so this
-    #: is far above a single memcpy pass.
-    byte_s: float = 2.0e-9
-    #: Fixed dispatch cost of a sharded batch (submit + collect through
-    #: the worker pool, resident-plan protocol in effect).
-    sharded_batch_s: float = 450e-6
-    #: Marginal cost per shard job in a batch.
-    sharded_shard_s: float = 120e-6
+    serial_row_s: float = 112e-6
+    #: Per-row planning/accounting cost of a fused batch; the sharded
+    #: tier's parent pays it too.
+    fused_row_s: float = 3.7e-6
+    #: Per-byte cost of the fused numpy kernels.  A row operation
+    #: traverses each operand row several times (gathers, the op, the
+    #: scatter), so this is far above a single memcpy pass.
+    byte_s: float = 1.09e-9
+    #: Fixed cost a sharded batch adds: the pool round trip.
+    sharded_batch_s: float = 1.8e-3
+    #: Per-byte cost of a sharded batch's row work before it is divided
+    #: among its workers.  Fitted from the sharded probes, so it also
+    #: carries any per-row cost the sharded tier adds over the fused
+    #: one.  ``byte_s`` means the workers scale perfectly; ``2 *
+    #: byte_s`` at two workers means they ran no faster than one.
+    shard_byte_s: float = 3.85e-9
+    #: Schedulable cores: no more workers than this run at once.
+    cores: int = 2
 
     def describe(self) -> Dict[str, float]:
         """The constants as a plain dict (for bench payloads / docs)."""
-        return {
-            "serial_row_s": self.serial_row_s,
-            "fused_batch_s": self.fused_batch_s,
-            "fused_row_s": self.fused_row_s,
-            "byte_s": self.byte_s,
-            "sharded_batch_s": self.sharded_batch_s,
-            "sharded_shard_s": self.sharded_shard_s,
-        }
+        return asdict(self)
+
+    @classmethod
+    def fit(cls, probes: Probes) -> "CostModel":
+        """The model whose estimates reproduce ``probes``.
+
+        Each tier's two sizes give a line whose slope is its per-row
+        cost at ``probes.row_bytes``.  The fused line's intercept is the
+        engine batch's fixed cost; the sharded one's adds the pool round
+        trip.  The kernel probe splits a slope into per-row and per-byte
+        parts, and what the sharded slope adds to the parent's per-row
+        cost is the shard byte work, divided among the probe's workers.
+        A fixed or per-row cost the probes cannot resolve (noise put it
+        at or below zero) is reported as the clock's resolution, and
+        sharding never beats perfect scaling (``shard_byte_s >=
+        byte_s``).
+        """
+        (small, large), width = probes.sizes, probes.row_bytes
+        floor = time.get_clock_info("perf_counter").resolution
+
+        def line(times: Tuple[float, float]) -> Tuple[float, float]:
+            slope = (times[1] - times[0]) / (large - small)
+            return times[0] - slope * small, slope
+
+        _, kernel_slope = line(probes.kernel)
+        byte_s = max(kernel_slope, floor) / width
+        _, serial_slope = line(probes.serial)
+        fused_fixed, fused_slope = line(probes.fused)
+        sharded_fixed, sharded_slope = line(probes.sharded)
+        batch_s = max(fused_fixed, floor)
+        fused_row_s = max(fused_slope - width * byte_s, floor)
+        workers = max(1, min(probes.shards, probes.cores))
+        return cls(
+            batch_s=batch_s,
+            serial_row_s=max(serial_slope - width * byte_s, floor),
+            fused_row_s=fused_row_s,
+            byte_s=byte_s,
+            sharded_batch_s=max(sharded_fixed - batch_s, floor),
+            shard_byte_s=max(
+                workers * (sharded_slope - fused_row_s) / width, byte_s
+            ),
+            cores=probes.cores,
+        )
 
 
-#: Reference-host defaults.
+#: Constants measured on the recording host.
 DEFAULT_COST_MODEL = CostModel()
 
 
@@ -236,19 +312,14 @@ class AutoTuner:
     ) -> float:
         """Predicted wall-clock seconds of one batch on one tier."""
         m = self.model
-        byte_work = rows * row_bytes * m.byte_s
+        row_work = rows * row_bytes
         if tier is DispatchTier.SERIAL:
-            return rows * m.serial_row_s + byte_work
+            return m.batch_s + rows * m.serial_row_s + row_work * m.byte_s
+        fused = m.batch_s + rows * m.fused_row_s
         if tier is DispatchTier.FUSED:
-            return m.fused_batch_s + rows * m.fused_row_s + byte_work
-        effective = max(1, min(shards, jobs))
-        return (
-            m.sharded_batch_s
-            + effective * m.sharded_shard_s
-            + m.fused_batch_s
-            + rows * m.fused_row_s
-            + byte_work / effective
-        )
+            return fused + row_work * m.byte_s
+        workers = max(1, min(shards, jobs, m.cores))
+        return fused + m.sharded_batch_s + row_work * m.shard_byte_s / workers
 
     def choose(
         self, rows: int, row_bytes: int, shards: int, jobs: int
@@ -307,66 +378,108 @@ class AutoTuner:
     # Calibration
     # ------------------------------------------------------------------
     def calibrate(self, device, rows: int = 32, repeats: int = 3) -> CostModel:
-        """Rebuild the model from micro-probes on a live sharded device.
+        """Fit and install the model of a live sharded device.
 
-        Times (best of ``repeats``) a per-row walk, a fused batch, and a
-        sharded batch of the same shape on subarray-local scratch rows,
-        then solves the model constants from the differences.  The
-        device's statistics are reset afterwards; cells of the scratch
-        rows are clobbered (use before real data, as ``repro bench``
-        does).  Returns (and installs) the new model.
+        :func:`run_probes` times the device, :meth:`CostModel.fit`
+        solves the constants.  Returns the new model.
         """
-        from repro.core.microprograms import BulkOp
-        from repro.dram.chip import RowLocation
-
-        geometry = device.geometry
-        banks = geometry.banks
-        per_bank = max(1, min(rows // banks, geometry.subarray.data_rows - 2))
-        dst, src1, src2 = [], [], []
-        for bank in range(banks):
-            for i in range(per_bank):
-                dst.append(RowLocation(bank, 0, 2 + i))
-                src1.append(RowLocation(bank, 0, 0))
-                src2.append(RowLocation(bank, 0, 1))
-        n = len(dst)
-        row_bytes = device.row_bytes
-
-        def best(fn) -> float:
-            result = float("inf")
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                fn()
-                result = min(result, time.perf_counter() - t0)
-            return result
-
-        engine = device.engine
-        run = device.run_rows
-        # Warm plan caches, the worker pool, and the resident plan so
-        # calibration measures the steady state the tuner predicts for.
-        engine.run_rows(BulkOp.AND, dst, src1, src2)
-        run(BulkOp.AND, dst, src1, src2)
-        serial_s = best(
-            lambda: engine.run_rows(BulkOp.AND, dst, src1, src2, fuse=False)
-        )
-        fused_s = best(lambda: engine.run_rows(BulkOp.AND, dst, src1, src2))
-        sharded_s = best(lambda: run(BulkOp.AND, dst, src1, src2))
-        device.quiesce()
-        device.reset_stats()
-
-        shards = max(1, min(getattr(device, "max_workers", 1), banks))
-        byte_work = n * row_bytes * self.model.byte_s
-        fused_rows_cost = max(fused_s - byte_work, 1e-9)
-        dispatch = max(
-            sharded_s - (fused_s - byte_work + byte_work / max(1, shards)),
-            1e-9,
-        )
-        self.model = replace(
-            self.model,
-            serial_row_s=max(serial_s / n, 1e-9),
-            fused_row_s=max(
-                (fused_rows_cost - self.model.fused_batch_s) / n, 1e-9
-            ),
-            sharded_batch_s=dispatch / 2,
-            sharded_shard_s=dispatch / (2 * max(1, shards)),
-        )
+        self.model = CostModel.fit(run_probes(device, rows, repeats))
         return self.model
+
+
+def run_probes(device, rows: int = 32, repeats: int = 3) -> Probes:
+    """Time every tier of a sharded device at two batch sizes.
+
+    A probe batch ANDs two rows into a third, in subarray 0 of every
+    bank, with distinct rows throughout as in live traffic: ``rows``
+    rows, then eight times as many (as far as a third of the subarray
+    holds).  Each probe keeps the best of ``repeats`` runs after one
+    untimed run, so plan caches, the worker pool and the plan board are
+    warm.  The sharded tier is probed whatever the device's ``dispatch``
+    mode.  Cells of the probed rows are clobbered (probe before real
+    data) and the device's statistics are reset afterwards.
+    """
+    import numpy as np
+
+    from repro.core.microprograms import BulkOp
+    from repro.dram.chip import RowLocation
+    from repro.parallel.pmap import default_jobs
+
+    geometry = device.geometry
+    banks = geometry.banks
+    small = max(1, rows // banks)
+    large = min(8 * small, geometry.subarray.data_rows // 3)
+    if large <= small:
+        raise ConfigError(
+            f"calibration needs at least {3 * (small + 1)} data rows per "
+            f"subarray; the device has {geometry.subarray.data_rows}"
+        )
+    engine = device.engine
+    subarrays = [device.chip.bank(bank).subarray(0) for bank in range(banks)]
+    rng = np.random.default_rng(0)
+    words = geometry.subarray.words_per_row
+    for subarray in subarrays:
+        subarray.poke_batch(
+            range(large, 3 * large),
+            rng.integers(0, 2**63, size=(2 * large, words), dtype=np.uint64),
+        )
+
+    def column(offset: int, per_bank: int) -> List[RowLocation]:
+        return [
+            RowLocation(bank, 0, offset + i)
+            for bank in range(banks)
+            for i in range(per_bank)
+        ]
+
+    def kernel(per_bank: int) -> None:
+        for subarray in subarrays:
+            sources = [
+                subarray.peek_batch(range(offset, offset + per_bank))
+                for offset in (large, 2 * large)
+            ]
+            result, _ = BulkOp.AND.eval_rows(sources)
+            subarray.poke_batch(range(per_bank), result)
+
+    probes: Dict[Tuple[str, int], Callable[[], object]] = {}
+    for per_bank in (small, large):
+        probes["kernel", per_bank] = functools.partial(kernel, per_bank)
+        batch = [column(offset, per_bank) for offset in (0, large, 2 * large)]
+        probes["serial", per_bank] = functools.partial(
+            engine.run_rows, BulkOp.AND, *batch, fuse=False
+        )
+        probes["fused", per_bank] = functools.partial(
+            engine.run_rows, BulkOp.AND, *batch
+        )
+        probes["sharded", per_bank] = functools.partial(
+            device.run_rows, BulkOp.AND, *batch
+        )
+    # One untimed run each, then round robin, so every probe sees the
+    # same host state (allocator, caches, pool) in every round.
+    times: Dict[Tuple[str, int], List[float]] = {key: [] for key in probes}
+    mode, device.dispatch = device.dispatch, "sharded"
+    try:
+        for probe in probes.values():
+            probe()
+        for _ in range(max(1, repeats)):
+            for key, probe in probes.items():
+                t0 = time.perf_counter()
+                probe()
+                times[key].append(time.perf_counter() - t0)
+    finally:
+        device.dispatch = mode
+    device.quiesce()
+    device.reset_stats()
+
+    def best(tier: str) -> Tuple[float, float]:
+        return min(times[tier, small]), min(times[tier, large])
+
+    return Probes(
+        row_bytes=device.row_bytes,
+        shards=max(1, min(device.max_workers, banks)),
+        cores=default_jobs(),
+        sizes=(small * banks, large * banks),
+        serial=best("serial"),
+        fused=best("fused"),
+        sharded=best("sharded"),
+        kernel=best("kernel"),
+    )

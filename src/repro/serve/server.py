@@ -99,7 +99,7 @@ class ServeConfig:
     subarrays: int = 1
     rows: int = 512
     row_bytes: int = 512
-    jobs: int = 1                    # >= 2 -> ShardedDevice dispatch
+    jobs: int = 1                    # >= 2 -> ShardedDevice, auto-tuned tier
     max_plans: Optional[int] = 256   # PlanCache LRU bound (None = off)
     max_queue: int = 4096
     max_batch_ops: int = 512
@@ -175,8 +175,10 @@ class BulkBitwiseServer:
         if config.jobs >= 2:
             from repro.parallel.device import ShardedDevice
 
+            # The tuner keeps a wave in process unless sharding it is
+            # predicted to win (docs/SCALING.md).
             self.device = ShardedDevice(
-                geometry=geometry, max_workers=config.jobs
+                geometry=geometry, max_workers=config.jobs, dispatch="auto"
             )
         else:
             from repro.core.device import AmbitDevice

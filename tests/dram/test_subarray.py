@@ -1,8 +1,15 @@
 """Subarray activation semantics: the physics Ambit is built on."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.dram.cell import MappingRowDecoder, Wordline
 from repro.dram.geometry import SubarrayGeometry
 from repro.dram.subarray import Subarray
@@ -202,3 +209,59 @@ class TestRetention:
     def test_age(self, sub):
         sub.poke(4, np.zeros(WORDS, dtype=np.uint64), now_ns=10.0)
         assert sub.age_ns(4, now_ns=25.0) == pytest.approx(15.0)
+
+
+class TestBatchAccess:
+    def test_poke_batch_rejects_duplicate_rows(self, sub, rng):
+        with pytest.raises(AddressError, match="duplicate"):
+            sub.poke_batch([2, 3, 2], np.stack([_row(rng)] * 3))
+
+    @pytest.mark.parametrize("rows", [[-1], [0, GEO.storage_rows]])
+    def test_poke_batch_rejects_out_of_range_rows(self, sub, rng, rows):
+        with pytest.raises(AddressError, match="out of range"):
+            sub.poke_batch(rows, np.stack([_row(rng)] * len(rows)))
+
+    def test_poke_batch_rejects_a_2d_index(self, sub, rng):
+        with pytest.raises(AddressError, match="one-dimensional"):
+            sub.poke_batch([[1, 2]], np.stack([_row(rng)] * 2))
+
+    def test_fused_batch_does_not_import_numpy_ma(self):
+        # On numpy 2, the first np.unique call imports numpy.ma, which
+        # adds resident memory to every process running fused kernels.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy
+            if "numpy.ma" in sys.modules:
+                print("preloaded")
+                sys.exit(0)
+            from repro.core.device import AmbitDevice
+            from repro.core.microprograms import BulkOp
+            from repro.dram.chip import RowLocation
+            from repro.dram.geometry import small_test_geometry
+
+            device = AmbitDevice(
+                geometry=small_test_geometry(rows=32, row_bytes=64, banks=2)
+            )
+            rows = [
+                [RowLocation(bank, 0, 3 * i + k) for bank in (0, 1)
+                 for i in range(4)]
+                for k in range(3)
+            ]
+            report = device.engine.run_rows(BulkOp.AND, *rows)
+            assert report.fused_rows == 8, report
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if out == "preloaded":
+            pytest.skip("importing numpy already loads numpy.ma here")
+        assert out == "False"

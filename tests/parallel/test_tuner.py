@@ -1,14 +1,19 @@
 """The dispatch auto-tuner: golden decisions, pure tables, bit-exact tiers.
 
-Two layers of guarantee:
+Three layers of guarantee:
 
 * **Decision layer** -- :meth:`AutoTuner.choose` is a pure function of
-  the request shape and the cost-model constants, so its behaviour is
-  pinned by a golden decision table over hand-checked shapes (the
-  crossover points the model exists to get right), plus properties:
+  the request shape and the cost-model constants.  The shipped
+  constants are pinned by a golden decision table whose every entry is
+  the measured winner on the recording host; the argmin logic itself is
+  property-tested against an explicit model in which sharding can win:
   the choice always argmins the model's own estimates, ineligible
   shapes never pick the sharded tier, and ``decision_table`` never
   leaks into the decision counters.
+
+* **Calibration layer** -- :meth:`CostModel.fit` recovers the constants
+  behind synthetic probe timings exactly, and a live calibration
+  installs a fresh model.
 
 * **Execution layer** -- whatever the tuner decides only moves
   wall-clock, never results: ``dispatch="auto"`` must leave cells,
@@ -16,6 +21,8 @@ Two layers of guarantee:
   every *forced* tier and to the single-process engine, for all nine
   bulk operations (parametrized) and under hypothesis-random spreads.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +32,9 @@ from hypothesis import strategies as st
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.errors import ConfigError
-from repro.parallel import AutoTuner, DispatchTier, ShardedDevice
-from repro.parallel.tuner import _TIER_ORDER
+from repro.parallel import AutoTuner, CostModel, DispatchTier, ShardedDevice
+from repro.parallel import tuner as tuner_module
+from repro.parallel.tuner import _TIER_ORDER, DEFAULT_COST_MODEL, Probes
 
 from .test_sharded_device import (
     GEO,
@@ -39,26 +47,41 @@ from .test_sharded_device import (
 ALL_OPS = tuple(BulkOp)
 DISPATCH_MODES = ("serial", "fused", "sharded", "auto")
 
-#: The golden decision table: (rows, row_bytes, shards, jobs) -> tier,
-#: hand-checked against the default cost model's crossover points.
+#: The golden decision table of the shipped constants: (rows, row_bytes,
+#: shards, jobs) -> tier.  Every entry with rows is the median winner of
+#: alternating runs on the recording host (2 cores).  Not pinned: shapes
+#: whose winner changed between runs (64 x 128 KiB sharded over 2 or 8
+#: workers), and 128 KiB shapes where the per-row walk beat the fused
+#: tier, which a model fitted at 8 KiB rows does not see.
 GOLDEN_DECISIONS = (
-    # Empty batch: nothing to amortize setup over.
+    # Empty batch: every tier costs the engine batch; ties go to the
+    # simplest tier.
     ((0, 64, 1, 8), "serial"),
-    # Tiny batches: one fused planning pass beats per-row dispatch.
+    # A fused row costs far less than a walked one.
     ((1, 64, 1, 1), "fused"),
     ((8, 64, 4, 8), "fused"),
-    # Mid-size, small rows: byte work too small to pay dispatch cost.
     ((4, 8192, 4, 8), "fused"),
-    # Row-count heavy, byte-light: per-row planning dominates and is
-    # not divided by sharding, so fan-out can never win.
     ((256, 64, 8, 8), "fused"),
-    # Byte-heavy batches: divided kernel work dwarfs dispatch cost.
-    ((64, 131072, 8, 8), "sharded"),
-    ((64, 131072, 2, 2), "sharded"),
-    ((16, 131072, 4, 4), "sharded"),
-    # Same heavy shape but sharding ineligible: single worker / bank.
-    ((64, 131072, 8, 1), "fused"),
     ((64, 131072, 1, 8), "fused"),
+    # The server's waves (4 banks, 2 jobs): the pool round trip never
+    # pays for itself, and two workers on two cores run the byte work
+    # no faster than one process.
+    ((32, 8192, 4, 2), "fused"),
+    ((64, 8192, 4, 2), "fused"),
+    ((128, 8192, 4, 2), "fused"),
+    ((256, 8192, 4, 2), "fused"),
+)
+
+#: An explicit many-core model in which workers scale perfectly, so the
+#: argmin tests reach every tier without depending on host constants.
+MANY_CORES = CostModel(
+    batch_s=60e-6,
+    serial_row_s=110e-6,
+    fused_row_s=7e-6,
+    byte_s=2e-9,
+    sharded_batch_s=450e-6,
+    shard_byte_s=2e-9,
+    cores=16,
 )
 
 
@@ -75,7 +98,7 @@ def test_golden_decision_table():
 
 
 def test_decision_table_is_pure():
-    tuner = AutoTuner()
+    tuner = AutoTuner(MANY_CORES)
     tuner.choose(rows=64, row_bytes=131072, shards=8, jobs=8)
     before = dict(tuner.decisions)
     last = tuner.last_decision
@@ -85,7 +108,7 @@ def test_decision_table_is_pure():
 
 
 def test_choose_records_decisions_and_estimates():
-    tuner = AutoTuner()
+    tuner = AutoTuner(MANY_CORES)
     tier = tuner.choose(rows=64, row_bytes=131072, shards=8, jobs=8)
     assert tier is DispatchTier.SHARDED
     assert tuner.decisions["sharded"] == 1
@@ -98,6 +121,15 @@ def test_choose_records_decisions_and_estimates():
     )
 
 
+def test_cores_cap_the_workers_that_divide_byte_work():
+    two_cores = AutoTuner(replace(MANY_CORES, cores=2))
+    wide = AutoTuner(MANY_CORES)
+    shape = dict(tier=DispatchTier.SHARDED, rows=64, row_bytes=131072)
+    assert two_cores.estimate(**shape, shards=8, jobs=8) == (
+        wide.estimate(**shape, shards=2, jobs=2)
+    )
+
+
 @given(
     rows=st.integers(0, 4096),
     row_bytes=st.sampled_from((64, 1024, 8192, 65536, 131072)),
@@ -106,7 +138,7 @@ def test_choose_records_decisions_and_estimates():
 )
 @settings(max_examples=200, deadline=None)
 def test_choice_is_argmin_of_own_estimates(rows, row_bytes, shards, jobs):
-    tuner = AutoTuner()
+    tuner = AutoTuner(MANY_CORES)
     tier = tuner.choose(rows=rows, row_bytes=row_bytes, shards=shards, jobs=jobs)
     eligible = list(_TIER_ORDER)
     if shards < 2 or jobs < 2:
@@ -116,6 +148,60 @@ def test_choice_is_argmin_of_own_estimates(rows, row_bytes, shards, jobs):
         tuner.estimate(t, rows, row_bytes, shards, jobs) for t in eligible
     )
     assert tuner.estimate(tier, rows, row_bytes, shards, jobs) == best
+
+
+# ----------------------------------------------------------------------
+# Calibration layer
+# ----------------------------------------------------------------------
+def _synthetic_probes(model, row_bytes, shards, sizes):
+    """The probe timings a host that follows ``model`` exactly reports."""
+    truth = AutoTuner(model)
+
+    def tier(which):
+        return tuple(
+            truth.estimate(which, rows, row_bytes, shards, shards)
+            for rows in sizes
+        )
+
+    return Probes(
+        row_bytes=row_bytes,
+        shards=shards,
+        cores=model.cores,
+        sizes=sizes,
+        serial=tier(DispatchTier.SERIAL),
+        fused=tier(DispatchTier.FUSED),
+        sharded=tier(DispatchTier.SHARDED),
+        kernel=tuple(rows * row_bytes * model.byte_s for rows in sizes),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, row_bytes, shards, sizes",
+    [
+        pytest.param(MANY_CORES, 131072, 8, (64, 512), id="many-cores"),
+        pytest.param(DEFAULT_COST_MODEL, 8192, 2, (32, 256), id="shipped"),
+    ],
+)
+def test_calibrate_recovers_the_constants_behind_the_probes(
+    monkeypatch, model, row_bytes, shards, sizes
+):
+    probes = _synthetic_probes(model, row_bytes, shards, sizes)
+    monkeypatch.setattr(
+        tuner_module, "run_probes", lambda device, rows, repeats: probes
+    )
+    tuner = AutoTuner()
+    fitted = tuner.calibrate(device=None)
+    assert fitted is tuner.model
+    for name, value in model.describe().items():
+        assert fitted.describe()[name] == pytest.approx(value, rel=1e-9), name
+
+
+def test_fit_never_credits_sharding_beyond_perfect_scaling():
+    probes = _synthetic_probes(MANY_CORES, 131072, 8, (64, 512))
+    # A noisy sharded probe that ran faster than eight perfect workers.
+    fast = replace(probes, sharded=(1e-3, 1.1e-3))
+    fitted = CostModel.fit(fast)
+    assert fitted.shard_byte_s == pytest.approx(fitted.byte_s)
 
 
 def test_invalid_dispatch_mode_rejected():

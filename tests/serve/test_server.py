@@ -10,6 +10,7 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro.serve.protocol import pack_bits, unpack_bits
 from repro.serve.server import BulkBitwiseServer, ServeConfig
@@ -110,7 +111,8 @@ def run(coro_fn, config=None):
 
 
 # ----------------------------------------------------------------------
-def test_all_nine_ops_bit_exact():
+@pytest.mark.parametrize("jobs", [1, 2], ids=lambda jobs: f"jobs={jobs}")
+def test_all_nine_ops_bit_exact(jobs):
     async def scenario(server):
         async with Client(server.port) as client:
             models = await make_vectors(client, ("a", "b", "c", "d"),
@@ -132,8 +134,15 @@ def test_all_nine_ops_bit_exact():
                 assert np.array_equal(
                     await read_vector(client, name), models[name]
                 )
+        if jobs >= 2:
+            # The tuner keeps these small waves in process: no wave
+            # shards, so the worker pool never starts.
+            dispatch = server.metrics.get("ambit_dispatch_total")
+            assert dispatch.labels(tier="sharded").value == 0
+            assert dispatch.labels(tier="fused").value > 0
+            assert server.device.pool is None
 
-    run(scenario)
+    run(scenario, small_config(jobs=jobs))
 
 
 def test_create_zero_fills_and_delete_frees():
