@@ -583,7 +583,7 @@ def _cmd_compile(args: argparse.Namespace) -> None:
             *range(cop.arity),
             temps=tuple(cop.arity + t for t in range(cop.num_temps)),
         )
-        print(f"  plan   : {plan.num_commands} bus commands, "
+        print(f"  plan   : {plan.totals.num_commands} bus commands, "
               f"{plan.total_ns:.1f} ns per {args.row_bytes}-byte row")
 
     if args.run:

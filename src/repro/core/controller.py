@@ -16,30 +16,56 @@ parallelism), which :meth:`AmbitController.elapsed_parallel_ns` models.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.microprograms import BulkOp, Microprogram, StepProgram
-from repro.core.primitives import AAP, AP
 from repro.core.repair import RowRepairMap
 from repro.dram.chip import DramChip
+from repro.dram.commands import CommandTrace, canonical_tally
 from repro.dram.timing import TimingParameters
-from repro.engine.plan import PlanCache, RowPlan
+from repro.engine.plan import OpTotals, PlanCache, RowPlan
 from repro.errors import DramProtocolError
 
 
-@dataclass
 class ControllerStats:
-    """Cumulative accounting of executed work."""
+    """Cumulative accounting of executed work since the stats began.
 
-    ops: Dict[BulkOp, int] = field(default_factory=lambda: defaultdict(int))
-    aap_count: int = 0
-    ap_count: int = 0
-    #: Serial time: every primitive on every bank, end to end.
-    busy_ns: float = 0.0
-    #: Per-bank busy time, for the bank-parallel makespan.
-    bank_busy_ns: Dict[int, float] = field(default_factory=lambda: defaultdict(float))
+    Busy time is kept here.  Op and primitive counts are folds over the
+    chip trace's record (:class:`~repro.dram.commands.CommandTrace`):
+    every op execution is a count against its
+    :class:`~repro.engine.plan.OpTotals`, so these properties read
+    ``sum(count x totals)`` over the executions since the stats began.
+    """
+
+    def __init__(self, trace: CommandTrace):
+        self.trace = trace
+        self._start = trace.record()
+        #: Serial time: every primitive on every bank, end to end.
+        self.busy_ns = 0.0
+        #: Per-bank busy time, for the bank-parallel makespan.
+        self.bank_busy_ns: Dict[int, float] = defaultdict(float)
+
+    def _runs(self) -> Iterator[Tuple[OpTotals, int]]:
+        """``(totals, executions)`` of every op run since the stats began."""
+        return (self.trace.record() - self._start).runs()
+
+    @property
+    def ops(self) -> Dict[StepProgram, int]:
+        """Completed bulk operations by op (RowClone-PSM copies excluded)."""
+        ops: Dict[StepProgram, int] = defaultdict(int)
+        for totals, n in self._runs():
+            if totals.op is not None:
+                ops[totals.op] += n
+        return ops
+
+    @property
+    def aap_count(self) -> int:
+        return sum(totals.aaps * n for totals, n in self._runs())
+
+    @property
+    def ap_count(self) -> int:
+        return sum(totals.aps * n for totals, n in self._runs())
 
     def makespan_ns(self) -> float:
         """Completion time with perfect bank-level overlap.
@@ -86,7 +112,7 @@ class AmbitController:
         self.timing = timing
         self.split_decoder = split_decoder
         self.amap = AmbitAddressMap(chip.geometry.subarray)
-        self.stats = ControllerStats()
+        self.stats = ControllerStats(chip.trace)
         #: Memoised microprogram compilation (shared with the batch
         #: engine).  Survives :meth:`reset_stats` -- only its hit/miss
         #: counters are statistics.
@@ -185,7 +211,7 @@ class AmbitController:
 
     def run_plan(self, plan: RowPlan, bank: int, subarray: int) -> None:
         """Stream a cached plan to the chip (latencies pre-computed)."""
-        self._run(plan.program, plan.latencies_ns, bank, subarray)
+        self._run(plan.program, plan.latencies_ns, bank, subarray, plan.totals)
 
     def _run(
         self,
@@ -193,6 +219,7 @@ class AmbitController:
         latencies: Tuple[float, ...],
         bank: int,
         subarray: int,
+        plan_totals: Optional[OpTotals] = None,
     ) -> None:
         if self.chip.bank(bank).open_subarray is not None:
             raise DramProtocolError(
@@ -201,18 +228,29 @@ class AmbitController:
         tracer = self.chip.tracer
         if tracer is not None:
             tracer.begin_op(program.op.value, bank, subarray, self.chip.clock_ns)
+        trace = self.chip.trace
+        mark = dict(trace.tally)
         total_ns = 0.0
         for primitive, latency in zip(program.primitives, latencies):
             start_ns = self.chip.clock_ns
             for command in primitive.commands(bank, subarray):
                 self.chip.execute(command)
-            self._account(primitive, bank, latency)
+            self._account(bank, latency)
             total_ns += latency
             if tracer is not None:
                 tracer.record_primitive(
                     type(primitive).__name__, bank, subarray, start_ns, latency
                 )
-        self.stats.ops[program.op] += 1
+        # The op is credited with what the chip executed: its plan's
+        # totals, unless the chip raised other wordlines than planned.
+        executed = trace.executed_since(mark)
+        totals = plan_totals
+        if totals is None or dict(totals.commands) != executed:
+            totals = self.plan_cache.totals(
+                program.op, program.op.value, program.num_aap,
+                program.num_ap, total_ns, canonical_tally(executed),
+            )
+        trace.credit(totals)
         if self._m_ops is not None:
             self._m_ops.labels(op=program.op.value).inc()
             self._m_latency.labels(op=program.op.value).observe(total_ns)
@@ -244,15 +282,11 @@ class AmbitController:
         The plan cache's compiled programs survive (they are derived
         state, not statistics); only its hit/miss counters are zeroed.
         """
-        self.stats = ControllerStats()
+        self.stats = ControllerStats(self.chip.trace)
         self.chip.trace.clear()
         self.plan_cache.reset_counters()
 
-    def _account(self, primitive, bank: int, latency: float) -> None:
-        if isinstance(primitive, AAP):
-            self.stats.aap_count += 1
-        elif isinstance(primitive, AP):
-            self.stats.ap_count += 1
+    def _account(self, bank: int, latency: float) -> None:
         self.stats.busy_ns += latency
         self.stats.bank_busy_ns[bank] += latency
         self.chip.clock_ns += latency

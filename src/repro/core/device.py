@@ -17,6 +17,7 @@ from repro.core.addressing import AmbitAddressMap
 from repro.core.controller import AmbitController
 from repro.core.microprograms import StepProgram
 from repro.dram.chip import DramChip, RowLocation
+from repro.dram.commands import canonical_tally
 from repro.dram.geometry import DramGeometry
 from repro.dram.rowclone import psm_latency_ns, rowclone_psm
 from repro.dram.timing import TimingParameters, ddr3_1600
@@ -171,13 +172,23 @@ class AmbitDevice:
         return self._engine
 
     def psm_copy(self, src: RowLocation, dst: RowLocation) -> None:
-        """RowClone-PSM copy between banks, with latency accounting."""
+        """RowClone-PSM copy between banks, with latency accounting.
+
+        The copy is credited to the accounting record as a
+        ``psm_copy`` execution with the commands the chip executed.
+        """
         tracer = self.chip.tracer
+        trace = self.chip.trace
+        mark = dict(trace.tally)
         start_ns = self.chip.clock_ns
         if tracer is not None:
             tracer.begin_op("psm_copy", dst.bank, dst.subarray, start_ns)
         rowclone_psm(self.chip, src, dst)
         latency = psm_latency_ns(self.timing, self.geometry.row_bytes)
+        trace.credit(self.controller.plan_cache.totals(
+            None, "psm_copy", 0, 0, latency,
+            canonical_tally(trace.executed_since(mark)),
+        ))
         stats = self.controller.stats
         stats.busy_ns += latency
         stats.bank_busy_ns[src.bank] += latency
@@ -310,7 +321,8 @@ class AmbitDevice:
                 device.bbop_row(BulkOp.AND, dk, di, dj)
             print(prof.format_table())
 
-        See :func:`repro.obs.profiler.profile`.
+        The report is the accounting record's delta over the region; no
+        tracer is attached.  See :func:`repro.obs.profiler.profile`.
         """
         from repro.obs.profiler import profile as _profile
 

@@ -1,10 +1,10 @@
 """DRAM chip (rank) model: banks, command execution, and tracing.
 
 The chip executes :class:`~repro.dram.commands.Command` records against
-its banks and appends every executed command to a
+its banks and logs and tallies every executed command in a
 :class:`~repro.dram.commands.CommandTrace`.  The timing and energy layers
-are pure folds over that trace, so the functional model stays free of
-accounting logic.
+are pure folds over that trace's counts, so the functional model stays
+free of accounting logic.
 
 The chip also owns the mapping from *global data-row numbers* to
 ``(bank, subarray, local row address)``.  Section 5.1: the D-group

@@ -6,15 +6,15 @@ commands**: every Ambit operation is expressed with the standard
 chip gives reserved row addresses special meaning internally.
 
 This module defines the command records that flow from the (Ambit-aware)
-memory controller to the DRAM chip model, plus a tiny trace container
-used by the timing and energy layers to account for what was issued.
+memory controller to the DRAM chip model, plus the trace that accounts
+for what was issued: the command log and its exact counts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class Opcode(enum.Enum):
@@ -25,6 +25,11 @@ class Opcode(enum.Enum):
     WRITE = "WRITE"
     PRECHARGE = "PRECHARGE"
     REFRESH = "REFRESH"
+
+    # Members are singletons compared by identity; hash them by identity
+    # too.  ``Enum`` hashes the name in Python, and the trace tallies
+    # every executed command under an ``(opcode, wordlines)`` key.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -110,42 +115,168 @@ class IssuedCommand:
     write_value: Optional[int] = None
 
 
-@dataclass
-class CommandTrace:
-    """An append-only log of issued commands.
+#: What a command costs: its opcode and the wordlines it raised (1 for
+#: everything but a multi-wordline ACTIVATE).
+CommandKind = Tuple[Opcode, int]
 
-    The chip model appends every executed command; the timing and energy
-    layers fold over the trace.  Keeping the trace separate from the chip
-    keeps the functional model free of accounting concerns.
+#: A command tally in canonical, hashable form: ``(kind, count)`` pairs
+#: with nonzero counts, sorted by opcode name, then by wordlines.
+Tally = Tuple[Tuple[CommandKind, int], ...]
+
+
+def canonical_tally(counts: Mapping[CommandKind, int]) -> Tally:
+    """``counts`` as a :data:`Tally` (zero counts dropped)."""
+    return tuple(sorted(
+        ((kind, n) for kind, n in counts.items() if n),
+        key=lambda item: (item[0][0].value, item[0][1]),
+    ))
+
+
+def _minus(after: Mapping, before: Mapping) -> Dict:
+    """Per-key ``after - before`` of two counters, zero entries dropped."""
+    delta = {}
+    for key, n in after.items():
+        n -= before.get(key, 0)
+        if n:
+            delta[key] = n
+    return delta
+
+
+class TraceRecord:
+    """A trace's counters at one moment (see :meth:`CommandTrace.record`).
+
+    ``later - earlier`` is the work done between two records.  Counters
+    only ever grow, so the difference is exact whatever happened in
+    between, :meth:`CommandTrace.clear` included.
     """
 
-    entries: List[IssuedCommand] = field(default_factory=list)
+    __slots__ = ("tally", "charged", "credited")
+
+    def __init__(self, tally: Dict, charged: Dict, credited: Dict):
+        #: Commands the chip executed itself, by :data:`CommandKind`.
+        self.tally = tally
+        #: Op totals -> rows charged whole from those totals.
+        self.charged = charged
+        #: Op totals -> walked executions credited with those totals.
+        self.credited = credited
+
+    def __sub__(self, base: "TraceRecord") -> "TraceRecord":
+        return TraceRecord(
+            _minus(self.tally, base.tally),
+            _minus(self.charged, base.charged),
+            _minus(self.credited, base.credited),
+        )
+
+    def commands(self) -> Dict[CommandKind, int]:
+        """Every command by kind: the chip's own plus, for each charged
+        row, its totals' commands (n rows cost n times the totals)."""
+        counts = dict(self.tally)
+        for totals, rows in self.charged.items():
+            for kind, n in totals.commands:
+                counts[kind] = counts.get(kind, 0) + rows * n
+        return counts
+
+    def runs(self) -> Iterator[Tuple[object, int]]:
+        """Every op execution as ``(totals, count)``: charged rows, then
+        walked ones."""
+        yield from self.charged.items()
+        yield from self.credited.items()
+
+
+class CommandTrace:
+    """The log of issued commands, and exact counts of them.
+
+    The chip appends every command it executes and tallies it by
+    :data:`CommandKind`.  Rows whose commands are not executed one by
+    one (a fused or sharded batch) are *charged* instead: one count per
+    row against the op totals their plan carries
+    (:class:`repro.engine.plan.OpTotals`), which the folds multiply out
+    only when read.  A row walked command by command is *credited* with
+    totals built from the chip's tally over its walk, so its commands
+    are never counted twice.  The controller's op and primitive counts,
+    the profiler and the Table 3 energy fold all read these counters
+    (:meth:`record`); the timing and energy layers never need the log.
+
+    Counters never decrease: :meth:`clear` drops the log and moves the
+    zero point that :meth:`counts`, :meth:`weighted_activates` and
+    ``len()`` measure from, but a :class:`TraceRecord` taken before it
+    still differences exactly against one taken after.
+    """
+
+    def __init__(self) -> None:
+        self.entries: List[IssuedCommand] = []
+        self.tally: Dict[CommandKind, int] = {}
+        self.charged: Dict[object, int] = {}
+        self.credited: Dict[object, int] = {}
+        self._cleared_at = self.record()
 
     def append(self, issued: IssuedCommand) -> None:
         """Record one executed command."""
         self.entries.append(issued)
+        kind = (issued.command.opcode, issued.wordlines_raised)
+        tally = self.tally
+        tally[kind] = tally.get(kind, 0) + 1
 
     def extend(self, issued: Iterable[IssuedCommand]) -> None:
         """Record several executed commands."""
-        self.entries.extend(issued)
+        for entry in issued:
+            self.append(entry)
+
+    def charge(self, totals, schedule: Tuple[IssuedCommand, ...]) -> None:
+        """Account one row that ran without executing ``schedule``.
+
+        ``schedule`` is the row's command stream, exactly as executing
+        it would have logged it; ``totals`` are its plan's op totals.
+        One counter bump; the commands are counted from ``totals``.
+        """
+        self.entries.extend(schedule)
+        charged = self.charged
+        charged[totals] = charged.get(totals, 0) + 1
+
+    def credit(self, totals) -> None:
+        """Account one walked op execution, whose commands the chip
+        already tallied (``totals.commands`` says which they were)."""
+        credited = self.credited
+        credited[totals] = credited.get(totals, 0) + 1
+
+    def executed_since(
+        self, mark: Mapping[CommandKind, int]
+    ) -> Dict[CommandKind, int]:
+        """Commands executed since ``mark``, a copy of :attr:`tally`."""
+        return _minus(self.tally, mark)
+
+    def record(self) -> TraceRecord:
+        """A snapshot of every counter (see :class:`TraceRecord`)."""
+        return TraceRecord(
+            dict(self.tally), dict(self.charged), dict(self.credited)
+        )
+
+    def command_counts(self) -> Dict[CommandKind, int]:
+        """Commands since the last :meth:`clear`, by kind."""
+        return (self.record() - self._cleared_at).commands()
 
     def clear(self) -> None:
         """Drop all recorded commands."""
         self.entries.clear()
+        self._cleared_at = self.record()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(self.command_counts().values())
 
     def __iter__(self) -> Iterator[IssuedCommand]:
         return iter(self.entries)
 
     def counts(self) -> Tuple[int, int, int, int]:
         """Return ``(activates, precharges, reads, writes)``."""
-        acts = sum(1 for e in self.entries if e.command.opcode is Opcode.ACTIVATE)
-        pres = sum(1 for e in self.entries if e.command.opcode is Opcode.PRECHARGE)
-        rds = sum(1 for e in self.entries if e.command.opcode is Opcode.READ)
-        wrs = sum(1 for e in self.entries if e.command.opcode is Opcode.WRITE)
-        return acts, pres, rds, wrs
+        by_opcode = dict.fromkeys(Opcode, 0)
+        for (opcode, _), n in self.command_counts().items():
+            by_opcode[opcode] += n
+        return (
+            by_opcode[Opcode.ACTIVATE],
+            by_opcode[Opcode.PRECHARGE],
+            by_opcode[Opcode.READ],
+            by_opcode[Opcode.WRITE],
+        )
 
     def weighted_activates(self, extra_wordline_factor: float = 0.22) -> float:
         """Activation count weighted by wordlines raised.
@@ -155,8 +286,8 @@ class CommandTrace:
         paper's "activation energy increases by 22% for each additional
         wordline raised" (Section 7).
         """
-        total = 0.0
-        for entry in self.entries:
-            if entry.command.opcode is Opcode.ACTIVATE:
-                total += 1.0 + extra_wordline_factor * (entry.wordlines_raised - 1)
-        return total
+        return sum(
+            n * (1.0 + extra_wordline_factor * (wordlines - 1))
+            for (opcode, wordlines), n in self.command_counts().items()
+            if opcode is Opcode.ACTIVATE
+        )

@@ -19,6 +19,7 @@ from repro.energy.power_model import (
     EnergyParameters,
     ddr_op_energy_nj,
     ddr_op_energy_nj_per_kb,
+    tally_energy_pj,
     trace_energy_nj,
 )
 
@@ -37,5 +38,6 @@ __all__ = [
     "ddr_op_energy_nj_per_kb",
     "format_table3",
     "table3_experiment",
+    "tally_energy_pj",
     "trace_energy_nj",
 ]

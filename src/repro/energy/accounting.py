@@ -1,9 +1,9 @@
 """The Table 3 experiment: per-operation energy, DDR3 vs Ambit.
 
 ``table3_experiment`` executes each bulk operation on a real (small)
-Ambit device, folds the resulting command trace into energy, normalises
-to nJ/KB, and compares against the DDR3-interface cost of the same
-operation.
+Ambit device, prices the chip trace's exact command counts with the
+energy model, normalises to nJ/KB, and compares against the
+DDR3-interface cost of the same operation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.energy.power_model import (
     DEFAULT_ENERGY,
     EnergyParameters,
     ddr_op_energy_nj_per_kb,
-    trace_energy_nj,
+    tally_energy_pj,
 )
 
 #: Paper's Table 3, nJ/KB (DDR3, Ambit) per operation class.
@@ -59,7 +59,8 @@ def ambit_op_energy_nj_per_kb(
     device: AmbitDevice = None,
     params: EnergyParameters = DEFAULT_ENERGY,
 ) -> float:
-    """Measure one op's Ambit energy by executing it and folding the trace."""
+    """Measure one op's Ambit energy by executing it and pricing the
+    trace's command counts."""
     if device is None:
         device = AmbitDevice(geometry=small_test_geometry())
     device.reset_stats()
@@ -69,7 +70,9 @@ def ambit_op_energy_nj_per_kb(
     device.write_row(loc(0), rng.integers(0, 2**63, size=words, dtype=np.uint64))
     device.write_row(loc(1), rng.integers(0, 2**63, size=words, dtype=np.uint64))
     device.bbop_row(op, loc(2), loc(0), None if op.arity == 1 else loc(1))
-    energy = trace_energy_nj(device.chip.trace, device.row_bytes, params)
+    energy = tally_energy_pj(
+        device.chip.trace.command_counts().items(), device.row_bytes, params
+    ) / 1000.0
     return energy / (device.row_bytes / 1024)
 
 

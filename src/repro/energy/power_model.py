@@ -27,9 +27,10 @@ EXPERIMENTS.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from repro.core.microprograms import BulkOp
-from repro.dram.commands import CommandTrace, Opcode
+from repro.dram.commands import CommandKind, IssuedCommand, Opcode
 from repro.errors import ConfigError
 
 #: Row size the activation energies are referenced to (the paper's 8 KB).
@@ -76,14 +77,54 @@ class EnergyParameters:
 DEFAULT_ENERGY = EnergyParameters()
 
 
-def trace_energy_nj(
-    trace: CommandTrace,
+def command_energy_pj(
+    opcode: Opcode,
+    wordlines: int,
     row_bytes: int,
     params: EnergyParameters = DEFAULT_ENERGY,
 ) -> float:
-    """Fold a command trace into total energy (Ambit-side accounting).
+    """Energy of one command, in pJ.
 
-    READ/WRITE commands move one 64-bit word over the channel each.
+    READ/WRITE commands move one 64-bit word over the channel each;
+    REFRESH is not charged.
+    """
+    if opcode is Opcode.ACTIVATE:
+        nj = params.activate_nj(wordlines, row_bytes)
+    elif opcode is Opcode.PRECHARGE:
+        nj = params.precharge_nj(row_bytes)
+    elif opcode in (Opcode.READ, Opcode.WRITE):
+        nj = params.transfer_nj(8)
+    else:
+        nj = 0.0
+    return nj * 1000.0
+
+
+def tally_energy_pj(
+    counts: Iterable[Tuple[CommandKind, int]],
+    row_bytes: int,
+    params: EnergyParameters = DEFAULT_ENERGY,
+) -> float:
+    """Energy of a command tally, in pJ: ``sum(n x command_energy_pj)``.
+
+    ``counts`` holds ``((opcode, wordlines), n)`` pairs, e.g. the items
+    of :meth:`repro.dram.commands.CommandTrace.command_counts`.  The
+    profiler and the Table 3 experiment both price commands here.
+    """
+    return sum(
+        n * command_energy_pj(opcode, wordlines, row_bytes, params)
+        for (opcode, wordlines), n in counts
+    )
+
+
+def trace_energy_nj(
+    trace: Iterable[IssuedCommand],
+    row_bytes: int,
+    params: EnergyParameters = DEFAULT_ENERGY,
+) -> float:
+    """Fold logged commands into total energy, one entry at a time.
+
+    The per-entry reference for :func:`tally_energy_pj`.  READ/WRITE
+    commands move one 64-bit word over the channel each.
     """
     total = 0.0
     for entry in trace:

@@ -354,10 +354,13 @@ class BatchEngine:
         self.account_group(op, group)
 
     def account_group(self, op, group: _Group) -> None:
-        """Charge one group's exact per-row command schedule.
+        """Charge one group's rows to the accounting record.
 
-        Extends the command trace from the plan cache's immutable
-        schedules and folds timing/energy statistics, byte-identical to
+        Each row is one counter bump in the chip trace, keyed by its
+        plan's :class:`~repro.engine.plan.OpTotals` (op and primitive
+        counts, commands and energy are folded from those only when
+        read), plus the row's schedule appended to the command log; busy
+        time and the clock advance once per group.  The result equals
         walking every row through the controller.  The fused kernel
         calls this after its numpy work; the sharded device calls it for
         groups whose *functional* effect ran in a worker process --
@@ -370,7 +373,7 @@ class BatchEngine:
         bank, sub = group.bank, group.subarray
         cache = self.plan_cache
         stats = self.controller.stats
-        trace = self.chip.trace
+        charge = self.chip.trace.charge
         tracer = self.chip.tracer
         clock_ns = self.chip.clock_ns
         ops_metric = self.controller._m_ops
@@ -382,17 +385,14 @@ class BatchEngine:
         total_ns = 0.0
         for plan in group.plans:
             schedule = cache.issued_commands(plan, bank, sub)
-            trace.extend(schedule)
+            charge(plan.totals, schedule)
             if tracer is not None:
                 clock_ns = _emit_plan(
                     tracer, plan, schedule, bank, sub, clock_ns
                 )
-            stats.aap_count += plan.num_aap
-            stats.ap_count += plan.num_ap
             total_ns += plan.total_ns
             if latency_metric is not None:
                 latency_metric.observe(plan.total_ns)
-        stats.ops[op] += len(group.indices)
         stats.busy_ns += total_ns
         stats.bank_busy_ns[bank] += total_ns
         if ops_metric is not None:

@@ -9,8 +9,13 @@ handful of distinct plans.  :class:`PlanCache` memoises that compilation:
 
 * :class:`RowPlan` -- one compiled bulk operation: the
   :class:`~repro.core.microprograms.Microprogram`, its per-primitive
-  latencies under the cache's timing/decoder configuration, and the
-  aggregate counts the accounting layer needs.
+  latencies under the cache's timing/decoder configuration, and its
+  per-row :class:`OpTotals` -- what the accounting record charges for
+  each row (AAPs, APs, latency, commands by kind and wordlines raised).
+  Both depend only on the plan's shape (op, DCC route, and which bound
+  rows are B-group addresses), so they are computed once per shape, and
+  plans with equal totals share one totals object
+  (:meth:`PlanCache.totals`).
 * :meth:`PlanCache.issued_commands` -- the flat
   :class:`~repro.dram.commands.IssuedCommand` schedule of a plan on one
   ``(bank, subarray)``, byte-identical to what
@@ -55,11 +60,52 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.addressing import AmbitAddressMap
 from repro.core.microprograms import Microprogram, StepProgram
 from repro.core.primitives import AAP
-from repro.dram.commands import Command, IssuedCommand, Opcode
+from repro.dram.commands import (
+    Command,
+    IssuedCommand,
+    Opcode,
+    Tally,
+    canonical_tally,
+)
 from repro.dram.timing import TimingParameters
 
 #: Cache key: the operation, its local rows, and the DCC route.
 PlanKey = Tuple[StepProgram, int, Tuple[int, ...], Tuple[int, ...], int]
+
+
+class OpTotals:
+    """What one execution of an op costs, as the accounting record counts it.
+
+    The chip trace's counters are keyed by these objects
+    (:class:`~repro.dram.commands.CommandTrace`); every statistic of a
+    run -- op and primitive counts, busy time, commands, energy -- is a
+    fold of ``count x totals`` over them.  Build them only through
+    :meth:`PlanCache.totals`, which returns one shared object per
+    distinct value, so the counters hash them by identity.
+    """
+
+    __slots__ = ("op", "name", "aaps", "aps", "ns", "commands", "num_commands")
+
+    def __init__(self, op, name: str, aaps: int, aps: int, ns: float,
+                 commands: Tally):
+        #: The executed :class:`~repro.core.microprograms.StepProgram`,
+        #: or ``None`` for a RowClone-PSM copy.
+        self.op = op
+        #: Label of the execution (``op.value``, or ``"psm_copy"``).
+        self.name = name
+        self.aaps = aaps
+        self.aps = aps
+        #: Accounted latency of one execution.
+        self.ns = ns
+        #: Bus commands of one execution, by kind and wordlines raised.
+        self.commands = commands
+        self.num_commands = sum(n for _, n in commands)
+
+    def __repr__(self) -> str:
+        return (
+            f"OpTotals({self.name}, {self.aaps} AAP + {self.aps} AP, "
+            f"{self.ns} ns, {self.num_commands} commands)"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,10 +118,9 @@ class RowPlan:
     latencies_ns: Tuple[float, ...]
     #: Sum of ``latencies_ns`` -- the per-row latency of the operation.
     total_ns: float
-    num_aap: int
-    num_ap: int
-    #: Bus commands the plan expands to (3 per AAP, 2 per AP).
-    num_commands: int
+    #: What the accounting record charges per row (shared by every plan
+    #: with equal totals).
+    totals: OpTotals = field(compare=False, repr=False)
     #: ``(bank, subarray)`` -> the plan's flat command schedule there
     #: (see :meth:`PlanCache.issued_commands`): a tuple of the cache's
     #: shared per-site entries.  Held by the plan, so an evicted plan
@@ -123,6 +168,12 @@ class PlanCache:
         #: Command site -> its one shared schedule entry (see
         #: :meth:`issued_commands`); never trimmed, bounded by geometry.
         self._sites = _SiteTable(amap)
+        #: Value -> the one :class:`OpTotals` with that value (see
+        #: :meth:`totals`); never trimmed, one entry per distinct cost.
+        self._totals: Dict[tuple, OpTotals] = {}
+        #: Plan shape -> its latencies and totals (see :meth:`_install`);
+        #: never trimmed, a few entries per op.
+        self._templates: Dict[tuple, Tuple[Tuple[float, ...], OpTotals]] = {}
         #: Cache statistics; reset with :meth:`reset_counters` (the
         #: compiled plans themselves survive a stats reset).
         self.hits = 0
@@ -239,23 +290,82 @@ class PlanCache:
         if self._m_misses is not None:
             self._m_misses.inc()
 
-    def _install(self, key, program: Microprogram) -> RowPlan:
-        latencies = tuple(
-            p.latency_ns(self.timing, self.amap, self.split_decoder)
-            for p in program.primitives
+    def _install(self, key: PlanKey, program: Microprogram) -> RowPlan:
+        op, dk, srcs, temps, dcc = key
+        # A program binds its rows into the fixed AAP/AP sequence of its
+        # op and DCC route, and a bound row costs differently only when
+        # it is a B-group address: that raises other wordlines and
+        # decides AAP overlap.  So plans of one shape share latencies
+        # and totals, computed once per shape.
+        b_group = self._sites.wordlines
+        shape = (op, dcc) + tuple(
+            row if row in b_group else None for row in (dk, *srcs, *temps)
         )
+        template = self._templates.get(shape)
+        if template is None:
+            template = self._templates[shape] = self._template(program)
+        latencies, totals = template
         plan = RowPlan(
             key=key,
             program=program,
             latencies_ns=latencies,
-            total_ns=sum(latencies),
-            num_aap=program.num_aap,
-            num_ap=program.num_ap,
-            num_commands=sum(p.num_commands for p in program.primitives),
+            total_ns=totals.ns,
+            totals=totals,
         )
         self._plans[key] = plan
         self._trim()
         return plan
+
+    def _template(
+        self, program: Microprogram
+    ) -> Tuple[Tuple[float, ...], OpTotals]:
+        """A program's per-primitive latencies and per-row totals.
+
+        Its commands: per AAP two ACTIVATEs and a PRECHARGE, per AP one
+        of each, each ACTIVATE raising the wordlines the site table
+        gives its address.
+        """
+        latencies = tuple(
+            p.latency_ns(self.timing, self.amap, self.split_decoder)
+            for p in program.primitives
+        )
+        wordlines = self._sites.wordlines
+        commands: Dict[tuple, int] = {}
+        for primitive in program.primitives:
+            if isinstance(primitive, AAP):
+                addresses = (primitive.addr1, primitive.addr2)
+            else:
+                addresses = (primitive.addr,)
+            for addr in addresses:
+                kind = (Opcode.ACTIVATE, wordlines.get(addr, 1))
+                commands[kind] = commands.get(kind, 0) + 1
+            kind = (Opcode.PRECHARGE, 1)
+            commands[kind] = commands.get(kind, 0) + 1
+        op = program.op
+        return latencies, self.totals(
+            op, op.value, program.num_aap, program.num_ap, sum(latencies),
+            canonical_tally(commands),
+        )
+
+    def totals(
+        self,
+        op: Optional[StepProgram],
+        name: str,
+        aaps: int,
+        aps: int,
+        ns: float,
+        commands: Tally,
+    ) -> OpTotals:
+        """The one :class:`OpTotals` with this value (built on first use).
+
+        Plans call this at install; the controller's per-row walk and
+        RowClone-PSM copies call it with the commands the chip executed.
+        """
+        value = (op, name, aaps, aps, ns, commands)
+        totals = self._totals.get(value)
+        if totals is None:
+            totals = self._totals[value] = OpTotals(*value)
+        return totals
 
     def reset_counters(self) -> None:
         """Zero the hit/miss counters without dropping compiled plans."""
@@ -317,7 +427,7 @@ class _SiteTable(dict):
         super().__init__()
         #: Wordlines an ACTIVATE raises, by B-group address (Table 1);
         #: any other address raises one.
-        self._wordlines = {
+        self.wordlines = {
             addr: len(wordlines)
             for addr, wordlines in amap.b_group_wordlines().items()
         }
@@ -332,7 +442,7 @@ class _SiteTable(dict):
             bank, subarray, row, onto_open = site
             entry = IssuedCommand(
                 Command(Opcode.ACTIVATE, bank=bank, subarray=subarray, row=row),
-                wordlines_raised=self._wordlines.get(row, 1),
+                wordlines_raised=self.wordlines.get(row, 1),
                 onto_open_row=onto_open,
             )
         self[site] = entry

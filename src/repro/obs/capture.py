@@ -42,7 +42,7 @@ class CommandLog:
                 row_bytes=device.row_bytes,
             )
         )
-        self._trace_start = len(device.chip.trace)
+        self._trace_start = len(device.chip.trace.entries)
 
     # ------------------------------------------------------------------
     @property
@@ -72,7 +72,7 @@ class CommandLog:
         """Forget everything recorded so far."""
         self.ring.clear()
         self._counter_sink.reset()
-        self._trace_start = len(self.device.chip.trace)
+        self._trace_start = len(self.device.chip.trace.entries)
 
     def detach(self) -> None:
         """Detach the underlying tracer from the device."""

@@ -1,19 +1,28 @@
-"""Per-operation counters aggregated from trace events.
+"""Per-operation counters of a stretch of command stream.
 
 :class:`CounterSet` is the quantitative summary of a stretch of command
 stream: how many of each bus command, how many AAP/AP primitives, how
 many triple-row activations, how much accounted busy time and energy.
 It supports delta arithmetic (``after - before``) so profiling regions
-compose, and is filled either streamingly (as a
-:class:`~repro.obs.sinks.CounterSink`) or from a slice of the chip's
-:class:`~repro.dram.commands.CommandTrace`.
+compose, and is filled either streamingly from trace events (as a
+:class:`~repro.obs.sinks.CounterSink`) or, with per-op
+:class:`OpStats`, by :func:`fold_record` from the delta of the chip
+trace's accounting record (:class:`~repro.dram.commands.TraceRecord`).
+The two agree exactly; ``tests/parallel/test_remote_trace.py`` checks
+it on every execution tier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable
+from typing import Any, Dict, Iterable, Tuple
 
+from repro.dram.commands import Opcode, TraceRecord
+from repro.energy.power_model import (
+    DEFAULT_ENERGY,
+    EnergyParameters,
+    tally_energy_pj,
+)
 from repro.obs.events import (
     KIND_COMMAND,
     KIND_OP,
@@ -211,6 +220,62 @@ class CounterSet:
             ops = ", ".join(f"{k}={v}" for k, v in sorted(self.ops.items()))
             lines.append(f"bulk ops : {ops}")
         return "\n".join(lines)
+
+
+def fold_record(
+    record: TraceRecord,
+    row_bytes: int,
+    energy: EnergyParameters = DEFAULT_ENERGY,
+) -> Tuple[CounterSet, Dict[str, OpStats]]:
+    """Counters and per-op statistics of an accounting-record delta.
+
+    Each op execution in ``record`` is a count against its
+    :class:`~repro.engine.plan.OpTotals`, so an op's statistics are
+    ``count x totals``; commands are priced by the Table 3 energy model
+    at ``row_bytes`` (:func:`~repro.energy.power_model.tally_energy_pj`).
+    Plan-cache fields are left at zero (the record does not hold them).
+    """
+    counters = CounterSet()
+    commands = record.commands()
+    for (opcode, wordlines), n in commands.items():
+        if opcode is Opcode.ACTIVATE:
+            counters.activates += n
+            if wordlines == 2:
+                counters.double_row_activations += n
+            elif wordlines >= 3:
+                counters.tras += n
+        elif opcode is Opcode.PRECHARGE:
+            counters.precharges += n
+        elif opcode is Opcode.READ:
+            counters.reads += n
+        elif opcode is Opcode.WRITE:
+            counters.writes += n
+        elif opcode is Opcode.REFRESH:
+            counters.refreshes += n
+    counters.energy_pj = tally_energy_pj(commands.items(), row_bytes, energy)
+    per_op: Dict[str, OpStats] = {}
+    for totals, n in record.runs():
+        name = totals.name
+        stats = per_op.get(name)
+        if stats is None:
+            stats = per_op[name] = OpStats()
+        stats.count += n
+        stats.aaps += n * totals.aaps
+        stats.aps += n * totals.aps
+        stats.commands += n * totals.num_commands
+        stats.busy_ns += n * totals.ns
+        stats.energy_pj += n * tally_energy_pj(
+            totals.commands, row_bytes, energy
+        )
+        counters.aaps += n * totals.aaps
+        counters.aps += n * totals.aps
+        counters.busy_ns += n * totals.ns
+        counters.ops[name] = counters.ops.get(name, 0) + n
+        if name in _FPM_COPY_OPS:
+            counters.rowclone_fpm += n
+        elif name == _PSM_COPY_OP:
+            counters.rowclone_psm += n
+    return counters, per_op
 
 
 _NUMERIC_FIELDS = (

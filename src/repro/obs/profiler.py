@@ -2,11 +2,16 @@
 
 ``with device.profile() as prof:`` brackets a stretch of work; on exit
 ``prof`` holds the :class:`~repro.obs.counters.CounterSet` delta of the
-region and a per-operation breakdown (count, AAPs, APs, busy-ns, pJ per
-AND/OR/NOT/... executed inside it).  If the device already has a tracer
-attached (e.g. one writing a Chrome trace), the profiler piggybacks on
-it; otherwise it attaches a temporary tracer for the duration of the
-region.
+region and a per-operation breakdown (count, AAPs, APs, commands,
+busy-ns, pJ per AND/OR/NOT/... executed inside it).  Both are folds of
+the chip trace's accounting record
+(:class:`~repro.dram.commands.CommandTrace`): the profiler snapshots the
+record on entry and folds the delta on exit
+(:func:`~repro.obs.counters.fold_record`), pricing energy at the
+device's row size.  It attaches no tracer and builds no events, so
+profiling leaves the profiled path as it is; a tracer attached for a
+timeline keeps receiving every event, and its
+:class:`~repro.obs.sinks.CounterSink` fold equals the report.
 """
 
 from __future__ import annotations
@@ -14,14 +19,19 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.counters import CounterSet, OpStats
+from repro.obs.counters import CounterSet, OpStats, fold_record
 from repro.obs.events import KIND_OP, TraceEvent
-from repro.obs.sinks import CounterSink, TraceSink
-from repro.obs.tracer import Tracer
+from repro.obs.sinks import TraceSink
 
 
 class _OpAggregator(TraceSink):
-    """Aggregate ``kind="op"`` events into per-op statistics."""
+    """Aggregate ``kind="op"`` events into per-op statistics.
+
+    Nothing under ``src/`` uses it: the profiler folds the accounting
+    record instead.  Kept only because ``bench/layers.py`` wraps
+    ``_OpAggregator.emit``; remove it when a benchmark change edits that
+    file's ``LAYERS``.
+    """
 
     def __init__(self):
         self.per_op: Dict[str, OpStats] = {}
@@ -113,30 +123,17 @@ class ProfileReport:
 
 
 @contextmanager
-def profile(
-    device: "object", tracer: Optional[Tracer] = None
-) -> Iterator[ProfileReport]:
+def profile(device: "object") -> Iterator[ProfileReport]:
     """Profile a region of work on an Ambit device.
 
-    Parameters
-    ----------
-    device:
-        An :class:`~repro.core.device.AmbitDevice` (anything exposing
-        ``attach_tracer``/``detach_tracer``/``tracer``).
-    tracer:
-        Explicit tracer to aggregate from; defaults to the device's
-        attached tracer, or a temporary one for the region.
+    ``device`` is an :class:`~repro.core.device.AmbitDevice` (anything
+    exposing ``chip.trace`` and ``row_bytes``).  The counters and per-op
+    statistics are the delta of the chip trace's accounting record over
+    the region, so a ``reset_stats`` inside the region loses none of its
+    work; only the plan-cache counts restart with it.
     """
-    active = tracer if tracer is not None else device.tracer
-    temporary = active is None
-    if temporary:
-        active = device.attach_tracer(Tracer(
-            timing=device.timing, row_bytes=device.row_bytes
-        ))
-    counter_sink = CounterSink()
-    op_sink = _OpAggregator()
-    active.add_sink(counter_sink)
-    active.add_sink(op_sink)
+    trace = device.chip.trace
+    start = trace.record()
     # Plan-cache hits/misses are controller state, not trace events;
     # snapshot-and-delta keeps the region counters reset_stats-safe.
     plan_cache = getattr(
@@ -154,17 +151,16 @@ def profile(
     try:
         yield report
     finally:
-        active.remove_sink(counter_sink)
-        active.remove_sink(op_sink)
-        if temporary:
-            device.detach_tracer()
+        counters, per_op = fold_record(
+            trace.record() - start, device.row_bytes
+        )
         if plan_cache is not None:
             # max(0, ...): a reset_stats inside the region zeroes the
             # cache counters; never report a negative delta.
-            counter_sink.counters.plan_cache_hits += max(
+            counters.plan_cache_hits += max(
                 0, plan_cache.hits - hits_before
             )
-            counter_sink.counters.plan_cache_misses += max(
+            counters.plan_cache_misses += max(
                 0, plan_cache.misses - misses_before
             )
             for label in set(plan_cache.hits_by_op) | set(
@@ -190,4 +186,4 @@ def profile(
                 driver.high_water_rows,
                 driver.free_rows(),
             )
-        report._finalize(counter_sink.counters, op_sink.per_op, allocator)
+        report._finalize(counters, per_op, allocator)

@@ -27,6 +27,7 @@ from repro.energy.power_model import (
     DEFAULT_ENERGY,
     REFERENCE_ROW_BYTES,
     EnergyParameters,
+    command_energy_pj,
 )
 from repro.dram.timing import TimingParameters
 from repro.obs.events import (
@@ -153,7 +154,10 @@ class Tracer:
         """Record one executed bus command (called by the chip, and by
         the batch engine for rows it did not walk command by command)."""
         command = issued.command
-        energy_pj = self._command_energy_pj(issued)
+        energy_pj = command_energy_pj(
+            command.opcode, issued.wordlines_raised, self.row_bytes,
+            self.energy,
+        )
         attrs: dict = {}
         if issued.onto_open_row:
             attrs["onto_open_row"] = True
@@ -280,15 +284,3 @@ class Tracer:
         if opcode in (Opcode.READ, Opcode.WRITE):
             return t.tCL + t.tBL
         return t.trc  # REFRESH: one row cycle per modelled refresh
-
-    def _command_energy_pj(self, issued: IssuedCommand) -> float:
-        opcode = issued.command.opcode
-        if opcode is Opcode.ACTIVATE:
-            nj = self.energy.activate_nj(issued.wordlines_raised, self.row_bytes)
-        elif opcode is Opcode.PRECHARGE:
-            nj = self.energy.precharge_nj(self.row_bytes)
-        elif opcode in (Opcode.READ, Opcode.WRITE):
-            nj = self.energy.transfer_nj(8)  # one 64-bit word
-        else:
-            nj = 0.0
-        return nj * 1000.0

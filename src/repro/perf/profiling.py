@@ -1,10 +1,10 @@
 """Canned profiling workloads for ``repro profile``.
 
-Each workload executes real microprograms on a real (small) device with
-a tracer attached, verifies every result bit-exactly against numpy, and
-returns the :class:`~repro.obs.profiler.ProfileReport` -- so the
-profile's numbers always describe a *correct* run.  The CLI wraps this
-with optional Chrome-trace / JSON-lines sinks.
+Each workload executes real microprograms on a real (small) device,
+verifies every result bit-exactly against numpy, and returns the
+:class:`~repro.obs.profiler.ProfileReport` -- so the profile's numbers
+always describe a *correct* run.  The CLI wraps this with optional
+Chrome-trace / JSON-lines sinks; a tracer is attached only to feed them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.driver import AmbitDriver
 from repro.core.microprograms import BulkOp
 from repro.dram.geometry import DramGeometry, SubarrayGeometry
 from repro.errors import ConfigError, SimulationError
-from repro.obs.profiler import ProfileReport, profile
+from repro.obs.profiler import ProfileReport
 from repro.obs.sinks import TraceSink
 from repro.obs.tracer import Tracer
 
@@ -82,8 +82,9 @@ def run_profile_workload(
     geometry:
         Device shape; defaults to :func:`profile_geometry`.
     sinks:
-        Extra trace sinks (Chrome trace, JSON lines, ring buffer) fed by
-        the run's tracer.  Callers own closing file-backed sinks.
+        Trace sinks (Chrome trace, JSON lines, ring buffer) to feed from
+        a tracer attached for the run; none attaches no tracer.  Callers
+        own closing file-backed sinks.
     """
     try:
         ops = WORKLOADS[workload]
@@ -99,14 +100,16 @@ def run_profile_workload(
     # Rows are placed through the subarray-aware driver, so the report
     # also reflects real allocator-pool pressure (high-water mark).
     driver = AmbitDriver(device)
-    tracer = device.attach_tracer(
-        Tracer(sinks=sinks, timing=device.timing, row_bytes=device.row_bytes)
-    )
+    sinks = list(sinks)
+    if sinks:
+        device.attach_tracer(Tracer(
+            sinks=sinks, timing=device.timing, row_bytes=device.row_bytes
+        ))
     geo = device.geometry
     words = geo.subarray.words_per_row
     row_bits = device.row_bits
     rng = np.random.default_rng(seed)
-    with profile(device, tracer=tracer) as report:
+    with device.profile() as report:
         for op in ops:
             for i in range(repeats):
                 # Four co-located row-sized operands per instance; the
@@ -139,6 +142,7 @@ def run_profile_workload(
                     )
                 for handle in handles:
                     driver.free(handle)
-    device.detach_tracer()
+    if sinks:
+        device.detach_tracer()
     report.device = device
     return report

@@ -177,7 +177,7 @@ def _section_profile(cfg: ReportConfig) -> List[str]:
         "## Command-stream profile — all seven bulk ops",
         "",
         "Per-operation command counts, accounted busy time and energy,",
-        "measured by the `repro.obs` tracer over a bit-exact run",
+        "from the device's accounting record over a bit-exact run",
         "(regenerate interactively with `python -m repro profile`).",
         "",
         "```",

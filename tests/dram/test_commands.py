@@ -67,6 +67,32 @@ class TestTrace:
         trace.clear()
         assert len(trace) == 0
 
+    def test_charged_rows_count_their_totals(self):
+        trace = CommandTrace()
+        start = trace.record()
+        act3 = IssuedCommand(activate(0, 0, 1), wordlines_raised=3)
+        pre = IssuedCommand(precharge(0))
+
+        class totals:  # one row's op totals: two TRAs and a precharge
+            commands = (((Opcode.ACTIVATE, 3), 2), ((Opcode.PRECHARGE, 1), 1))
+
+        for _ in range(2):
+            trace.charge(totals, (act3, act3, pre))
+        trace.append(IssuedCommand(read(0, 0, 0)))
+        assert trace.counts() == (4, 2, 1, 0)
+        assert len(trace) == len(trace.entries) == 7
+        trace.clear()
+        assert len(trace) == 0 and trace.counts() == (0, 0, 0, 0)
+        # Counters never decrease: a record from before the clear still
+        # differences exactly against one after it.
+        delta = trace.record() - start
+        assert delta.charged == {totals: 2}
+        assert delta.commands() == {
+            (Opcode.ACTIVATE, 3): 4,
+            (Opcode.PRECHARGE, 1): 2,
+            (Opcode.READ, 1): 1,
+        }
+
     def test_iteration_and_extend(self):
         trace = CommandTrace()
         items = [IssuedCommand(precharge(0)), IssuedCommand(precharge(1))]

@@ -8,6 +8,8 @@ state indistinguishable from walking the same rows one at a time through
 same accounted time and statistics, same per-bank command sequence.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -103,6 +105,13 @@ def _assert_equivalent(slow, fast):
     )
     assert fast.chip.clock_ns == pytest.approx(slow.chip.clock_ns)
     assert _subarray_traces(fast) == _subarray_traces(slow)
+    # The counts are exact without the log: fused rows are charged from
+    # their plans' totals, walked rows tallied as the chip executes them.
+    for device in (slow, fast):
+        trace = device.chip.trace
+        assert trace.command_counts() == Counter(
+            (ic.command.opcode, ic.wordlines_raised) for ic in trace
+        )
 
 
 def _layout(op, draw_rows):

@@ -1,16 +1,25 @@
 """The microprogram plan cache: compile once, reuse everywhere."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.compile import compile_expr, parse_expr
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp, compile_op
 from repro.core.primitives import AAP
-from repro.dram.commands import Opcode
+from repro.dram.commands import Opcode, canonical_tally
 from repro.dram.geometry import small_test_geometry
 from repro.engine.plan import PlanCache
 from repro.errors import AddressError
+from tests.golden.regen import COMPILED_CASES
+
+#: The golden compiled ops; between them they have scratch rows and
+#: single- and dual-DCC steps.
+COMPILED_OPS = tuple(
+    compile_expr(parse_expr(text), name=name) for name, text in COMPILED_CASES
+)
 
 GOLDEN_OPS = (
     BulkOp.NOT,
@@ -55,9 +64,52 @@ class TestCaching:
                 for p in program.primitives
             )
         )
-        assert plan.num_aap == program.num_aap
-        assert plan.num_ap == program.num_ap
-        assert plan.num_commands == 3 * plan.num_aap + 2 * plan.num_ap
+        totals = plan.totals
+        assert totals.aaps == program.num_aap
+        assert totals.aps == program.num_ap
+        assert totals.num_commands == 3 * totals.aaps + 2 * totals.aps
+
+    @pytest.mark.parametrize(
+        "op", tuple(BulkOp) + COMPILED_OPS, ids=lambda op: op.value
+    )
+    def test_plans_of_one_shape_share_costs_of_their_own_program(
+        self, device, op
+    ):
+        """Latencies and totals are shared per plan shape, and every
+        plan's still equal what its own program costs -- with data,
+        control and (for COPY, which takes any source) B-group rows."""
+        controller = device.controller
+        cache, amap = controller.plan_cache, controller.amap
+        sources = [0, 1, 2, 3, amap.c(0), amap.c(1)]
+        if op is BulkOp.COPY:
+            sources += [amap.b(i) for i in range(16)]
+        temps = tuple(range(8, 8 + op.num_temps))
+        data_plans = []
+        for dk in (4, 5, 6):
+            for first in sources:
+                srcs = (first, 1, 2, 3)[:op.arity]
+                if first in srcs[1:]:
+                    continue
+                for dcc in (0, 1):
+                    plan = cache.get(op, dk, *srcs, temps=temps, dcc=dcc)
+                    latencies = tuple(
+                        p.latency_ns(
+                            controller.timing, amap, controller.split_decoder
+                        )
+                        for p in plan.program.primitives
+                    )
+                    assert plan.latencies_ns == latencies
+                    assert plan.total_ns == plan.totals.ns == sum(latencies)
+                    assert plan.totals.aaps == plan.program.num_aap
+                    assert plan.totals.aps == plan.program.num_ap
+                    schedule = cache.issued_commands(plan, 0, 0)
+                    assert plan.totals.commands == canonical_tally(Counter(
+                        (ic.command.opcode, ic.wordlines_raised)
+                        for ic in schedule
+                    ))
+                    if first < amap.data_rows and dcc == 0:
+                        data_plans.append(plan)
+        assert len({id(plan.totals) for plan in data_plans}) == 1
 
     def test_invalid_operands_still_raise(self, device):
         cache = device.controller.plan_cache
@@ -119,12 +171,16 @@ class TestIssuedCommands:
             2 if op.arity == 3 else None,
         )
         synthesized = controller.plan_cache.issued_commands(plan, 0, 1)
-        assert len(synthesized) == len(executed) == plan.num_commands
+        assert len(synthesized) == len(executed) == plan.totals.num_commands
         for real, synth in zip(executed, synthesized):
             assert synth.command == real.command
             assert synth.wordlines_raised == real.wordlines_raised
             assert synth.onto_open_row == real.onto_open_row
             assert synth.write_value is None
+        # The totals charged per fused row are the walk's exact tally.
+        assert plan.totals.commands == canonical_tally(Counter(
+            (e.command.opcode, e.wordlines_raised) for e in executed
+        ))
 
     def test_schedule_is_cached_per_subarray(self, device):
         cache = device.controller.plan_cache

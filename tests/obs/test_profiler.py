@@ -1,9 +1,11 @@
 """Profiler + profile-workload + CLI tests."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
 from repro.errors import ConfigError
@@ -20,15 +22,60 @@ SRC1 = RowLocation(0, 0, 0)
 SRC2 = RowLocation(0, 0, 1)
 
 
+def _and_then_xor(device):
+    device.bbop_row(BulkOp.AND, DST, SRC1, SRC2)
+    device.bbop_row(BulkOp.XOR, DST, SRC1, SRC2)
+
+
+def _report(prof):
+    return (
+        prof.counters.as_dict(),
+        {name: dataclasses.asdict(stats) for name, stats in prof.per_op.items()},
+    )
+
+
 class TestProfileContextManager:
-    def test_temporary_tracer_attached_and_removed(self, device):
+    def test_profile_attaches_no_tracer(self, device):
         assert device.tracer is None
         with device.profile() as prof:
-            assert device.tracer is not None
+            assert device.tracer is None
             device.bbop_row(BulkOp.AND, DST, SRC1, SRC2)
         assert device.tracer is None
         assert prof.counters.aaps == 4
         assert prof.per_op["and"].count == 1
+
+    def test_report_does_not_depend_on_the_attached_tracer(self, tiny_geo):
+        # A tracer's energy model defaults to 8 KiB rows; the report is
+        # priced at the device's row size whichever tracer is attached.
+        reports = []
+        for attach in (
+            lambda device: None,
+            lambda device: device.attach_tracer(),
+            lambda device: device.attach_tracer(
+                Tracer(sinks=[RingBufferSink()])
+            ),
+        ):
+            device = AmbitDevice(geometry=tiny_geo)
+            attach(device)
+            with device.profile() as prof:
+                _and_then_xor(device)
+            reports.append(_report(prof))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0][0]["energy_pj"] == pytest.approx(559.2, abs=0.05)
+
+    def test_reset_stats_inside_the_region_loses_no_work(self, device):
+        with device.profile() as prof:
+            device.bbop_row(BulkOp.AND, DST, SRC1, SRC2)
+            device.reset_stats()
+            device.bbop_row(BulkOp.XOR, DST, SRC1, SRC2)
+        c = prof.counters
+        assert c.ops == {"and": 1, "xor": 1}
+        assert (c.aaps, c.aps, c.activates) == (9, 2, 20)
+        assert c.energy_pj == pytest.approx(559.2, abs=0.05)
+        assert set(prof.per_op) == {"and", "xor"}
+        # The statistics themselves restart at the reset.
+        assert device.controller.stats.aap_count == 5
+        assert len(device.chip.trace) == 19
 
     def test_piggybacks_on_existing_tracer(self, device):
         ring = RingBufferSink()

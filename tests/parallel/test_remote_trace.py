@@ -29,6 +29,7 @@ from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
+from repro.obs.counters import OpStats
 from repro.obs.events import KIND_OP, KIND_SPAN
 from repro.obs.sinks import ChromeTraceSink, CounterSink, RingBufferSink
 from repro.obs.tracer import Tracer
@@ -276,27 +277,58 @@ def test_random_spreads_traced_parity(op, seed, counts, workers, data):
 
 
 def test_profile_table_is_the_same_on_every_tier():
-    """``device.profile()`` reports one per-op table whichever tier ran."""
+    """``device.profile()`` reports one per-op table whichever tier ran,
+    traced or not, and it equals every other fold of the same work: the
+    tracer's :class:`CounterSink`, the op events, and the controller's
+    statistics."""
     tables, folds = {}, {}
     for tier in TIERS:
-        with _device(tier) as device:
-            _fill(device, 27)
-            with device.profile() as prof:
-                for op in ALL_OPS:
-                    _run(device, tier, op, UNEVEN_SPREAD)
-        tables[tier] = prof.format_table()
-        folds[tier] = (
-            prof.counters.as_dict(),
-            {
-                name: dataclasses.asdict(stats)
-                for name, stats in prof.per_op.items()
-            },
-        )
-    assert tables["fused"] == tables["serial"]
-    assert tables["sharded"] == tables["serial"]
-    assert folds["fused"] == folds["serial"]
-    assert folds["sharded"] == folds["serial"]
-    assert len(folds["serial"][1]) == len(ALL_OPS)
+        for traced in (False, True):
+            with _device(tier) as device:
+                _fill(device, 27)
+                if traced:
+                    ring, counters = _attach(device)
+                stats = device.controller.stats
+                before = (stats.aap_count, stats.ap_count, stats.busy_ns)
+                with device.profile() as prof:
+                    for op in ALL_OPS:
+                        _run(device, tier, op, UNEVEN_SPREAD)
+                after = (stats.aap_count, stats.ap_count, stats.busy_ns)
+            report = (
+                prof.counters.as_dict(),
+                {
+                    name: dataclasses.asdict(op_stats)
+                    for name, op_stats in prof.per_op.items()
+                },
+            )
+            tables[tier, traced] = prof.format_table()
+            folds[tier, traced] = report
+            c = prof.counters
+            assert tuple(a - b for a, b in zip(after, before)) == (
+                c.aaps, c.aps, c.busy_ns
+            )
+            if not traced:
+                continue
+            # The record's fold equals the tracer's: its CounterSink
+            # (which never sees plan-cache traffic) ...
+            sink = dict(
+                counters.counters.as_dict(),
+                plan_cache_hits=c.plan_cache_hits,
+                plan_cache_misses=c.plan_cache_misses,
+            )
+            assert report[0] == sink
+            # ... and the op events, folded per op.
+            per_op = {}
+            for event in ring.of_kind(KIND_OP):
+                per_op.setdefault(event.name, OpStats()).observe(event)
+            assert report[1] == {
+                name: dataclasses.asdict(op_stats)
+                for name, op_stats in per_op.items()
+            }
+    reference = tables["serial", False]
+    assert all(table == reference for table in tables.values())
+    assert all(fold == folds["serial", False] for fold in folds.values())
+    assert len(folds["serial", False][1]) == len(ALL_OPS)
 
 
 def test_sharded_op_events_carry_the_request_span_context():
