@@ -104,16 +104,20 @@ def test_bench_ablation_dead_store_elimination(benchmark, save_table):
         results = {}
         for optimize in (True, False):
             device.reset_stats()
-            for i, v in enumerate(vectors):
-                device.write_row(RowLocation(0, 0, i), v)
-            prog = compile_reduction(
-                device.amap, BulkOp.AND, tuple(range(8)), 9, optimize=optimize
-            )
-            device.controller.run_program(prog, 0, 0)
-            assert np.array_equal(device.read_row(RowLocation(0, 0, 9)), expected)
+            with device.chip.trace.capture() as issued:
+                for i, v in enumerate(vectors):
+                    device.write_row(RowLocation(0, 0, i), v)
+                prog = compile_reduction(
+                    device.amap, BulkOp.AND, tuple(range(8)), 9,
+                    optimize=optimize,
+                )
+                device.controller.run_program(prog, 0, 0)
+                assert np.array_equal(
+                    device.read_row(RowLocation(0, 0, 9)), expected
+                )
             results[optimize] = (
                 device.busy_ns,
-                trace_energy_nj(device.chip.trace, device.row_bytes),
+                trace_energy_nj(issued, device.row_bytes),
                 len(prog.primitives),
             )
         return results
@@ -143,22 +147,27 @@ def test_bench_ablation_bgroup_sizing(benchmark, save_table):
     def run():
         # Paper xor.
         device.reset_stats()
-        device.write_row(RowLocation(0, 0, 0), a)
-        device.write_row(RowLocation(0, 0, 1), b)
-        device.bbop_row(BulkOp.XOR, RowLocation(0, 0, 2), RowLocation(0, 0, 0),
-                        RowLocation(0, 0, 1))
-        assert np.array_equal(device.read_row(RowLocation(0, 0, 2)), a ^ b)
-        rich = (device.busy_ns,
-                trace_energy_nj(device.chip.trace, device.row_bytes))
+        with device.chip.trace.capture() as issued:
+            device.write_row(RowLocation(0, 0, 0), a)
+            device.write_row(RowLocation(0, 0, 1), b)
+            device.bbop_row(BulkOp.XOR, RowLocation(0, 0, 2),
+                            RowLocation(0, 0, 0), RowLocation(0, 0, 1))
+            assert np.array_equal(
+                device.read_row(RowLocation(0, 0, 2)), a ^ b
+            )
+        rich = (device.busy_ns, trace_energy_nj(issued, device.row_bytes))
         # Minimal B-group xor (composed from not/and/or).
         device.reset_stats()
-        device.write_row(RowLocation(0, 0, 0), a)
-        device.write_row(RowLocation(0, 0, 1), b)
-        for prog in compile_xor_minimal(device.amap, 0, 1, 3):
-            device.controller.run_program(prog, 0, 0)
-        assert np.array_equal(device.read_row(RowLocation(0, 0, 3)), a ^ b)
+        with device.chip.trace.capture() as issued:
+            device.write_row(RowLocation(0, 0, 0), a)
+            device.write_row(RowLocation(0, 0, 1), b)
+            for prog in compile_xor_minimal(device.amap, 0, 1, 3):
+                device.controller.run_program(prog, 0, 0)
+            assert np.array_equal(
+                device.read_row(RowLocation(0, 0, 3)), a ^ b
+            )
         minimal = (device.busy_ns,
-                   trace_energy_nj(device.chip.trace, device.row_bytes))
+                   trace_energy_nj(issued, device.row_bytes))
         return rich, minimal
 
     rich, minimal = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -32,29 +32,32 @@ def main() -> None:
 
     bits_a = rng.random(nbits) < 0.5
     bits_b = rng.random(nbits) < 0.5
-    a = system.from_bits(bits_a)
-    b = system.from_bits(bits_b, like=a)  # co-located => pure RowClone-FPM
+    # Capture the bus commands for the per-command energy fold below;
+    # the counts themselves need no capture.
+    with system.device.chip.trace.capture() as issued:
+        a = system.from_bits(bits_a)
+        b = system.from_bits(bits_b, like=a)  # co-located => pure RowClone-FPM
 
-    print(f"allocated two {nbits}-bit vectors across "
-          f"{a.handle.num_rows} DRAM rows each")
+        print(f"allocated two {nbits}-bit vectors across "
+              f"{a.handle.num_rows} DRAM rows each")
 
-    conj = a & b          # 4 AAPs per row: copy, copy, init T2=0, TRA
-    disj = a | b          # same with the all-ones control row
-    parity = a ^ b        # 5 AAPs + 2 APs per row (Figure 8c)
-    complement = ~a       # 2 AAPs per row through the dual-contact cells
+        conj = a & b          # 4 AAPs per row: copy, copy, init T2=0, TRA
+        disj = a | b          # same with the all-ones control row
+        parity = a ^ b        # 5 AAPs + 2 APs per row (Figure 8c)
+        complement = ~a       # 2 AAPs per row through the dual-contact cells
 
-    assert np.array_equal(conj.to_bits(), bits_a & bits_b)
-    assert np.array_equal(disj.to_bits(), bits_a | bits_b)
-    assert np.array_equal(parity.to_bits(), bits_a ^ bits_b)
-    assert np.array_equal(complement.to_bits(), ~bits_a)
-    print("all four results verified bit-exact against numpy")
+        assert np.array_equal(conj.to_bits(), bits_a & bits_b)
+        assert np.array_equal(disj.to_bits(), bits_a | bits_b)
+        assert np.array_equal(parity.to_bits(), bits_a ^ bits_b)
+        assert np.array_equal(complement.to_bits(), ~bits_a)
+        print("all four results verified bit-exact against numpy")
 
-    print(f"\npopcount(a & b) = {conj.popcount()}")
+        print(f"\npopcount(a & b) = {conj.popcount()}")
 
     device = system.device
     stats = device.controller.stats
     acts, pres, _, _ = device.chip.trace.counts()
-    energy = trace_energy_nj(device.chip.trace, device.row_bytes)
+    energy = trace_energy_nj(issued, device.row_bytes)
     print(f"\ndevice-side accounting:")
     print(f"  AAP primitives executed : {stats.aap_count}")
     print(f"  AP primitives executed  : {stats.ap_count}")

@@ -89,6 +89,12 @@ class CompiledOp(StepProgram):
     # evaluation is an attribute of its own (bench/layers.py times it).
     eval_rows = StepProgram.eval_rows
 
+    def __hash__(self) -> int:
+        # The fingerprint digests the inputs and steps, so equal ops hash
+        # equal; the generated hash would re-hash every step on each of
+        # the plan cache's lookups.
+        return hash((self.name, self.fingerprint))
+
     # -- human-readable form -----------------------------------------
     def _slot_name(self, slot: int) -> str:
         if slot == DST_SLOT:

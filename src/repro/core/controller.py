@@ -113,7 +113,7 @@ class AmbitController:
         self.split_decoder = split_decoder
         self.amap = AmbitAddressMap(chip.geometry.subarray)
         self.stats = ControllerStats(chip.trace)
-        #: Memoised microprogram compilation (shared with the batch
+        #: Plan templates, one per op shape (shared with the batch
         #: engine).  Survives :meth:`reset_stats` -- only its hit/miss
         #: counters are statistics.
         self.plan_cache = PlanCache(
@@ -129,6 +129,9 @@ class AmbitController:
         self.dcc_route: Dict[Tuple[int, int], int] = {}
         self.metrics = metrics
         self._m_ops = self._m_latency = self._m_busy = None
+        #: Op label -> its ``ambit_ops_total`` and ``ambit_op_latency_ns``
+        #: children (see :meth:`op_metrics`).
+        self._op_metrics: Dict[str, tuple] = {}
         if metrics is not None:
             self._m_ops = metrics.counter(
                 "ambit_ops_total",
@@ -143,7 +146,7 @@ class AmbitController:
             self._m_busy = metrics.counter(
                 "ambit_busy_ns_total",
                 "Serial accounted busy time across all banks (ns)",
-            )
+            ).labels()
 
     # ------------------------------------------------------------------
     # Bulk operations
@@ -166,9 +169,9 @@ class AmbitController:
         dropped), and ``temps`` the scratch rows a compiled op's steps
         clobber.  Returns the microprogram that was executed.
 
-        The compiled plan is memoised in :attr:`plan_cache`: repeated
-        operations at the same local addresses (every row of a striped
-        bitvector) reuse the microprogram and its latencies.
+        The op's shape compiles once into a template in
+        :attr:`plan_cache`; every later binding (every row of a striped
+        bitvector) reuses its primitive sequence and latencies.
 
         Addresses first pass through :attr:`repair` (runtime spare-row
         remapping) and the program through :attr:`dcc_route`, so callers
@@ -251,12 +254,25 @@ class AmbitController:
                 program.num_ap, total_ns, canonical_tally(executed),
             )
         trace.credit(totals)
-        if self._m_ops is not None:
-            self._m_ops.labels(op=program.op.value).inc()
-            self._m_latency.labels(op=program.op.value).observe(total_ns)
+        metrics = self.op_metrics(program.op.value)
+        if metrics is not None:
+            ops, latency = metrics
+            ops.inc()
+            latency.observe(total_ns)
             self._m_busy.inc(total_ns)
         if tracer is not None:
             tracer.end_op(self.chip.clock_ns)
+
+    def op_metrics(self, label: str):
+        """The ``ambit_ops_total`` counter and ``ambit_op_latency_ns``
+        histogram of one op label (``None`` without a registry)."""
+        metrics = self._op_metrics.get(label)
+        if metrics is None and self._m_ops is not None:
+            metrics = self._op_metrics[label] = (
+                self._m_ops.labels(op=label),
+                self._m_latency.labels(op=label),
+            )
+        return metrics
 
     def copy(self, bank: int, subarray: int, src: int, dst: int) -> None:
         """RowClone-FPM copy through the AAP machinery."""
@@ -270,17 +286,17 @@ class AmbitController:
 
         Uses representative D-group addresses; every instance of an op
         has the same primitive structure, so the latency is uniform.
-        The compiled plan is cached, so repeated queries are O(1).
+        The op's template is cached, so repeated queries are O(1).
         """
         plan = self.plan_cache.get(op, 3, *range(op.arity))
         return plan.total_ns
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
-        """Clear accumulated statistics and the command trace.
+        """Clear accumulated statistics and the command trace's counts.
 
-        The plan cache's compiled programs survive (they are derived
-        state, not statistics); only its hit/miss counters are zeroed.
+        The plan cache's templates survive (they are derived state, not
+        statistics); only its hit/miss counters are zeroed.
         """
         self.stats = ControllerStats(self.chip.trace)
         self.chip.trace.clear()

@@ -144,6 +144,32 @@ class StepProgram:
             self, tuple(p for part in parts for p in part.primitives)
         )
 
+    def distinct_rows(self) -> Tuple[Tuple[int, int], ...]:
+        """Pairs of binding positions that must hold distinct rows.
+
+        Positions index the binding ``(dk, *srcs, *temps)`` that
+        :meth:`program` takes.  A scratch row must differ from every
+        other row, and a COPY step's source row from its destination
+        row (:func:`compile_copy`): :meth:`program` raises on any such
+        pair.  Plan templates check new bindings against these pairs
+        instead of compiling them (:mod:`repro.engine.plan`).
+        """
+        first_temp = 1 + self.arity
+        pairs = {
+            (position, temp)
+            for temp in range(first_temp, first_temp + self.num_temps)
+            for position in range(temp)
+        }
+
+        def position(slot: int) -> int:
+            return 0 if slot == DST_SLOT else 1 + slot
+
+        for step in self.steps:
+            if step.op is BulkOp.COPY and step.srcs[0] >= 0:
+                pair = (position(step.dst), position(step.srcs[0]))
+                pairs.add((min(pair), max(pair)))
+        return tuple(sorted(pairs))
+
     def eval_rows(self, sources: Sequence[np.ndarray]):
         """Interpret the steps over row values.
 
@@ -214,6 +240,11 @@ class BulkOp(StepProgram, enum.Enum):
         op.num_temps = 0
         op.steps = (Step(op, DST_SLOT, tuple(range(arity))),)
         return op
+
+    # Members are singletons compared by identity; hash them by identity
+    # too.  ``Enum`` hashes the name in Python, and every plan-template
+    # lookup hashes its op.
+    __hash__ = object.__hash__
 
 
 #: AAP/AP cost of each Figure-8 program (Section 3.4).

@@ -7,12 +7,14 @@ chip gives reserved row addresses special meaning internally.
 
 This module defines the command records that flow from the (Ambit-aware)
 memory controller to the DRAM chip model, plus the trace that accounts
-for what was issued: the command log and its exact counts.
+for what was issued: exact counts of it, and captures of the commands
+themselves for the readers that ask for them.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -98,7 +100,7 @@ class IssuedCommand:
     (Section 7), so the trace records how many wordlines each ACTIVATE
     actually raised, as reported back by the chip.
 
-    Frozen: one entry may sit in many traces and in the plan cache's
+    Frozen: one entry may sit in many captures and in the plan cache's
     shared command schedules (see :mod:`repro.engine.plan`).
     """
 
@@ -184,60 +186,111 @@ class TraceRecord:
 
 
 class CommandTrace:
-    """The log of issued commands, and exact counts of them.
+    """Exact counts of the issued commands, and captures for their readers.
 
-    The chip appends every command it executes and tallies it by
-    :data:`CommandKind`.  Rows whose commands are not executed one by
-    one (a fused or sharded batch) are *charged* instead: one count per
-    row against the op totals their plan carries
+    The chip tallies every command it executes by :data:`CommandKind`.
+    Rows whose commands are not executed one by one (a fused or sharded
+    batch) are *charged* instead: one count per group of rows against the
+    op totals their plan template carries
     (:class:`repro.engine.plan.OpTotals`), which the folds multiply out
     only when read.  A row walked command by command is *credited* with
     totals built from the chip's tally over its walk, so its commands
     are never counted twice.  The controller's op and primitive counts,
     the profiler and the Table 3 energy fold all read these counters
-    (:meth:`record`); the timing and energy layers never need the log.
+    (:meth:`record`); none of them needs the commands themselves.
 
-    Counters never decrease: :meth:`clear` drops the log and moves the
-    zero point that :meth:`counts`, :meth:`weighted_activates` and
-    ``len()`` measure from, but a :class:`TraceRecord` taken before it
-    still differences exactly against one taken after.
+    The commands are kept only while a reader asks for them: each open
+    :meth:`capture` receives every command executed or charged, in issue
+    order.  With no capture open, nothing here grows with the commands
+    issued.
+
+    Counters never decrease: :meth:`clear` moves the zero point that
+    :meth:`counts`, :meth:`weighted_activates` and ``len()`` measure
+    from, but a :class:`TraceRecord` taken before it still differences
+    exactly against one taken after.
     """
 
     def __init__(self) -> None:
-        self.entries: List[IssuedCommand] = []
         self.tally: Dict[CommandKind, int] = {}
         self.charged: Dict[object, int] = {}
         self.credited: Dict[object, int] = {}
+        #: The open captures' command lists (see :meth:`capture`).
+        self._captures: List[List[IssuedCommand]] = []
         self._cleared_at = self.record()
 
     def append(self, issued: IssuedCommand) -> None:
         """Record one executed command."""
-        self.entries.append(issued)
         kind = (issued.command.opcode, issued.wordlines_raised)
         tally = self.tally
         tally[kind] = tally.get(kind, 0) + 1
+        for captured in self._captures:
+            captured.append(issued)
 
     def extend(self, issued: Iterable[IssuedCommand]) -> None:
         """Record several executed commands."""
         for entry in issued:
             self.append(entry)
 
-    def charge(self, totals, schedule: Tuple[IssuedCommand, ...]) -> None:
-        """Account one row that ran without executing ``schedule``.
+    def charge(self, totals, rows: int = 1) -> None:
+        """Account ``rows`` executions that ran without executing their
+        commands.
 
-        ``schedule`` is the row's command stream, exactly as executing
-        it would have logged it; ``totals`` are its plan's op totals.
-        One counter bump; the commands are counted from ``totals``.
+        ``totals`` are their plan template's op totals.  One counter
+        bump; the commands are counted from ``totals`` when read.  While
+        :attr:`capturing`, pass the rows' commands to :meth:`log` too.
         """
-        self.entries.extend(schedule)
         charged = self.charged
-        charged[totals] = charged.get(totals, 0) + 1
+        charged[totals] = charged.get(totals, 0) + rows
 
     def credit(self, totals) -> None:
         """Account one walked op execution, whose commands the chip
         already tallied (``totals.commands`` says which they were)."""
         credited = self.credited
         credited[totals] = credited.get(totals, 0) + 1
+
+    @property
+    def capturing(self) -> bool:
+        """True while some :meth:`capture` is open."""
+        return bool(self._captures)
+
+    def log(self, issued: Iterable[IssuedCommand]) -> None:
+        """Hand charged commands to every open capture.
+
+        ``issued`` is a charged row's command stream, exactly as
+        executing it would have recorded it; :meth:`charge` has already
+        counted it.
+        """
+        for captured in self._captures:
+            captured.extend(issued)
+
+    @contextmanager
+    def capture(self) -> Iterator[List[IssuedCommand]]:
+        """Collect the commands issued while the block runs.
+
+        Yields a list that receives every command executed or charged
+        until the block exits, in issue order.  Captures may nest or
+        overlap; each receives everything issued while it is open.
+        Golden traces, trace dumps and replay, and per-entry folds
+        (:func:`repro.energy.power_model.trace_energy_nj`) read a
+        capture; the counts need none.
+        """
+        captured = self.open_capture()
+        try:
+            yield captured
+        finally:
+            self.close_capture(captured)
+
+    def open_capture(self) -> List[IssuedCommand]:
+        """Open a capture that outlives a ``with`` block (a command log
+        kept across calls); returns its list.  Close it with
+        :meth:`close_capture`."""
+        captured: List[IssuedCommand] = []
+        self._captures.append(captured)
+        return captured
+
+    def close_capture(self, captured: List[IssuedCommand]) -> None:
+        """Stop filling ``captured`` (a list :meth:`open_capture` made)."""
+        self._captures = [c for c in self._captures if c is not captured]
 
     def executed_since(
         self, mark: Mapping[CommandKind, int]
@@ -256,15 +309,11 @@ class CommandTrace:
         return (self.record() - self._cleared_at).commands()
 
     def clear(self) -> None:
-        """Drop all recorded commands."""
-        self.entries.clear()
+        """Start counting from zero (open captures are their readers')."""
         self._cleared_at = self.record()
 
     def __len__(self) -> int:
         return sum(self.command_counts().values())
-
-    def __iter__(self) -> Iterator[IssuedCommand]:
-        return iter(self.entries)
 
     def counts(self) -> Tuple[int, int, int, int]:
         """Return ``(activates, precharges, reads, writes)``."""

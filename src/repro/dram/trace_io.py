@@ -10,7 +10,8 @@ it onto a fresh device.  This module provides a simple line format::
     WR  <bank> <column> <hex-value>
     REF
 
-plus :func:`dump_trace` (from a chip's executed-command log),
+plus :func:`dump_trace` (from captured commands, see
+:meth:`repro.dram.commands.CommandTrace.capture`),
 :func:`parse_trace`, and :func:`replay_trace` (drive any chip --
 commodity or Ambit -- from a trace).  Replaying an Ambit microprogram's
 dump onto a fresh Ambit device reproduces the original computation
@@ -152,6 +153,13 @@ def replay_trace(chip: DramChip, entries: Iterable[TraceEntry]) -> List[int]:
     return reads
 
 
-def roundtrip(chip: DramChip) -> List[TraceEntry]:
-    """Dump the chip's executed commands and re-parse them."""
-    return parse_trace(dump_trace(chip.trace))
+def roundtrip(issued: Iterable[IssuedCommand]) -> List[TraceEntry]:
+    """Dump captured commands and re-parse them.
+
+    ``issued`` is what a capture collected::
+
+        with chip.trace.capture() as issued:
+            ...
+        entries = roundtrip(issued)
+    """
+    return parse_trace(dump_trace(issued))

@@ -1,11 +1,11 @@
 """Batched execution engine (plan caching, fused kernels, bank interleave).
 
 The layer between the driver and the chip that makes vector-scale work
-fast: microprograms compile once per distinct address tuple
-(:class:`~repro.engine.plan.PlanCache`), bitvector operations apply as
-fused numpy kernels over row batches with exact per-row accounting
-(:class:`~repro.engine.batch.BatchEngine`), and command groups issue
-round-robin across banks
+fast: microprograms compile once per op shape into address-free
+templates (:class:`~repro.engine.plan.PlanCache`), bitvector operations
+apply as fused numpy kernels over row batches with exact per-row
+accounting (:class:`~repro.engine.batch.BatchEngine`), and command
+groups issue round-robin across banks
 (:class:`~repro.engine.scheduler.BatchScheduler`).
 """
 

@@ -1,20 +1,22 @@
-"""The batched execution engine: fused row-batch kernels over cached plans.
+"""The batched execution engine: fused row-batch kernels over plan templates.
 
 The per-row execution path walks every bulk operation through
 ``compile -> primitives -> Command objects -> Subarray.activate`` one
 row at a time; pure Python dispatch dominates long before the functional
 numpy work does.  This engine is the fast path the ROADMAP asks for:
 
-1. **Plan once** -- every row reuses a cached
-   :class:`~repro.engine.plan.RowPlan` (microprogram + latencies +
-   per-(bank, subarray) command schedule) from the controller's
-   :class:`~repro.engine.plan.PlanCache`.
+1. **Plan once** -- every row binds a cached
+   :class:`~repro.engine.plan.PlanTemplate` (primitive sequence,
+   latencies and per-row totals of its op shape) from the controller's
+   :class:`~repro.engine.plan.PlanCache`; a (bank, subarray) group whose
+   rows are all data rows costs one template lookup.
 2. **Execute in bulk** -- all rows of a (bank, subarray) group are
    applied as *one* vectorised numpy operation over an
    ``(N x words_per_row)`` view (:meth:`repro.dram.subarray.Subarray.peek_batch`
    / ``poke_batch``), while the accounting (per-row command
-   timing/energy, AAP/AP counts, the command trace itself) is charged
-   exactly as if every row had walked the per-row path.
+   timing/energy, AAP/AP counts, the command trace's counts) is charged
+   exactly as if every row had walked the per-row path -- with one
+   counter bump per group.
 3. **Overlap across banks** -- groups are issued round-robin across
    banks (:class:`~repro.engine.scheduler.BatchScheduler`), and every
    batch returns a :class:`~repro.engine.scheduler.ParallelismReport`
@@ -30,8 +32,10 @@ always correct; batching is purely an optimisation.
 
 An attached tracer does not change the path.  A fused group's rows
 emit the same op, primitive and command events as the per-row walk,
-from the same cached command schedules the accounting charges
-(:meth:`BatchEngine.account_group`).
+from command schedules bound from their templates
+(:meth:`BatchEngine.account_group`); an open
+:meth:`~repro.dram.commands.CommandTrace.capture` receives the same
+schedules.  Without either, no row's commands are bound at all.
 
 Known modelling deltas of the fast path (documented, not observable
 through the bulk-op API): B-group designated rows are not rewritten (all
@@ -43,15 +47,14 @@ group's issue time instead of each primitive's individual clock.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.microprograms import StepProgram, apply_bulk_op
 from repro.dram.chip import RowLocation
 from repro.dram.commands import IssuedCommand
-from repro.engine.plan import RowPlan
+from repro.engine.plan import PlanTemplate, Rows
 from repro.engine.scheduler import BatchScheduler, CommandGroup, ParallelismReport
 from repro.errors import AddressError, DramProtocolError
 
@@ -80,17 +83,30 @@ class BatchReport:
 class _Group:
     """All rows of one batch that target one (bank, subarray)."""
 
-    __slots__ = ("bank", "subarray", "indices", "plans")
+    __slots__ = ("bank", "subarray", "indices", "rows", "templates")
 
     def __init__(self, bank: int, subarray: int):
         self.bank = bank
         self.subarray = subarray
         self.indices: List[int] = []
-        self.plans: List[RowPlan] = []
+        #: Each row's binding ``(dk, *srcs, *temps)``, in row order.
+        self.rows: List[List[int]] = []
+        #: One template for every row, or one per row
+        #: (:meth:`repro.engine.plan.PlanCache.lookup`).
+        self.templates: List[PlanTemplate] = []
 
     @property
     def duration_ns(self) -> float:
-        return sum(plan.total_ns for plan in self.plans)
+        templates = self.templates
+        if len(templates) == 1:
+            return templates[0].total_ns(len(self.rows))
+        return sum(template.totals.ns for template in templates)
+
+    def bindings(self) -> Iterator[Tuple[Rows, PlanTemplate]]:
+        """``(rows, template)`` of every row, in row order."""
+        if len(self.templates) == 1:
+            return zip(self.rows, repeat(self.templates[0]))
+        return zip(self.rows, self.templates)
 
 
 class BatchEngine:
@@ -234,45 +250,41 @@ class BatchEngine:
         *srcs: Optional[Sequence[RowLocation]],
         temps: Columns = (),
     ) -> List[_Group]:
-        """Validate co-location and compile the batch into per-(bank,
-        subarray) groups of cached plans.
+        """Validate co-location and bind the batch's per-(bank, subarray)
+        groups to plan templates.
 
         This is the planning front half of :meth:`run_rows`; the sharded
         device calls it directly so its plan-cache traffic (and thus the
         hit/miss counters) matches the single-process engine exactly.
         The co-location contract covers destination, operand *and*
-        scratch rows.
+        scratch rows.  A group of data rows gets one template, looked up
+        once; a group binding reserved rows gets one per row.
         """
         srcs = [col for col in srcs if col is not None]
-        columns = srcs + list(temps)
-        arity = len(srcs)
-        cache = self.plan_cache
-        route = self.controller.dcc_route
-        groups: "OrderedDict[Tuple[int, int], _Group]" = OrderedDict()
+        operands = srcs + list(temps)
+        groups: Dict[Tuple[int, int], _Group] = {}
         for i, d in enumerate(dst):
-            key = (d.bank, d.subarray)
-            addresses = []
-            for col in columns:
+            bank, sub = d.bank, d.subarray
+            rows = [d.address]
+            for col in operands:
                 loc = col[i]
-                if (loc.bank, loc.subarray) != key:
+                if loc.bank != bank or loc.subarray != sub:
                     raise AddressError(
                         f"batch operands of row {i} must share a subarray: "
-                        f"{loc} vs bank {d.bank} subarray {d.subarray} "
+                        f"{loc} vs bank {bank} subarray {sub} "
                         f"(stage cross-subarray operands first)"
                     )
-                addresses.append(loc.address)
-            plan = cache.get(
-                op,
-                d.address,
-                *addresses[:arity],
-                temps=tuple(addresses[arity:]),
-                dcc=route.get(key, 0),
-            )
-            group = groups.get(key)
+                rows.append(loc.address)
+            group = groups.get((bank, sub))
             if group is None:
-                group = groups[key] = _Group(d.bank, d.subarray)
+                group = groups[bank, sub] = _Group(bank, sub)
             group.indices.append(i)
-            group.plans.append(plan)
+            group.rows.append(rows)
+        lookup = self.plan_cache.lookup
+        route = self.controller.dcc_route
+        arity = len(srcs)
+        for key, group in groups.items():
+            group.templates = lookup(op, group.rows, arity, route.get(key, 0))
         return list(groups.values())
 
     def plan_groups_compiled(self, cop, dst, operands, temps) -> List[_Group]:
@@ -356,58 +368,74 @@ class BatchEngine:
     def account_group(self, op, group: _Group) -> None:
         """Charge one group's rows to the accounting record.
 
-        Each row is one counter bump in the chip trace, keyed by its
-        plan's :class:`~repro.engine.plan.OpTotals` (op and primitive
-        counts, commands and energy are folded from those only when
-        read), plus the row's schedule appended to the command log; busy
-        time and the clock advance once per group.  The result equals
-        walking every row through the controller.  The fused kernel
-        calls this after its numpy work; the sharded device calls it for
-        groups whose *functional* effect ran in a worker process --
-        accounting always happens in the process that owns the stats, so
-        merged counters, energy, and golden traces stay exact.
+        A group of one template is one counter bump of n rows in the
+        chip trace, keyed by the template's
+        :class:`~repro.engine.plan.OpTotals` (op and primitive counts,
+        commands and energy are folded from those only when read), and
+        n x the template's latency of busy time, summed as a per-row
+        loop sums it; a group of per-row templates is charged row by
+        row.  Busy time and the clock advance once per group.  The
+        result equals walking every row through the controller.  The
+        fused kernel calls this after its numpy work; the sharded device
+        calls it for groups whose *functional* effect ran in a worker
+        process -- accounting always happens in the process that owns
+        the stats, so merged counters, energy, and golden traces stay
+        exact.
 
-        With a tracer attached, the same schedules also become the
-        tracer's events, equal to those the per-row walk emits.
+        Only an attached tracer or an open capture binds the rows'
+        command schedules: the tracer's events equal those the per-row
+        walk emits, and the capture receives the commands in order.
         """
         bank, sub = group.bank, group.subarray
-        cache = self.plan_cache
-        stats = self.controller.stats
-        charge = self.chip.trace.charge
+        trace = self.chip.trace
         tracer = self.chip.tracer
-        clock_ns = self.chip.clock_ns
-        ops_metric = self.controller._m_ops
-        latency_metric = (
-            None
-            if ops_metric is None
-            else self.controller._m_latency.labels(op=op.value)
-        )
-        total_ns = 0.0
-        for plan in group.plans:
-            schedule = cache.issued_commands(plan, bank, sub)
-            charge(plan.totals, schedule)
-            if tracer is not None:
-                clock_ns = _emit_plan(
-                    tracer, plan, schedule, bank, sub, clock_ns
-                )
-            total_ns += plan.total_ns
-            if latency_metric is not None:
-                latency_metric.observe(plan.total_ns)
+        templates = group.templates
+        rows = len(group.rows)
+        if len(templates) == 1:
+            template = templates[0]
+            trace.charge(template.totals, rows)
+            total_ns = template.total_ns(rows)
+        else:
+            total_ns = 0.0
+            for template in templates:
+                trace.charge(template.totals)
+                total_ns += template.totals.ns
+        if tracer is not None or trace.capturing:
+            schedule = self.plan_cache.schedule
+            clock_ns = self.chip.clock_ns
+            for bound, template in group.bindings():
+                commands = schedule(template, bound, bank, sub)
+                trace.log(commands)
+                if tracer is not None:
+                    clock_ns = _emit_plan(
+                        tracer, template, commands, bank, sub, clock_ns
+                    )
+        controller = self.controller
+        stats = controller.stats
         stats.busy_ns += total_ns
         stats.bank_busy_ns[bank] += total_ns
-        if ops_metric is not None:
-            ops_metric.labels(op=op.value).inc(len(group.indices))
-            self.controller._m_busy.inc(total_ns)
+        metrics = controller.op_metrics(op.value)
+        if metrics is not None:
+            ops, latency = metrics
+            ops.inc(rows)
+            if len(templates) == 1:
+                latency.observe(templates[0].totals.ns, count=rows)
+            else:
+                for template in templates:
+                    latency.observe(template.totals.ns)
+            controller._m_busy.inc(total_ns)
         self.chip.clock_ns += total_ns
 
     def _run_group_per_row(self, group: _Group) -> None:
-        for plan in group.plans:
-            self.controller.run_plan(plan, group.bank, group.subarray)
+        for rows, template in group.bindings():
+            self.controller.run_plan(
+                template.plan(rows), group.bank, group.subarray
+            )
 
 
 def _emit_plan(
     tracer,
-    plan: RowPlan,
+    template: PlanTemplate,
     schedule: Tuple[IssuedCommand, ...],
     bank: int,
     subarray: int,
@@ -422,15 +450,12 @@ def _emit_plan(
     by each primitive's latency, as the controller's clock does; the
     row's end is returned.
     """
-    program = plan.program
-    tracer.begin_op(program.op.value, bank, subarray, clock_ns)
+    tracer.begin_op(template.op.value, bank, subarray, clock_ns)
     commands = iter(schedule)
-    for primitive, latency in zip(program.primitives, plan.latencies_ns):
-        for issued in islice(commands, primitive.num_commands):
+    for (kind, _), latency in zip(template.primitives, template.latencies_ns):
+        for issued in islice(commands, kind.num_commands):
             tracer.record_command(issued, clock_ns)
-        tracer.record_primitive(
-            type(primitive).__name__, bank, subarray, clock_ns, latency
-        )
+        tracer.record_primitive(kind.__name__, bank, subarray, clock_ns, latency)
         clock_ns += latency
     tracer.end_op(clock_ns)
     return clock_ns

@@ -1,61 +1,59 @@
-"""Microprogram plan cache: compile once, execute many.
+"""Plan templates: compile each bulk-op shape once, bind rows when issued.
 
-Every instance of a bulk bitwise operation with the same local row
-addresses compiles to the *same* microprogram, the same per-primitive
-latencies, and (per bank/subarray) the same DRAM command stream.  The
-driver places co-operating bitvectors at matching local addresses across
-stripes, so a vector-wide operation is thousands of executions of a
-handful of distinct plans.  :class:`PlanCache` memoises that compilation:
+Ambit issues every bulk operation as one fixed AAP/AP sequence (Figure
+8) and binds the operand row addresses only when it issues it (Section
+5.4); SIMDRAM likewise stores each μProgram once and binds rows at run
+time.  A program's primitive sequence, latencies and command counts
+depend only on its *shape*: the op, the DCC route, and which bound rows
+are reserved addresses.  A B-group row raises other wordlines (Table 1)
+and decides AAP overlap (Section 5.3); a C-group row costs what a data
+row costs but is no valid destination.  Data rows are interchangeable.
 
-* :class:`RowPlan` -- one compiled bulk operation: the
-  :class:`~repro.core.microprograms.Microprogram`, its per-primitive
-  latencies under the cache's timing/decoder configuration, and its
-  per-row :class:`OpTotals` -- what the accounting record charges for
-  each row (AAPs, APs, latency, commands by kind and wordlines raised).
-  Both depend only on the plan's shape (op, DCC route, and which bound
-  rows are B-group addresses), so they are computed once per shape, and
-  plans with equal totals share one totals object
-  (:meth:`PlanCache.totals`).
-* :meth:`PlanCache.issued_commands` -- the flat
-  :class:`~repro.dram.commands.IssuedCommand` schedule of a plan on one
-  ``(bank, subarray)``, byte-identical to what
-  :meth:`repro.dram.chip.DramChip.execute` would append to the command
-  trace (wordline counts and AAP-overlap flags included), so the batch
-  engine can extend the trace without re-executing the state machine.
+:class:`PlanCache` keeps one :class:`PlanTemplate` per shape:
+
+* the op's primitive sequence over *binding positions* -- destination,
+  sources in input order, scratch rows -- and the fixed B- and C-group
+  addresses the program itself uses;
+* the per-primitive latencies under the cache's timing/decoder
+  configuration, and the per-row :class:`OpTotals` the accounting record
+  charges (AAPs, APs, latency, commands by kind and wordlines raised),
+  one shared object per distinct value (:meth:`PlanCache.totals`);
+* the binding positions that must hold distinct rows.
+
+Nothing is stored per address.  Templates are bounded by ops x DCC
+routes x reserved-row patterns, so the cache needs no eviction.  A miss
+compiles one program (:meth:`StepProgram.program`).  Hits and misses
+count per bound row, and per operation label too
+(``hits_by_op``/``misses_by_op``), so ``repro profile`` shows each
+compiled op as its own line.  The shape is keyed under one fixed
+``(address map, timing, split_decoder)`` configuration -- the cache is
+per-controller, and the controller's configuration is immutable.
+
+Concrete commands are bound from a template only where something reads
+them: :meth:`PlanTemplate.bind` gives one row's
+:class:`~repro.core.microprograms.Microprogram` for the per-row walk,
+and :meth:`PlanCache.schedule` its flat
+:class:`~repro.dram.commands.IssuedCommand` stream on one ``(bank,
+subarray)`` for an attached tracer or an open capture.  A fused group
+of rows is charged from its template alone.
 
 Schedules are tuples of shared entries.  Every bulk op is a fixed
 AAP/AP sequence over a subarray's data rows and its reserved B- and
-C-group addresses (Figure 8, Table 1), so the geometry fixes the set of
-distinct commands a subarray can ever receive: at most two ACTIVATEs per
-``(bank, subarray, row address)`` -- a fresh sense, and the second
-ACTIVATE of an AAP landing on the open row -- plus one PRECHARGE per
-``(bank, subarray)``.  The cache builds each such command site's
-:class:`~repro.dram.commands.IssuedCommand` once, on first use, and
-keeps it for its own lifetime; a schedule only picks entries.  So an AND
-and an OR writing the same ``dk`` share the entries of their final
-``AAP(B12, dk)``, a plan recompiled after eviction gets the very same
-entries back, and ``chip.trace`` holds references rather than copies.
-Evicting a plan drops its schedule tuples but never the shared entries.
+C-group addresses, so the geometry fixes the set of distinct commands a
+subarray can ever receive: at most two ACTIVATEs per ``(bank, subarray,
+row address)`` -- a fresh sense, and the second ACTIVATE of an AAP
+landing on the open row -- plus one PRECHARGE per ``(bank, subarray)``.
+The cache builds each such command site's entry once, on first use,
+and keeps it for its own lifetime; a schedule only picks entries.
 Entries must never be mutated; ``IssuedCommand`` is frozen, so an
-assignment to one raises instead of rewriting other plans' schedules
-and past trace entries.
-
-Cache keys are ``(op, dk, srcs, temps, dcc)``: the operation (any
-:class:`~repro.core.microprograms.StepProgram` -- one of the paper's
-nine ops or a :class:`repro.compile.ops.CompiledOp`), its local
-destination, source and scratch rows, and the DCC route, under one
-fixed ``(address map, timing, split_decoder)`` configuration -- the
-cache is per-controller, and the controller's configuration is
-immutable.  Hit/miss statistics are additionally kept per operation
-label (``hits_by_op``/``misses_by_op``), so ``repro profile`` shows
-each compiled op as its own line.
+assignment to one raises instead of rewriting other schedules and
+captured commands.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.microprograms import Microprogram, StepProgram
@@ -68,9 +66,11 @@ from repro.dram.commands import (
     canonical_tally,
 )
 from repro.dram.timing import TimingParameters
+from repro.errors import AddressError
 
-#: Cache key: the operation, its local rows, and the DCC route.
-PlanKey = Tuple[StepProgram, int, Tuple[int, ...], Tuple[int, ...], int]
+#: One row's binding: the destination, the sources in input order, then
+#: the scratch rows -- the order :meth:`StepProgram.program` takes them.
+Rows = Sequence[int]
 
 
 class OpTotals:
@@ -108,49 +108,132 @@ class OpTotals:
         )
 
 
+class PlanTemplate:
+    """One compiled op shape, its rows left unbound.
+
+    Addresses in :attr:`primitives` and :attr:`commands` are references:
+    ``ref >= 0`` is a fixed address of the program (a B- or C-group row
+    it uses), ``ref < 0`` the row at position ``~ref`` of a binding
+    ``(dk, *srcs, *temps)``.
+    """
+
+    __slots__ = (
+        "op", "primitives", "commands", "distinct", "latencies_ns",
+        "totals", "_exact_rows",
+    )
+
+    def __init__(
+        self,
+        op: StepProgram,
+        primitives: Tuple[Tuple[type, Tuple[int, ...]], ...],
+        latencies_ns: Tuple[float, ...],
+        totals: OpTotals,
+    ):
+        self.op = op
+        #: ``(AAP or AP, address refs)`` per primitive, in program order.
+        self.primitives = primitives
+        #: Per bus command, in issue order: ``(address ref,
+        #: onto_open_row)`` for an ACTIVATE, ``None`` for a PRECHARGE.
+        self.commands: Tuple[Optional[Tuple[int, bool]], ...] = tuple(
+            command
+            for _, refs in primitives
+            for command in (*zip(refs, (False, True)), None)
+        )
+        #: Binding positions that must hold distinct rows.
+        self.distinct = op.distinct_rows()
+        #: Accounted latency of each primitive, in program order.
+        self.latencies_ns = latencies_ns
+        #: What the accounting record charges per row.
+        self.totals = totals
+        # Row counts below this sum exactly: every partial sum k x ns
+        # then has at most 53 significant bits.
+        numerator, _ = totals.ns.as_integer_ratio()
+        odd = numerator // (numerator & -numerator) if numerator else 0
+        self._exact_rows = 1 << max(0, 53 - odd.bit_length())
+
+    def total_ns(self, rows: int) -> float:
+        """Latency of ``rows`` executions, summed one row after another.
+
+        That is ``rows x totals.ns`` whenever every partial sum is exact
+        (DDR3-1600's quarter-ns latencies); other speed grades add row
+        by row, so the result equals a per-row loop's bit for bit.
+        """
+        ns = self.totals.ns
+        if rows < self._exact_rows:
+            return rows * ns
+        total = 0.0
+        for _ in range(rows):
+            total += ns
+        return total
+
+    def check(self, rows: Rows) -> None:
+        """Raise unless ``rows`` keeps :attr:`distinct` positions apart,
+        as :meth:`StepProgram.program` would."""
+        for i, j in self.distinct:
+            if rows[i] == rows[j]:
+                raise AddressError(
+                    f"{self.op.value}: binding positions {i} and {j} "
+                    f"(destination, sources, scratch rows) must be "
+                    f"distinct rows; both are {rows[i]}"
+                )
+
+    def bind(self, rows: Rows) -> Microprogram:
+        """The program of one binding: what ``op.program`` compiles."""
+        return Microprogram(self.op, tuple(
+            kind(*[rows[~ref] if ref < 0 else ref for ref in refs])
+            for kind, refs in self.primitives
+        ))
+
+    def plan(self, rows: Rows) -> "RowPlan":
+        """One binding as a :class:`RowPlan` for the per-row walk."""
+        rows = tuple(rows)
+        return RowPlan(self, rows, self.bind(rows))
+
+
 @dataclass(frozen=True)
 class RowPlan:
-    """One compiled bulk operation with pre-computed cost metadata."""
+    """One row's binding of a template: what the per-row walk executes."""
 
-    key: PlanKey
+    template: PlanTemplate
+    #: The binding ``(dk, *srcs, *temps)``.
+    rows: Tuple[int, ...]
     program: Microprogram
-    #: Accounted latency of each primitive, in program order.
-    latencies_ns: Tuple[float, ...]
-    #: Sum of ``latencies_ns`` -- the per-row latency of the operation.
-    total_ns: float
-    #: What the accounting record charges per row (shared by every plan
-    #: with equal totals).
-    totals: OpTotals = field(compare=False, repr=False)
-    #: ``(bank, subarray)`` -> the plan's flat command schedule there
-    #: (see :meth:`PlanCache.issued_commands`): a tuple of the cache's
-    #: shared per-site entries.  Held by the plan, so an evicted plan
-    #: takes its tuples with it; the entries stay in the cache's site
-    #: table, at most two ACTIVATEs per (bank, subarray, row address)
-    #: plus one PRECHARGE per (bank, subarray).
-    schedules: Dict[Tuple[int, int], Tuple[IssuedCommand, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @property
     def op(self) -> StepProgram:
-        return self.program.op
+        return self.template.op
+
+    @property
+    def latencies_ns(self) -> Tuple[float, ...]:
+        """Accounted latency of each primitive, in program order."""
+        return self.template.latencies_ns
+
+    @property
+    def totals(self) -> OpTotals:
+        """What the accounting record charges per row."""
+        return self.template.totals
+
+    @property
+    def total_ns(self) -> float:
+        """The per-row latency of the operation."""
+        return self.template.totals.ns
 
 
 class PlanCache:
-    """Memoised compilation of bulk operations to executable plans.
+    """Templates of bulk operations, compiled once per shape.
 
     Parameters
     ----------
     amap:
         The subarray address map (fixed per device).
     timing:
-        Speed grade used for the cached per-primitive latencies.
+        Speed grade used for the templates' per-primitive latencies.
     split_decoder:
         Decoder configuration the latencies assume (Section 5.3).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; hit/miss
         counters mirror into ``ambit_plan_cache_{hits,misses}_total``
-        and a collector samples the compiled-plan count at scrape time.
+        and a collector samples the template count at scrape time.
     """
 
     def __init__(
@@ -159,93 +242,51 @@ class PlanCache:
         timing: TimingParameters,
         split_decoder: bool = True,
         metrics: Optional[object] = None,
-        max_plans: Optional[int] = None,
     ):
         self.amap = amap
         self.timing = timing
         self.split_decoder = split_decoder
-        self._plans: "OrderedDict[PlanKey, RowPlan]" = OrderedDict()
+        self._data_rows = amap.data_rows
+        #: Shape -> its template (see :meth:`lookup`); never trimmed, a
+        #: few per op and DCC route.
+        self._templates: Dict[tuple, PlanTemplate] = {}
         #: Command site -> its one shared schedule entry (see
-        #: :meth:`issued_commands`); never trimmed, bounded by geometry.
+        #: :meth:`schedule`); never trimmed, bounded by geometry.
         self._sites = _SiteTable(amap)
         #: Value -> the one :class:`OpTotals` with that value (see
         #: :meth:`totals`); never trimmed, one entry per distinct cost.
         self._totals: Dict[tuple, OpTotals] = {}
-        #: Plan shape -> its latencies and totals (see :meth:`_install`);
-        #: never trimmed, a few entries per op.
-        self._templates: Dict[tuple, Tuple[Tuple[float, ...], OpTotals]] = {}
         #: Cache statistics; reset with :meth:`reset_counters` (the
-        #: compiled plans themselves survive a stats reset).
+        #: templates themselves survive a stats reset).
         self.hits = 0
         self.misses = 0
+        #: Always 0: templates are bounded by construction and never
+        #: evicted.  Kept while benchmark readers still read it.
         self.evictions = 0
         #: Per-operation-label statistics (``op.value`` -> count); the
         #: fix for compiled plans colliding into one profile bucket.
         self.hits_by_op: Dict[str, int] = {}
         self.misses_by_op: Dict[str, int] = {}
-        self._max_plans: Optional[int] = None
-        self._m_hits = self._m_misses = self._m_evictions = None
+        self._m_hits = self._m_misses = None
         if metrics is not None:
             self._m_hits = metrics.counter(
-                "ambit_plan_cache_hits_total", "Plan-cache hits"
-            )
+                "ambit_plan_cache_hits_total", "Plan-cache hits, per row"
+            ).labels()
             self._m_misses = metrics.counter(
                 "ambit_plan_cache_misses_total",
-                "Plan-cache misses (microprogram compilations)",
-            )
-            self._m_evictions = metrics.counter(
-                "ambit_plan_cache_evictions_total",
-                "Plans evicted by the LRU bound (multi-tenant churn)",
-            )
-            plans_gauge = metrics.gauge(
-                "ambit_plan_cache_plans", "Distinct compiled plans held"
+                "Plan-cache misses (template compilations)",
+            ).labels()
+            templates_gauge = metrics.gauge(
+                "ambit_plan_cache_plans",
+                "Plan templates held (one per op shape)",
             )
             metrics.register_collector(
-                lambda: plans_gauge.set(len(self._plans))
+                lambda: templates_gauge.set(len(self._templates))
             )
-        if max_plans is not None:
-            self.max_plans = max_plans
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._plans)
-
-    @property
-    def max_plans(self) -> Optional[int]:
-        """LRU bound on compiled plans (``None`` = unbounded).
-
-        A single workload compiles a handful of plans and never needs a
-        bound; a multi-tenant service allocating and freeing vectors at
-        churn compiles an unbounded stream of address combinations, so
-        the serving layer installs a bound here.  Setting it trims the
-        cache immediately (least recently used first) and counts each
-        drop in ``ambit_plan_cache_evictions_total``.
-        """
-        return self._max_plans
-
-    @max_plans.setter
-    def max_plans(self, bound: Optional[int]) -> None:
-        if bound is not None and bound < 1:
-            raise ValueError(f"max_plans must be >= 1 or None; got {bound}")
-        self._max_plans = bound
-        self._trim()
-
-    def _trim(self) -> None:
-        while self._max_plans is not None and len(self._plans) > self._max_plans:
-            # Command schedules live on the plan, so they go with it.
-            self._plans.popitem(last=False)
-            self.evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
-
-    @property
-    def _commands(self) -> List[Tuple[PlanKey, int, int]]:
-        """``(plan key, bank, subarray)`` of every cached schedule."""
-        return [
-            (key, bank, subarray)
-            for key, plan in self._plans.items()
-            for bank, subarray in plan.schedules
-        ]
+        return len(self._templates)
 
     def get(
         self,
@@ -255,97 +296,124 @@ class PlanCache:
         temps: Tuple[int, ...] = (),
         dcc: int = 0,
     ) -> RowPlan:
-        """The plan for ``op`` at the given local rows (compiling on miss).
+        """The plan for ``op`` at the given local rows, bound from its
+        template (compiled on a miss).
 
         ``srcs`` are the operand rows in input order (``None`` entries,
         for operands an op does not take, are dropped) and ``temps`` the
         op's scratch rows.  ``dcc`` selects the dual-contact row
-        carrying single negations; it is part of the key, as is the full
-        row binding, so rerouted or differently placed plans never alias.
+        carrying single negations; it is part of the shape, so rerouted
+        plans never alias.
         """
         if None in srcs:
             srcs = tuple(s for s in srcs if s is not None)
-        key = (op, dk, srcs, tuple(temps), dcc)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._record_hit(op, key)
-            return plan
-        self._record_miss(op)
-        program = op.program(self.amap, dk, srcs, temps, dcc)
-        return self._install(key, program)
+        rows = (dk, *srcs, *temps)
+        (template,) = self.lookup(op, [rows], len(srcs), dcc)
+        return template.plan(rows)
 
-    def _record_hit(self, op, key) -> None:
-        self.hits += 1
-        label = op.value
-        self.hits_by_op[label] = self.hits_by_op.get(label, 0) + 1
+    def lookup(
+        self,
+        op: StepProgram,
+        rows: Sequence[Rows],
+        arity: int,
+        dcc: int = 0,
+    ) -> List[PlanTemplate]:
+        """The templates binding ``rows`` (each new shape compiled once).
+
+        ``rows`` holds one binding ``(dk, *srcs, *temps)`` per row, each
+        with ``arity`` sources.  When no row binds a reserved (B- or
+        C-group) address, one template serves all rows and is returned
+        alone; otherwise the result is one template per row, in row
+        order.  Every row counts as one hit or miss, and every binding
+        is checked as :meth:`StepProgram.program` checks it.
+        """
+        if min(map(min, rows)) >= 0 and max(map(max, rows)) < self._data_rows:
+            first = rows[0]
+            template = self._template(op, first, arity, dcc, len(first))
+            if len(rows) > 1:
+                if template.distinct:
+                    for row in rows:
+                        template.check(row)
+                self._count_hits(template, len(rows) - 1)
+            return [template]
+        return [
+            self._template(op, row, arity, dcc, self._pattern(row))
+            for row in rows
+        ]
+
+    def _pattern(self, rows: Rows):
+        """The binding's width when every row is a data row, else its
+        reserved addresses by position (``None`` for a data row)."""
+        data_rows = self._data_rows
+        if min(rows) >= 0 and max(rows) < data_rows:
+            return len(rows)
+        return tuple(None if 0 <= row < data_rows else row for row in rows)
+
+    def _template(
+        self, op: StepProgram, rows: Rows, arity: int, dcc: int, pattern
+    ) -> PlanTemplate:
+        # The shape: the op, its arity, the DCC route and the pattern
+        # (see :meth:`_pattern`).
+        key = (op, dcc, arity, pattern)
+        template = self._templates.get(key)
+        if template is None:
+            return self._compile(key, rows)
+        template.check(rows)
+        self._count_hits(template, 1)
+        return template
+
+    def _count_hits(self, template: PlanTemplate, n: int) -> None:
+        self.hits += n
+        label = template.totals.name
+        self.hits_by_op[label] = self.hits_by_op.get(label, 0) + n
         if self._m_hits is not None:
-            self._m_hits.inc()
-        if self._max_plans is not None:
-            self._plans.move_to_end(key)
+            self._m_hits.inc(n)
 
-    def _record_miss(self, op) -> None:
+    def _compile(self, key: tuple, rows: Rows) -> PlanTemplate:
+        """Compile one binding's program into its shape's template."""
+        op, dcc, arity, _ = key
         self.misses += 1
         label = op.value
         self.misses_by_op[label] = self.misses_by_op.get(label, 0) + 1
         if self._m_misses is not None:
             self._m_misses.inc()
-
-    def _install(self, key: PlanKey, program: Microprogram) -> RowPlan:
-        op, dk, srcs, temps, dcc = key
-        # A program binds its rows into the fixed AAP/AP sequence of its
-        # op and DCC route, and a bound row costs differently only when
-        # it is a B-group address: that raises other wordlines and
-        # decides AAP overlap.  So plans of one shape share latencies
-        # and totals, computed once per shape.
-        b_group = self._sites.wordlines
-        shape = (op, dcc) + tuple(
-            row if row in b_group else None for row in (dk, *srcs, *temps)
+        # Compiled over rows that remember their position, the program
+        # tells every address apart by where it came from: a destination
+        # aliasing a source, or a C-group operand equal to a control row
+        # the program itself uses, stay separate positions.
+        bound = [_Bound(row, position) for position, row in enumerate(rows)]
+        program = op.program(
+            self.amap, bound[0], bound[1:1 + arity], bound[1 + arity:], dcc
         )
-        template = self._templates.get(shape)
-        if template is None:
-            template = self._templates[shape] = self._template(program)
-        latencies, totals = template
-        plan = RowPlan(
-            key=key,
-            program=program,
-            latencies_ns=latencies,
-            total_ns=totals.ns,
-            totals=totals,
+        primitives = tuple(
+            (type(p), tuple(
+                ~a.position if isinstance(a, _Bound) else a
+                for a in _addresses(p)
+            ))
+            for p in program.primitives
         )
-        self._plans[key] = plan
-        self._trim()
-        return plan
-
-    def _template(
-        self, program: Microprogram
-    ) -> Tuple[Tuple[float, ...], OpTotals]:
-        """A program's per-primitive latencies and per-row totals.
-
-        Its commands: per AAP two ACTIVATEs and a PRECHARGE, per AP one
-        of each, each ACTIVATE raising the wordlines the site table
-        gives its address.
-        """
         latencies = tuple(
             p.latency_ns(self.timing, self.amap, self.split_decoder)
             for p in program.primitives
         )
+        # Per AAP two ACTIVATEs and a PRECHARGE, per AP one of each,
+        # each ACTIVATE raising the wordlines its address selects.
         wordlines = self._sites.wordlines
         commands: Dict[tuple, int] = {}
         for primitive in program.primitives:
-            if isinstance(primitive, AAP):
-                addresses = (primitive.addr1, primitive.addr2)
-            else:
-                addresses = (primitive.addr,)
-            for addr in addresses:
+            for addr in _addresses(primitive):
                 kind = (Opcode.ACTIVATE, wordlines.get(addr, 1))
                 commands[kind] = commands.get(kind, 0) + 1
             kind = (Opcode.PRECHARGE, 1)
             commands[kind] = commands.get(kind, 0) + 1
-        op = program.op
-        return latencies, self.totals(
-            op, op.value, program.num_aap, program.num_ap, sum(latencies),
+        totals = self.totals(
+            op, label, program.num_aap, program.num_ap, sum(latencies),
             canonical_tally(commands),
         )
+        template = self._templates[key] = PlanTemplate(
+            op, primitives, latencies, totals
+        )
+        return template
 
     def totals(
         self,
@@ -358,8 +426,9 @@ class PlanCache:
     ) -> OpTotals:
         """The one :class:`OpTotals` with this value (built on first use).
 
-        Plans call this at install; the controller's per-row walk and
-        RowClone-PSM copies call it with the commands the chip executed.
+        Templates call this when compiled; the controller's per-row walk
+        and RowClone-PSM copies call it with the commands the chip
+        executed.
         """
         value = (op, name, aaps, aps, ns, commands)
         totals = self._totals.get(value)
@@ -368,7 +437,7 @@ class PlanCache:
         return totals
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss counters without dropping compiled plans."""
+        """Zero the hit/miss counters without dropping templates."""
         self.hits = 0
         self.misses = 0
         self.hits_by_op.clear()
@@ -377,43 +446,55 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Flat command schedules
     # ------------------------------------------------------------------
+    def schedule(
+        self, template: PlanTemplate, rows: Rows, bank: int, subarray: int
+    ) -> Tuple[IssuedCommand, ...]:
+        """One binding's command stream on one subarray, as the chip
+        would trace it.
+
+        The entries carry the exact ``wordlines_raised`` and
+        ``onto_open_row`` annotations the chip's execute path produces:
+        the first ACTIVATE of an AAP (and the ACTIVATE of an AP) is a
+        fresh sense, the second ACTIVATE of an AAP lands on the open
+        row.  Each entry is the cache's shared one for its command site
+        -- the ACTIVATE of ``(bank, subarray, row, onto_open_row)``, at
+        most two per row address, and the PRECHARGE of ``(bank,
+        subarray)`` -- built once and never mutated (``IssuedCommand``
+        is frozen).
+        """
+        sites = self._sites
+        precharge = sites[bank, subarray]
+        return tuple(
+            precharge if command is None
+            else sites[
+                bank, subarray,
+                rows[~command[0]] if command[0] < 0 else command[0],
+                command[1],
+            ]
+            for command in template.commands
+        )
+
     def issued_commands(
         self, plan: RowPlan, bank: int, subarray: int
     ) -> Tuple[IssuedCommand, ...]:
-        """The plan's command stream on one subarray, as the chip would trace it.
+        """A bound plan's command stream on one subarray (see
+        :meth:`schedule`)."""
+        return self.schedule(plan.template, plan.rows, bank, subarray)
 
-        The returned tuple carries the exact ``wordlines_raised`` and
-        ``onto_open_row`` annotations the chip's execute path would
-        produce: the first ACTIVATE of an AAP (and the ACTIVATE of an AP)
-        is a fresh sense, the second ACTIVATE of an AAP lands on the open
-        row.  The energy fold over the trace is order-independent, so
-        repeated extension with the same tuple is byte-equivalent to
-        re-execution.
 
-        A hot plan's tuple is one dict lookup on the plan.  A cold plan's
-        tuple is assembled from the cache's shared entries, one per
-        command site: the ACTIVATE of ``(bank, subarray, row,
-        onto_open_row)`` -- at most two per row address -- and the
-        PRECHARGE of ``(bank, subarray)``.  Each entry is built once and
-        outlives every plan that uses it: evicting a plan drops its tuple,
-        never the entries.  Entries are shared by every schedule and by
-        ``chip.trace``, so they must never be mutated (``IssuedCommand``
-        is frozen).
-        """
-        cached = plan.schedules.get((bank, subarray))
-        if cached is not None:
-            return cached
-        sites = self._sites
-        issued = []
-        for primitive in plan.program.primitives:
-            if isinstance(primitive, AAP):
-                issued.append(sites[bank, subarray, primitive.addr1, False])
-                issued.append(sites[bank, subarray, primitive.addr2, True])
-            else:
-                issued.append(sites[bank, subarray, primitive.addr, False])
-            issued.append(sites[bank, subarray])
-        commands = plan.schedules[bank, subarray] = tuple(issued)
-        return commands
+class _Bound(int):
+    """A bound row address that remembers its binding position."""
+
+    def __new__(cls, address: int, position: int) -> "_Bound":
+        bound = super().__new__(cls, address)
+        bound.position = position
+        return bound
+
+
+def _addresses(primitive) -> Tuple[int, ...]:
+    if isinstance(primitive, AAP):
+        return (primitive.addr1, primitive.addr2)
+    return (primitive.addr,)
 
 
 class _SiteTable(dict):

@@ -60,6 +60,13 @@ from repro.obs.metrics import fault_counters
 #: than any single wave's ladder walk.
 ATTEMPT_HISTORY = 4096
 
+#: How many ladder outcomes (:class:`RecoveryRecord`) a session retains.
+#: The serving layer reads back only the current wave's outcomes (via
+#: :meth:`FaultTolerantSession.log_since`), and the recovered and
+#: unrecovered counts are running totals, so the ring may drop old
+#: records without changing either.
+LOG_HISTORY = 4096
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -156,7 +163,14 @@ class FaultTolerantSession:
         #: (bank, subarray) -> DCC diagnosed dead; ops with XOR/XNOR
         #: steps on these subarrays run degraded without a mismatch.
         self.bad_dcc: Dict[Tuple[int, int], int] = {}
-        self.log: List[RecoveryRecord] = []
+        #: Ladder outcomes, the most recent :data:`LOG_HISTORY` of them.
+        self.log: Deque[RecoveryRecord] = deque(maxlen=LOG_HISTORY)
+        #: Monotonic count of every outcome ever recorded (never
+        #: trimmed); mark it around a wave and read the wave's outcomes
+        #: back with :meth:`log_since`.
+        self.log_total: int = 0
+        self._recovered_total = 0
+        self._unrecovered_total = 0
         #: Timed ladder rungs (see :class:`RecoveryAttempt`), the most
         #: recent :data:`ATTEMPT_HISTORY` of them.  The serving layer
         #: marks :attr:`attempts_total` around each wave and reads the
@@ -341,11 +355,13 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     @property
     def unrecovered_count(self) -> int:
-        return sum(1 for r in self.log if r.action == "unrecovered")
+        """Outcomes recorded unrecovered, ever (not only those retained)."""
+        return self._unrecovered_total
 
     @property
     def recovered_count(self) -> int:
-        return sum(1 for r in self.log if r.action != "unrecovered")
+        """Outcomes recorded recovered, ever (not only those retained)."""
+        return self._recovered_total
 
     def verify_all(self) -> List[Tuple[int, int, int]]:
         """Re-read every shadowed row; returns keys that mismatch."""
@@ -614,11 +630,17 @@ class FaultTolerantSession:
         Rungs that have already been pushed out of the ring are gone --
         acceptable, since the caller always reads back within one wave.
         """
-        dropped = self.attempts_total - len(self.attempts)
-        start = max(0, mark - dropped)
-        if start == 0:
-            return list(self.attempts)
-        return list(islice(self.attempts, start, None))
+        return _since(self.attempts, self.attempts_total, mark)
+
+    def log_since(self, mark: int) -> List[RecoveryRecord]:
+        """The outcomes recorded after :attr:`log_total` was ``mark``.
+
+        As :meth:`attempts_since` does for rungs: the wave runner marks
+        :attr:`log_total` before executing and reads the wave's outcomes
+        back afterwards, correct after the bounded ring has started
+        discarding old records.
+        """
+        return _since(self.log, self.log_total, mark)
 
     def _attempt(
         self, op: str, loc: RowLocation, action: str, ok: bool, start_ns: int
@@ -633,6 +655,11 @@ class FaultTolerantSession:
         self.log.append(
             RecoveryRecord(op, loc.bank, loc.subarray, loc.address, kind, action)
         )
+        self.log_total += 1
+        if action == "unrecovered":
+            self._unrecovered_total += 1
+        else:
+            self._recovered_total += 1
 
     def _unrecovered(self, op: str, loc: RowLocation, kind: str) -> None:
         self._counters["unrecovered"].labels(kind=kind).inc()
@@ -647,3 +674,12 @@ class FaultTolerantSession:
                 f"subarray {loc.subarray} row {loc.address} (see "
                 f"docs/RELIABILITY.md for the recovery ladder)"
             )
+
+
+def _since(ring: Deque, total: int, mark: int) -> List:
+    """The items appended to ``ring`` after its running ``total`` was
+    ``mark`` (those still retained)."""
+    start = max(0, mark - (total - len(ring)))
+    if start == 0:
+        return list(ring)
+    return list(islice(ring, start, None))

@@ -3,16 +3,16 @@
 Everything Ambit claims -- latency, energy, interference -- reduces to a
 *command sequence*: the AAP/AP chains of Figure 8 streamed at the Table 1
 addresses.  This package makes that stream a first-class, inspectable
-artifact instead of a raw ``chip.trace`` list:
+artifact beyond the counts ``chip.trace`` keeps:
 
 * :class:`~repro.obs.tracer.Tracer` -- attached at the chip's command
   choke point (:meth:`repro.dram.chip.DramChip.execute`), it turns every
   ACT/PRE/RD/WR/REF plus every AAP/AP primitive and bulk operation into
   a typed :class:`~repro.obs.events.TraceEvent` carrying the issue
   clock, latency and energy, fanned out to pluggable sinks.  Fused and
-  sharded batches emit the same events from their cached command
-  schedules, in the parent process, so tracing never changes the
-  execution path.
+  sharded batches emit the same events from command schedules bound
+  from their plan templates, in the parent process, so tracing never
+  changes the execution path.
 * Sinks (:mod:`repro.obs.sinks`) -- in-memory ring buffer, JSON-lines
   file, and Chrome ``trace_event`` format (load the output in
   ``chrome://tracing`` or https://ui.perfetto.dev), plus a streaming

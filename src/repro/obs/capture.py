@@ -1,7 +1,9 @@
 """Command-log capture: the backbone of golden-trace testing.
 
 :class:`CommandLog` attaches a tracer (ring buffer + counters) to a
-device and exposes the commands executed since creation (or the last
+device, opens a capture on its command trace
+(:meth:`repro.dram.commands.CommandTrace.capture`), and exposes the
+commands executed or charged since creation (or the last
 :meth:`CommandLog.clear`) in the :mod:`repro.dram.trace_io` text format,
 plus the counter deltas.  Tests use it through the ``command_log``
 pytest fixture (``tests/conftest.py``) to assert *exact* command
@@ -27,8 +29,8 @@ class CommandLog:
     ----------
     device:
         An :class:`~repro.core.device.AmbitDevice`.  The log attaches a
-        tracer; call :meth:`detach` (or let the pytest fixture do it)
-        when done.
+        tracer and opens a capture; call :meth:`detach` (or let the
+        pytest fixture do it) when done.
     """
 
     def __init__(self, device):
@@ -42,7 +44,7 @@ class CommandLog:
                 row_bytes=device.row_bytes,
             )
         )
-        self._trace_start = len(device.chip.trace.entries)
+        self._issued = device.chip.trace.open_capture()
 
     # ------------------------------------------------------------------
     @property
@@ -56,8 +58,7 @@ class CommandLog:
 
     def lines(self) -> List[str]:
         """Commands since the last clear, one trace-format line each."""
-        issued = self.device.chip.trace.entries[self._trace_start:]
-        text = dump_trace_with_data(issued)
+        text = dump_trace_with_data(self._issued)
         return text.splitlines() if text else []
 
     def text(self) -> str:
@@ -72,9 +73,10 @@ class CommandLog:
         """Forget everything recorded so far."""
         self.ring.clear()
         self._counter_sink.reset()
-        self._trace_start = len(self.device.chip.trace.entries)
+        self._issued.clear()
 
     def detach(self) -> None:
-        """Detach the underlying tracer from the device."""
+        """Detach the underlying tracer and close the capture."""
         if self.device.tracer is self.tracer:
             self.device.detach_tracer()
+        self.device.chip.trace.close_capture(self._issued)

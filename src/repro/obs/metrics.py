@@ -175,8 +175,11 @@ class Histogram:
         self._exemplar_seq: List[int] = [0] * (len(bounds) + 1)
         self._tagged_count = 0
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
-        """Record one observation, optionally tagged with a trace id.
+    def observe(
+        self, value: float, exemplar: Optional[str] = None, count: int = 1
+    ) -> None:
+        """Record ``count`` observations of ``value`` (one by default),
+        optionally tagged with a trace id.
 
         The exemplar -- a request trace id -- is retained if it is the
         largest exemplar-carrying observation its bucket has seen
@@ -187,9 +190,9 @@ class Histogram:
         trace id that no longer resolves.
         """
         index = bisect_left(self.bounds, value)
-        self.bucket_counts[index] += 1
-        self.count += 1
-        self.sum += value
+        self.bucket_counts[index] += count
+        self.count += count
+        self.sum += value * count
         if exemplar is not None:
             self._tagged_count += 1
             current = self.exemplars[index]

@@ -7,8 +7,9 @@ primitive with its accounted latency and brackets whole bulk operations
 with :meth:`Tracer.begin_op` / :meth:`Tracer.end_op`, so op-level events
 carry exact per-instance aggregates (AAPs, APs, commands, energy).  For
 rows that skip the per-row walk (fused in process, or run on a shard
-worker), the batch engine makes the same calls from their cached command
-schedules (:meth:`repro.engine.batch.BatchEngine.account_group`).
+worker), the batch engine makes the same calls from command schedules
+bound from their plan templates
+(:meth:`repro.engine.batch.BatchEngine.account_group`).
 
 Per-command durations and energies are *nominal*: durations come from
 the JEDEC identities of the attached

@@ -19,9 +19,9 @@ the shared cells, and the parent merges deterministically:
   time, identical to the single-process convention; per-shard busy
   times sum into ``busy_ns``;
 * **trace events** -- with a tracer attached, the same parent-side
-  accounting pass emits every row's events from the cached command
-  schedules, identical to a single-process traced run; workers never
-  trace.  The parent adds one ``shard`` span per shard, carrying the
+  accounting pass emits every row's events from command schedules
+  bound from its plan templates, identical to a single-process traced
+  run; workers never trace.  The parent adds one ``shard`` span per shard, carrying the
   worker's pid (a per-worker Chrome lane), and one ``batch`` span.
 
 The dispatch path is engineered for throughput (see

@@ -214,9 +214,10 @@ def run_shard(job: ShardJob) -> int:
     if device is None:  # pragma: no cover - initializer contract
         raise RuntimeError("worker used before initialize_worker ran")
     started = time.perf_counter_ns()
-    # Worker stats/trace are scratch: reset so the persistent process
-    # does not accumulate an unbounded trace across jobs.  The plan
-    # cache survives the reset, staying warm between jobs.
+    # Worker stats and trace counts are scratch, reset per job; the
+    # trace keeps no commands (nothing captures them here).  The plan
+    # cache survives the reset: one template per op shape, bounded by
+    # construction, warm between jobs.
     device.reset_stats()
     device.chip.clock_ns = job.start_ns
 

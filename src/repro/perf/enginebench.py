@@ -1,10 +1,10 @@
 """Batch-engine speedup benchmark: wall-clock rows/s, slow vs batched.
 
 The per-row path walks ``compile -> primitives -> commands -> subarray``
-in pure Python for every row; the batch engine compiles each distinct
-plan once, fuses the functional work of a (bank, subarray) group into
-one numpy operation, and extends the trace from cached command
-schedules.  :func:`run_engine_bench` measures real wall-clock time for
+in pure Python for every row; the batch engine compiles each op shape
+into a plan template once, fuses the functional work of a (bank,
+subarray) group into one numpy operation, and charges the group's rows
+to the trace's counts from the template.  :func:`run_engine_bench` measures real wall-clock time for
 both paths on the Figure-9-style workload across bank counts and
 returns the ``BENCH_engine.json`` payload:
 

@@ -1,17 +1,14 @@
 """Striped row allocation for served bitvectors.
 
-The driver's lesson from PR 2 applies unchanged to a multi-tenant
-service: bulk operations are cheap when co-operating rows sit at
-*matching local addresses* across (bank, subarray) stripes, because
-every such row triple compiles to the same microprogram plan -- one
-PlanCache entry serves thousands of rows.  The allocator therefore
-hands out rows in **slots**: one slot is one local D-group address
-reserved across *every* stripe of the device.  Row *i* of any vector
-sits on stripe ``i % stripes`` -- the walk starts at stripe 0 for
-*every* vector, because the engine pairs operands row-by-row and each
-(dst, src1, ...) triple must share a (bank, subarray); a per-vector
-offset would misalign triples the moment two vectors appear in one
-``op``.  Multi-row vectors still fan across banks (row 0 on bank 0,
+A bulk operation needs each row triple (destination and sources) in
+one (bank, subarray), and a vector-wide operation is cheap when its
+triples spread over every bank.  The allocator therefore hands out rows
+in **slots**: one slot is one local D-group address reserved across
+*every* stripe of the device.  Row *i* of any vector sits on stripe
+``i % stripes`` -- the walk starts at stripe 0 for *every* vector,
+because the engine pairs operands row-by-row and each (dst, src1, ...)
+triple must share a (bank, subarray); a per-vector offset would
+misalign triples the moment two vectors appear in one ``op``.  Multi-row vectors still fan across banks (row 0 on bank 0,
 row 1 on bank 1, ...), preserving bank-level parallelism for the
 sharded dispatch tiers.
 
@@ -21,9 +18,10 @@ Consequences the serving layer relies on:
   requests from different tenants can never alias each other;
 * operands of one ``op`` request line up stripe-by-stripe, satisfying
   the engine's same-(bank, subarray) operand rule by construction;
-* a coalesced wave over many vectors touches few distinct local
-  addresses, keeping the plan cache hot (and bounded -- see
-  :attr:`repro.engine.plan.PlanCache.max_plans`).
+* a coalesced (bank, subarray) group of data rows is planned with one
+  template lookup, whatever its addresses (the plan cache keys
+  templates by op shape, so it stays bounded under churn -- see
+  :mod:`repro.engine.plan`).
 
 The tail of each subarray's D-group is reserved: two scratch rows for
 the recovery ladder (DCC probes, degraded xor) and an optional pool of

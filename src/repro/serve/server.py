@@ -100,7 +100,6 @@ class ServeConfig:
     rows: int = 512
     row_bytes: int = 512
     jobs: int = 1                    # >= 2 -> ShardedDevice, auto-tuned tier
-    max_plans: Optional[int] = 256   # PlanCache LRU bound (None = off)
     max_queue: int = 4096
     max_batch_ops: int = 512
     coalesce: bool = True
@@ -132,8 +131,6 @@ class ServeConfig:
             raise ConfigError("row_bytes must be a positive multiple of 8")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1; got {self.jobs}")
-        if self.max_plans is not None and self.max_plans < 1:
-            raise ConfigError("max_plans must be >= 1 or None")
         if self.max_queue < 1 or self.max_batch_ops < 1:
             raise ConfigError("max_queue and max_batch_ops must be >= 1")
         if not 0.0 <= self.fault_rate <= 1.0:
@@ -185,8 +182,6 @@ class BulkBitwiseServer:
 
             self.device = AmbitDevice(geometry=geometry)
         self.metrics = self.device.metrics
-        if config.max_plans is not None:
-            self.device.controller.plan_cache.max_plans = config.max_plans
         self.allocator = StripedAllocator(
             geometry, scratch_rows=2, spare_rows=config.spare_rows
         )
@@ -621,9 +616,6 @@ class BulkBitwiseServer:
             "faults_unrecovered": self._family_total(
                 "ambit_faults_unrecovered_total"
             ),
-            "plan_evictions": self._family_total(
-                "ambit_plan_cache_evictions_total"
-            ),
         }
         snapshot = {
             name: value
@@ -694,7 +686,7 @@ class BulkBitwiseServer:
         wave_index = self._wave_index
         self._wave_index += 1
         dst, (src1, src2, src3) = wave.operands()
-        log_start = len(self.session.log)
+        log_mark = self.session.log_total
         attempts_mark = self.session.attempts_total
         traces = [
             request.timing["trace"]
@@ -735,7 +727,7 @@ class BulkBitwiseServer:
             return [(request, error) for request in wave.requests]
         bad_keys = {
             (record.bank, record.subarray, record.address)
-            for record in self.session.log[log_start:]
+            for record in self.session.log_since(log_mark)
             if record.action == "unrecovered"
         }
         outcomes = []

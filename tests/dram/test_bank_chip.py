@@ -135,8 +135,9 @@ class TestWordlineTracing:
 
         amap = AmbitAddressMap(GEO.subarray)
         chip = DramChip(GEO, decoder_factory=lambda: amap.build_decoder())
-        chip.activate(0, 0, amap.b(12))  # T0,T1,T2 TRA
-        entry = chip.trace.entries[-1]
+        with chip.trace.capture() as captured:
+            chip.activate(0, 0, amap.b(12))  # T0,T1,T2 TRA
+        entry = captured[-1]
         assert entry.wordlines_raised == 3
         assert entry.onto_open_row is False
 

@@ -76,11 +76,12 @@ class TestTrace:
         class totals:  # one row's op totals: two TRAs and a precharge
             commands = (((Opcode.ACTIVATE, 3), 2), ((Opcode.PRECHARGE, 1), 1))
 
-        for _ in range(2):
-            trace.charge(totals, (act3, act3, pre))
-        trace.append(IssuedCommand(read(0, 0, 0)))
+        with trace.capture() as captured:
+            trace.charge(totals, 2)
+            trace.log((act3, act3, pre) * 2)
+            trace.append(IssuedCommand(read(0, 0, 0)))
         assert trace.counts() == (4, 2, 1, 0)
-        assert len(trace) == len(trace.entries) == 7
+        assert len(trace) == len(captured) == 7
         trace.clear()
         assert len(trace) == 0 and trace.counts() == (0, 0, 0, 0)
         # Counters never decrease: a record from before the clear still
@@ -96,8 +97,25 @@ class TestTrace:
     def test_iteration_and_extend(self):
         trace = CommandTrace()
         items = [IssuedCommand(precharge(0)), IssuedCommand(precharge(1))]
-        trace.extend(items)
-        assert [e.command.bank for e in trace] == [0, 1]
+        with trace.capture() as captured:
+            trace.extend(items)
+        assert [e.command.bank for e in captured] == [0, 1]
+
+    def test_commands_are_kept_only_while_captured(self):
+        trace = CommandTrace()
+        trace.append(IssuedCommand(precharge(0)))
+        with trace.capture() as outer:
+            trace.append(IssuedCommand(precharge(1)))
+            with trace.capture() as inner:
+                assert trace.capturing
+                trace.append(IssuedCommand(precharge(2)))
+            trace.append(IssuedCommand(precharge(3)))
+        trace.append(IssuedCommand(precharge(4)))
+        assert not trace.capturing
+        assert [e.command.bank for e in outer] == [1, 2, 3]
+        assert [e.command.bank for e in inner] == [2]
+        assert len(trace) == 5
+        assert not hasattr(trace, "entries")
 
     def test_onto_open_row_flag_default(self):
         issued = IssuedCommand(activate(0, 0, 1))

@@ -125,11 +125,12 @@ class TestAmbitSchedules:
         device.write_row(RowLocation(0, 0, 1),
                          rng.integers(0, 2**63, size=words, dtype=np.uint64))
         device.reset_stats()
-        device.bbop_row(
-            op, RowLocation(0, 0, 2), RowLocation(0, 0, 0),
-            None if op.arity == 1 else RowLocation(0, 0, 1),
-        )
-        stream = schedule_aap_stream(list(device.chip.trace), device.timing)
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(
+                op, RowLocation(0, 0, 2), RowLocation(0, 0, 0),
+                None if op.arity == 1 else RowLocation(0, 0, 1),
+            )
+        stream = schedule_aap_stream(issued, device.timing)
         assert TimingChecker(device.timing, strict=False).check(stream) == []
 
     def test_schedule_duration_matches_latency_model(self):
@@ -142,9 +143,10 @@ class TestAmbitSchedules:
         device.write_row(RowLocation(0, 0, 1),
                          np.zeros(geo.subarray.words_per_row, dtype=np.uint64))
         device.reset_stats()
-        device.bbop_row(BulkOp.AND, RowLocation(0, 0, 2),
-                        RowLocation(0, 0, 0), RowLocation(0, 0, 1))
-        stream = schedule_aap_stream(list(device.chip.trace), device.timing)
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(BulkOp.AND, RowLocation(0, 0, 2),
+                            RowLocation(0, 0, 0), RowLocation(0, 0, 1))
+        stream = schedule_aap_stream(issued, device.timing)
         end = max(c.time_ns for c in stream) + device.timing.tRP
         assert end == pytest.approx(4 * device.timing.aap_latency(True))
 
@@ -155,9 +157,12 @@ class TestAmbitSchedules:
         device.write_row(RowLocation(0, 0, 0),
                          np.zeros(geo.subarray.words_per_row, dtype=np.uint64))
         device.reset_stats()
-        device.bbop_row(BulkOp.NOT, RowLocation(0, 0, 2), RowLocation(0, 0, 0))
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(
+                BulkOp.NOT, RowLocation(0, 0, 2), RowLocation(0, 0, 0)
+            )
         stream = schedule_aap_stream(
-            list(device.chip.trace), device.timing, split_decoder=False
+            issued, device.timing, split_decoder=False
         )
         assert TimingChecker(device.timing, strict=False).check(stream) == []
         end = max(c.time_ns for c in stream) + device.timing.tRP

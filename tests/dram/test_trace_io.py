@@ -88,9 +88,10 @@ class TestAmbitReplay:
         original.write_row(RowLocation(0, 0, 0), a)
         original.write_row(RowLocation(0, 0, 1), b)
         original.reset_stats()
-        original.bbop_row(BulkOp.XOR, RowLocation(0, 0, 2),
-                          RowLocation(0, 0, 0), RowLocation(0, 0, 1))
-        trace_text = dump_trace(original.chip.trace)
+        with original.chip.trace.capture() as issued:
+            original.bbop_row(BulkOp.XOR, RowLocation(0, 0, 2),
+                              RowLocation(0, 0, 0), RowLocation(0, 0, 1))
+        trace_text = dump_trace(issued)
 
         replayed = AmbitDevice(geometry=GEO)
         replayed.write_row(RowLocation(0, 0, 0), a)
@@ -105,8 +106,11 @@ class TestAmbitReplay:
         device.write_row(RowLocation(0, 0, 0),
                          np.zeros(GEO.subarray.words_per_row, dtype=np.uint64))
         device.reset_stats()
-        device.bbop_row(BulkOp.NOT, RowLocation(0, 0, 2), RowLocation(0, 0, 0))
-        entries = roundtrip(device.chip)
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(
+                BulkOp.NOT, RowLocation(0, 0, 2), RowLocation(0, 0, 0)
+            )
+        entries = roundtrip(issued)
         # not = 2 AAPs = 4 ACTs + 2 PREs.
         acts = sum(1 for e in entries if e.format().startswith("ACT"))
         pres = sum(1 for e in entries if e.format().startswith("PRE"))

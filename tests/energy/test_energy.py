@@ -100,15 +100,18 @@ class TestTraceFold:
     def test_empty_trace_zero_energy(self):
         device = AmbitDevice(geometry=small_test_geometry())
         device.reset_stats()
-        assert trace_energy_nj(device.chip.trace, device.row_bytes) == 0.0
+        with device.chip.trace.capture() as issued:
+            pass
+        assert trace_energy_nj(issued, device.row_bytes) == 0.0
 
     def test_reads_writes_charged(self):
         device = AmbitDevice(geometry=small_test_geometry())
-        device.chip.activate(0, 0, 0)
-        device.chip.read_word(0, 0)
-        base = trace_energy_nj(device.chip.trace, device.row_bytes)
-        device.chip.read_word(0, 1)
-        more = trace_energy_nj(device.chip.trace, device.row_bytes)
+        with device.chip.trace.capture() as issued:
+            device.chip.activate(0, 0, 0)
+            device.chip.read_word(0, 0)
+            base = trace_energy_nj(issued, device.row_bytes)
+            device.chip.read_word(0, 1)
+        more = trace_energy_nj(issued, device.row_bytes)
         assert more > base
 
     def test_ddr_copy_vs_op_traffic(self):

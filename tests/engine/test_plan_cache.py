@@ -1,17 +1,20 @@
-"""The microprogram plan cache: compile once, reuse everywhere."""
+"""Plan templates: compile each op shape once, bind rows everywhere."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
 
+import repro.compile.ops as compile_ops
 from repro.compile import compile_expr, parse_expr
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp, compile_op
 from repro.core.primitives import AAP
+from repro.dram.chip import RowLocation
 from repro.dram.commands import Opcode, canonical_tally
 from repro.dram.geometry import small_test_geometry
-from repro.engine.plan import PlanCache
+from repro.dram.timing import ddr3_1600, ddr3_2133, ddr4_2400
 from repro.errors import AddressError
 from tests.golden.regen import COMPILED_CASES
 
@@ -42,14 +45,16 @@ class TestCaching:
         cache = device.controller.plan_cache
         first = cache.get(BulkOp.AND, 3, 0, 1)
         second = cache.get(BulkOp.AND, 3, 0, 1)
-        assert first is second
+        assert first == second and first.template is second.template
         assert cache.misses == 1 and cache.hits == 1
 
-    def test_distinct_addresses_compile_separately(self, device):
+    def test_distinct_addresses_share_one_template(self, device):
         cache = device.controller.plan_cache
-        cache.get(BulkOp.AND, 3, 0, 1)
-        cache.get(BulkOp.AND, 4, 0, 1)
-        assert cache.misses == 2 and len(cache) == 2
+        first = cache.get(BulkOp.AND, 3, 0, 1)
+        second = cache.get(BulkOp.AND, 4, 0, 1)
+        assert cache.misses == 1 and cache.hits == 1 and len(cache) == 1
+        assert first.template is second.template
+        assert second.program == compile_op(device.amap, BulkOp.AND, 4, 0, 1)
 
     def test_plan_matches_direct_compilation(self, device):
         controller = device.controller
@@ -152,19 +157,17 @@ class TestControllerIntegration:
 class TestIssuedCommands:
     @pytest.mark.parametrize("op", GOLDEN_OPS + (BulkOp.COPY, BulkOp.MAJ))
     def test_schedule_matches_executed_trace(self, device, op):
-        """The cached flat schedule is byte-identical to real execution."""
-        from repro.dram.chip import RowLocation
-
+        """The bound flat schedule is byte-identical to real execution."""
         controller = device.controller
         dst = RowLocation(0, 1, 3)
-        device.bbop_row(
-            op,
-            dst,
-            RowLocation(0, 1, 0),
-            RowLocation(0, 1, 1) if op.arity >= 2 else None,
-            RowLocation(0, 1, 2) if op.arity == 3 else None,
-        )
-        executed = list(device.chip.trace)
+        with device.chip.trace.capture() as executed:
+            device.bbop_row(
+                op,
+                dst,
+                RowLocation(0, 1, 0),
+                RowLocation(0, 1, 1) if op.arity >= 2 else None,
+                RowLocation(0, 1, 2) if op.arity == 3 else None,
+            )
         plan = controller.plan_cache.get(
             op, 3, 0,
             1 if op.arity >= 2 else None,
@@ -183,16 +186,19 @@ class TestIssuedCommands:
         ))
 
     def test_schedule_is_cached_per_subarray(self, device):
+        """A binding's schedule picks the entries cached for its
+        subarray: the same objects every time, other ones elsewhere."""
         cache = device.controller.plan_cache
         plan = cache.get(BulkOp.AND, 3, 0, 1)
         a = cache.issued_commands(plan, 0, 0)
-        assert cache.issued_commands(plan, 0, 0) is a
+        again = cache.issued_commands(plan, 0, 0)
+        assert all(x is y for x, y in zip(a, again)) and len(a) == len(again)
         b = cache.issued_commands(plan, 1, 0)
-        assert b is not a
+        assert not any(x is y for x, y in zip(a, b))
         assert all(ic.command.bank == 1 for ic in b)
 
     def test_cold_plans_share_entries(self, device):
-        """A cold plan's schedule reuses the cache's per-site entries."""
+        """A schedule reuses the cache's per-site entries."""
         cache = device.controller.plan_cache
         amap = device.amap
         # AND and OR on one subarray both end in AAP(B12, dk): the
@@ -205,29 +211,17 @@ class TestIssuedCommands:
         or_tail = cache.issued_commands(or_plan, 0, 1)[-3:]
         assert all(a is b for a, b in zip(and_tail, or_tail))
 
-        # A plan recompiled after eviction gets the very same entries.
-        cache.max_plans = 1
-        plan = cache.get(BulkOp.XOR, 3, 0, 1)
-        first = cache.issued_commands(plan, 0, 0)
-        cache.get(BulkOp.XOR, 4, 0, 1)      # evicts the dk=3 plan
-        recompiled = cache.get(BulkOp.XOR, 3, 0, 1)
-        assert recompiled is not plan
-        again = cache.issued_commands(recompiled, 0, 0)
-        assert again is not first and len(again) == len(first)
-        assert all(a is b for a, b in zip(first, again))
-
-        # Thrashing the LRU a second time builds no new entry.
-        def thrash():
+        # Binding the same rows again builds no new entry.
+        def bind_all():
             for op in (BulkOp.AND, BulkOp.OR, BulkOp.XOR, BulkOp.NAND):
                 for dk in range(3, 8):
                     for bank in (0, 1):
                         plan = cache.get(op, dk, 0, 1)
                         cache.issued_commands(plan, bank, 0)
 
-        thrash()
-        sites, evictions = len(cache._sites), cache.evictions
-        thrash()
-        assert cache.evictions > evictions
+        bind_all()
+        sites = len(cache._sites)
+        bind_all()
         assert len(cache._sites) == sites
 
         # A shared entry cannot be rewritten under the plans using it.
@@ -248,56 +242,157 @@ class TestIssuedCommands:
         assert tra and all(ic.wordlines_raised == 3 for ic in tra)
 
 
-class TestLruBound:
-    def test_unbounded_by_default(self, device):
+class TestTemplates:
+    """One template per op shape; any binding of it equals compiling
+    the binding directly, and walking it executes what it schedules."""
+
+    @pytest.mark.parametrize(
+        "op", tuple(BulkOp) + COMPILED_OPS, ids=lambda op: op.value
+    )
+    def test_bound_template_equals_compiled_program(self, device, op):
+        controller = device.controller
+        cache, amap = controller.plan_cache, controller.amap
+        temps = tuple(range(10, 10 + op.num_temps))
+        srcs = tuple(range(op.arity))
+        bindings = [(3, srcs)]                              # data rows
+        bindings.append((3, (amap.c(1),) + srcs[1:]))       # C-group source
+        bindings.append((3, (amap.c(0),) + srcs[1:]))       # = a control row
+        bindings.append((3, (amap.b(12),) + srcs[1:]))      # B-group source
+        bindings.append((amap.b(4), srcs))                  # B-group dst
+        bindings.append((srcs[0], srcs))                    # dst aliases src
+        if op.arity >= 2:
+            bindings.append((3, (srcs[1], srcs[1]) + srcs[2:]))
+        for dk, srcs in bindings:
+            for dcc in (0, 1):
+                rows = (dk, *srcs, *temps)
+                try:
+                    expected = op.program(amap, dk, srcs, temps, dcc)
+                except AddressError:
+                    expected = None
+                # A binding of the same shape on other data rows
+                # compiles the template first, so the case itself is a
+                # pure template hit.
+                warm = tuple(
+                    r + 5 if 0 <= r < 10 else r for r in rows
+                )
+                try:
+                    cache.get(op, warm[0], *warm[1:1 + op.arity],
+                              temps=warm[1 + op.arity:], dcc=dcc)
+                except AddressError:
+                    pass
+                misses = cache.misses
+                if expected is None:
+                    with pytest.raises(AddressError):
+                        cache.get(op, dk, *srcs, temps=temps, dcc=dcc)
+                    continue
+                plan = cache.get(op, dk, *srcs, temps=temps, dcc=dcc)
+                assert cache.misses == misses, (rows, dcc)
+                assert plan.program == expected, (rows, dcc)
+                schedule = cache.issued_commands(plan, 1, 1)
+                with device.chip.trace.capture() as executed:
+                    controller.run_plan(plan, 1, 1)
+                assert list(schedule) == executed, (rows, dcc)
+                assert plan.totals.commands == canonical_tally(Counter(
+                    (ic.command.opcode, ic.wordlines_raised)
+                    for ic in executed
+                ))
+
+    @pytest.mark.parametrize(
+        "op", tuple(BulkOp) + COMPILED_OPS, ids=lambda op: op.value
+    )
+    def test_aliasing_checks_match_program(self, device, op):
+        """Every pair of bound rows may alias exactly when compiling
+        the binding accepts it."""
+        cache, amap = device.controller.plan_cache, device.amap
+        width = 1 + op.arity + op.num_temps
+        base = tuple(range(3, 3 + width))
+        cache.get(op, base[0], *base[1:1 + op.arity],
+                  temps=base[1 + op.arity:])
+        for i, j in itertools.combinations(range(width), 2):
+            rows = list(base)
+            rows[j] = rows[i]
+            dk, srcs, temps = rows[0], rows[1:1 + op.arity], rows[1 + op.arity:]
+            try:
+                op.program(amap, dk, srcs, temps)
+                allowed = True
+            except AddressError:
+                allowed = False
+            assert ((i, j) not in op.distinct_rows()) == allowed, (i, j)
+            if allowed:
+                cache.get(op, dk, *srcs, temps=temps)
+            else:
+                with pytest.raises(AddressError):
+                    cache.get(op, dk, *srcs, temps=temps)
+
+    def test_equal_compiled_ops_share_one_template(self, device, monkeypatch):
+        text = "(a & b) | ~c"
+        first = compile_expr(parse_expr(text), name="same")
+        monkeypatch.setattr(compile_ops, "_CACHE", {})
+        second = compile_expr(parse_expr(text), name="same")
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
         cache = device.controller.plan_cache
-        assert cache.max_plans is None
+        temps = tuple(range(8, 8 + first.num_temps))
+        a = cache.get(first, 3, 0, 1, 2, temps=temps)
+        b = cache.get(second, 4, 0, 1, 2, temps=temps)
+        assert a.template is b.template and len(cache) == 1
+
+    @pytest.mark.parametrize(
+        "timing", (ddr3_1600, ddr3_2133, ddr4_2400),
+        ids=lambda t: t().name,
+    )
+    def test_group_latency_sums_like_a_per_row_loop(self, timing):
+        device = AmbitDevice(geometry=small_test_geometry(), timing=timing())
+        cache = device.controller.plan_cache
+        for op in BulkOp:
+            template = cache.get(op, 3, *range(op.arity)).template
+            total = 0.0
+            for rows in range(1, 300):
+                total += template.totals.ns
+                assert template.total_ns(rows) == total, (op, rows)
+
+    @pytest.mark.parametrize(
+        "timing", (ddr3_1600, ddr3_2133, ddr4_2400),
+        ids=lambda t: t().name,
+    )
+    def test_fused_group_accounts_like_a_per_row_loop(self, timing):
+        """busy_ns, bank busy time, the clock and elapsed_ns of a fused
+        batch equal summing every row's latency one row at a time."""
+        geo = small_test_geometry(rows=64, row_bytes=64, banks=2)
+        device = AmbitDevice(geometry=geo, timing=timing())
+        rows = 40
+        dst = [RowLocation(i % 2, 0, 4 + i // 2) for i in range(rows)]
+        src1 = [RowLocation(i % 2, 0, 0) for i in range(rows)]
+        src2 = [RowLocation(i % 2, 0, 1) for i in range(rows)]
+        report = device.engine.run_rows(BulkOp.XOR, dst, src1, src2)
+        assert report.fused_rows == rows
+        ns = device.controller.plan_cache.get(BulkOp.XOR, 4, 0, 1).total_ns
+        group = 0.0
+        for _ in range(rows // 2):
+            group += ns
+        stats = device.controller.stats
+        assert stats.busy_ns == 0.0 + group + group
+        assert dict(stats.bank_busy_ns) == {0: group, 1: group}
+        assert device.chip.clock_ns == 0.0 + group + group
+        assert device.elapsed_ns == group
+
+    def test_reserved_rows_take_one_template_per_row(self, device):
+        """A group binding a C-group row plans row by row, in order;
+        a group of data rows plans once."""
+        cache, amap = device.controller.plan_cache, device.amap
+        rows = [[3, 0, 1], [4, amap.c(1), 1], [5, 0, 1]]
+        templates = cache.lookup(BulkOp.AND, rows, 2)
+        assert len(templates) == 3
+        assert templates[0] is templates[2] is not templates[1]
+        assert cache.misses == 2 and cache.hits == 1
+        data = cache.lookup(BulkOp.AND, [[3, 0, 1], [4, 0, 1]], 2)
+        assert data == [templates[0]] and cache.hits == 3
+
+    def test_templates_are_few_and_never_evicted(self, device):
+        cache = device.controller.plan_cache
         for dk in range(3, 14):
-            cache.get(BulkOp.AND, dk, 0, 1)
-        assert len(cache) == 11 and cache.evictions == 0
-
-    def test_bound_evicts_least_recently_used(self, device):
-        cache = device.controller.plan_cache
-        cache.max_plans = 2
-        a = cache.get(BulkOp.AND, 3, 0, 1)
-        cache.get(BulkOp.AND, 4, 0, 1)
-        cache.get(BulkOp.AND, 3, 0, 1)      # touch a: now 4 is LRU
-        cache.get(BulkOp.AND, 5, 0, 1)      # evicts 4
-        assert len(cache) == 2 and cache.evictions == 1
-        assert cache.get(BulkOp.AND, 3, 0, 1) is a          # still a hit
-        misses = cache.misses
-        cache.get(BulkOp.AND, 4, 0, 1)      # recompiles
-        assert cache.misses == misses + 1
-
-    def test_setting_bound_trims_immediately(self, device):
-        cache = device.controller.plan_cache
-        for dk in range(3, 11):
-            cache.get(BulkOp.AND, dk, 0, 1)
-        cache.max_plans = 3
-        assert len(cache) == 3 and cache.evictions == 5
-        # The survivors are the most recently used addresses.
-        hits = cache.hits
-        for dk in (8, 9, 10):
-            cache.get(BulkOp.AND, dk, 0, 1)
-        assert cache.hits == hits + 3
-
-    def test_eviction_drops_command_schedules(self, device):
-        cache = device.controller.plan_cache
-        plan = cache.get(BulkOp.AND, 3, 0, 1)
-        cache.issued_commands(plan, 0, 0)
-        assert any(k[0] == plan.key for k in cache._commands)
-        cache.max_plans = 1
-        cache.get(BulkOp.AND, 4, 0, 1)      # evicts plan for dk=3
-        assert not any(k[0] == plan.key for k in cache._commands)
-
-    def test_eviction_metric_counts(self, device):
-        cache = device.controller.plan_cache
-        cache.max_plans = 1
-        cache.get(BulkOp.AND, 3, 0, 1)
-        cache.get(BulkOp.AND, 4, 0, 1)
-        family = device.metrics.get("ambit_plan_cache_evictions_total")
-        assert family is not None and family.value == 1
-
-    def test_invalid_bound_rejected(self, device):
-        with pytest.raises(ValueError):
-            device.controller.plan_cache.max_plans = 0
+            for op in BulkOp:
+                cache.get(op, dk, *range(op.arity))
+        assert len(cache) == len(BulkOp) and cache.evictions == 0
+        assert cache.misses == len(BulkOp)
+        assert device.metrics.get("ambit_plan_cache_evictions_total") is None

@@ -69,34 +69,33 @@ def _data_state(device):
 def test_fused_batch_trace_replays_bit_exact(op):
     original = _make_device(seed=13)
     baseline_state = _data_state(original)
-    start = len(original.chip.trace)
 
     dst, src1, src2, src3 = _rows(op.arity)
-    report = original.engine.run_rows(op, dst, src1, src2, src3)
+    with original.chip.trace.capture() as issued:
+        report = original.engine.run_rows(op, dst, src1, src2, src3)
     assert report.fused_rows > 0, "batch must exercise the fused path"
 
-    text = dump_trace_with_data(original.chip.trace.entries[start:])
+    text = dump_trace_with_data(issued)
 
     # Replay onto a fresh device holding the same pre-batch data.
     replayed = _make_device(seed=13)
     assert _data_state(replayed) == baseline_state
-    replay_trace(replayed.chip, parse_trace(text))
+    with replayed.chip.trace.capture() as replayed_issued:
+        replay_trace(replayed.chip, parse_trace(text))
 
     assert _data_state(replayed) == _data_state(original)
     # The replay's own trace dumps back to the identical text.
-    assert (
-        dump_trace_with_data(replayed.chip.trace.entries[start:]) == text
-    )
+    assert dump_trace_with_data(replayed_issued) == text
 
 
 def test_consecutive_batches_one_dump():
     original = _make_device(seed=29)
-    start = len(original.chip.trace)
-    for op in (BulkOp.AND, BulkOp.XOR, BulkOp.MAJ):
-        dst, src1, src2, src3 = _rows(op.arity)
-        original.engine.run_rows(op, dst, src1, src2, src3)
+    with original.chip.trace.capture() as issued:
+        for op in (BulkOp.AND, BulkOp.XOR, BulkOp.MAJ):
+            dst, src1, src2, src3 = _rows(op.arity)
+            original.engine.run_rows(op, dst, src1, src2, src3)
 
-    text = dump_trace_with_data(original.chip.trace.entries[start:])
+    text = dump_trace_with_data(issued)
     replayed = _make_device(seed=29)
     replay_trace(replayed.chip, parse_trace(text))
     assert _data_state(replayed) == _data_state(original)

@@ -106,8 +106,11 @@ class TestEnergyConsistency:
         a = rng.integers(0, 2**63, size=1024, dtype=np.uint64)
         device.write_row(RowLocation(0, 0, 0), a)
         device.reset_stats()
-        device.bbop_row(BulkOp.COPY, RowLocation(0, 0, 2), RowLocation(0, 0, 0))
-        energy = trace_energy_nj(device.chip.trace, device.row_bytes)
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(
+                BulkOp.COPY, RowLocation(0, 0, 2), RowLocation(0, 0, 0)
+            )
+        energy = trace_energy_nj(issued, device.row_bytes)
         params = DEFAULT_ENERGY
         assert energy == pytest.approx(2 * params.act_nj + params.pre_nj)
 
@@ -120,9 +123,10 @@ class TestEnergyConsistency:
         device.write_row(RowLocation(0, 0, 0), a)
         device.write_row(RowLocation(0, 0, 1), a)
         device.reset_stats()
-        device.bbop_row(BulkOp.AND, RowLocation(0, 0, 2), RowLocation(0, 0, 0),
-                        RowLocation(0, 0, 1))
-        energy = trace_energy_nj(device.chip.trace, device.row_bytes)
+        with device.chip.trace.capture() as issued:
+            device.bbop_row(BulkOp.AND, RowLocation(0, 0, 2),
+                            RowLocation(0, 0, 0), RowLocation(0, 0, 1))
+        energy = trace_energy_nj(issued, device.row_bytes)
         params = DEFAULT_ENERGY
         # 4 AAPs; the last one's first ACT raises 3 wordlines (+44%).
         plain = 4 * (2 * params.act_nj + params.pre_nj)

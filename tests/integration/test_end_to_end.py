@@ -27,12 +27,13 @@ class TestBitVectorPipeline:
         premium = rng.random(n) < 0.2
         flagged = rng.random(n) < 0.1
 
-        v_active = system.from_bits(active)
-        v_premium = system.from_bits(premium, like=v_active)
-        v_flagged = system.from_bits(flagged, like=v_active)
+        with system.device.chip.trace.capture() as issued:
+            v_active = system.from_bits(active)
+            v_premium = system.from_bits(premium, like=v_active)
+            v_flagged = system.from_bits(flagged, like=v_active)
 
-        # active premium users who are not flagged
-        eligible = (v_active & v_premium) & (~v_flagged)
+            # active premium users who are not flagged
+            eligible = (v_active & v_premium) & (~v_flagged)
         expected = active & premium & ~flagged
         assert np.array_equal(eligible.to_bits(), expected)
         assert eligible.popcount() == int(expected.sum())
@@ -41,9 +42,7 @@ class TestBitVectorPipeline:
         acts, pres, _, _ = system.device.chip.trace.counts()
         assert acts > 0 and pres > 0
         assert system.elapsed_ns > 0
-        assert trace_energy_nj(
-            system.device.chip.trace, system.device.row_bytes
-        ) > 0
+        assert trace_energy_nj(issued, system.device.row_bytes) > 0
 
 
 class TestAnalogDevice:

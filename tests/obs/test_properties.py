@@ -117,33 +117,32 @@ def data_state(device: AmbitDevice):
 @given(actions=programs())
 def test_dump_parse_replay_roundtrip(actions):
     original = make_device()
-    start = len(original.chip.trace)
-    run_program(original, actions)
+    with original.chip.trace.capture() as issued:
+        run_program(original, actions)
 
-    text = dump_trace_with_data(original.chip.trace.entries[start:])
+    text = dump_trace_with_data(issued)
     entries = parse_trace(text)
 
     replayed = make_device()
-    replay_trace(replayed.chip, entries)
+    with replayed.chip.trace.capture() as replayed_issued:
+        replay_trace(replayed.chip, entries)
 
     assert data_state(replayed) == data_state(original)
     # and the replay's own trace dumps back to the identical text
-    assert dump_trace_with_data(replayed.chip.trace.entries[start:]) == text
+    assert dump_trace_with_data(replayed_issued) == text
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(actions=programs())
 def test_profiled_counters_match_raw_trace(actions):
     device = make_device()
-    start = len(device.chip.trace)
     busy_before = device.controller.stats.busy_ns
     aaps_before = device.controller.stats.aap_count
     aps_before = device.controller.stats.ap_count
 
-    with device.profile() as prof:
+    with device.profile() as prof, device.chip.trace.capture() as entries:
         run_program(device, actions)
 
-    entries = device.chip.trace.entries[start:]
     counts = Counter(entry.command.opcode for entry in entries)
     c = prof.counters
     assert c.activates == counts[Opcode.ACTIVATE]
@@ -175,14 +174,15 @@ def test_zero_payload_survives_roundtrip():
     0x0 payload must replay as a recorded zero, not a missing one."""
     original = make_device()
     chip = original.chip
-    chip.activate(0, 0, 2)
-    chip.write_word(0, 0, 0xFFFFFFFFFFFFFFFF)
-    chip.precharge(0)
-    chip.activate(0, 0, 2)
-    chip.write_word(0, 0, 0)
-    chip.precharge(0)
+    with chip.trace.capture() as issued:
+        chip.activate(0, 0, 2)
+        chip.write_word(0, 0, 0xFFFFFFFFFFFFFFFF)
+        chip.precharge(0)
+        chip.activate(0, 0, 2)
+        chip.write_word(0, 0, 0)
+        chip.precharge(0)
 
-    text = dump_trace_with_data(chip.trace.entries)
+    text = dump_trace_with_data(issued)
     assert "WR 0 0 0x0" in text or "WR 0 0 0" in text
 
     replayed = make_device()

@@ -12,6 +12,7 @@ and fuse too, and trace exactly as in process -- see
 """
 
 import time
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import pytest
@@ -37,7 +38,13 @@ WORDS = GEO.subarray.words_per_row
 UNEVEN_SPREAD = {(0, 0): 3, (0, 1): 2, (1, 0): 1, (3, 1): 4}
 
 
+#: Command trace -> every command its device issued since :func:`_fill`.
+_CAPTURED = WeakKeyDictionary()
+
+
 def _fill(device, seed):
+    """Seed every data row, capturing the device's commands from here on."""
+    _CAPTURED[device.chip.trace] = device.chip.trace.open_capture()
     rng = np.random.default_rng(seed)
     for bank in range(GEO.banks):
         for sub in range(GEO.subarrays_per_bank):
@@ -88,8 +95,7 @@ def _assert_same_state(serial, sharded):
     assert ss.ops == sp.ops
     ts, tp = serial.chip.trace, sharded.chip.trace
     assert len(ts) == len(tp)
-    for a, b in zip(ts, tp):
-        assert a == b
+    assert _CAPTURED[ts] == _CAPTURED[tp]
     assert ts.weighted_activates() == tp.weighted_activates()
     cache_s = serial.controller.plan_cache
     cache_p = sharded.controller.plan_cache
