@@ -46,26 +46,27 @@ class ControllerStats:
         #: Per-bank busy time, for the bank-parallel makespan.
         self.bank_busy_ns: Dict[int, float] = defaultdict(float)
 
-    def _runs(self) -> Iterator[Tuple[OpTotals, int]]:
-        """``(totals, executions)`` of every op run since the stats began."""
+    def runs(self) -> Iterator[Tuple[OpTotals, int]]:
+        """``(totals, executions)`` of every op run since the stats began,
+        RowClone-PSM copies included (their ``totals.op`` is ``None``)."""
         return (self.trace.record() - self._start).runs()
 
     @property
     def ops(self) -> Dict[StepProgram, int]:
         """Completed bulk operations by op (RowClone-PSM copies excluded)."""
         ops: Dict[StepProgram, int] = defaultdict(int)
-        for totals, n in self._runs():
+        for totals, n in self.runs():
             if totals.op is not None:
                 ops[totals.op] += n
         return ops
 
     @property
     def aap_count(self) -> int:
-        return sum(totals.aaps * n for totals, n in self._runs())
+        return sum(totals.aaps * n for totals, n in self.runs())
 
     @property
     def ap_count(self) -> int:
-        return sum(totals.aps * n for totals, n in self._runs())
+        return sum(totals.aps * n for totals, n in self.runs())
 
     def makespan_ns(self) -> float:
         """Completion time with perfect bank-level overlap.
@@ -93,12 +94,9 @@ class AmbitController:
     split_decoder:
         When False, every AAP pays the serial ``2*tRAS + tRP`` latency
         (the Section 5.3 ablation).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-        the controller counts completed bulk operations and feeds the
-        per-op accounted-latency histogram (the batch engine feeds the
-        same families for fused rows, so both execution paths expose one
-        coherent view).
+
+    The controller updates no metrics: its :attr:`stats` and the chip
+    trace they fold are what the device's metrics read when scraped.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class AmbitController:
         chip: DramChip,
         timing: TimingParameters,
         split_decoder: bool = True,
-        metrics: Optional[object] = None,
     ):
         self.chip = chip
         self.timing = timing
@@ -116,9 +113,7 @@ class AmbitController:
         #: Plan templates, one per op shape (shared with the batch
         #: engine).  Survives :meth:`reset_stats` -- only its hit/miss
         #: counters are statistics.
-        self.plan_cache = PlanCache(
-            self.amap, timing, split_decoder, metrics=metrics
-        )
+        self.plan_cache = PlanCache(self.amap, timing, split_decoder)
         #: Runtime spare-row remapping (Section 5.5.3), consulted on the
         #: address path of every bulk operation and backdoor row access.
         #: Empty by default; the fault-recovery layer populates it.
@@ -127,26 +122,6 @@ class AmbitController:
         #: 0 (DCC0, the default) or 1 (DCC1).  The fault-recovery layer
         #: flips a subarray's route when its DCC0 n-wordline breaks.
         self.dcc_route: Dict[Tuple[int, int], int] = {}
-        self.metrics = metrics
-        self._m_ops = self._m_latency = self._m_busy = None
-        #: Op label -> its ``ambit_ops_total`` and ``ambit_op_latency_ns``
-        #: children (see :meth:`op_metrics`).
-        self._op_metrics: Dict[str, tuple] = {}
-        if metrics is not None:
-            self._m_ops = metrics.counter(
-                "ambit_ops_total",
-                "Completed bulk bitwise operations",
-                labels=("op",),
-            )
-            self._m_latency = metrics.histogram(
-                "ambit_op_latency_ns",
-                "Accounted per-row latency of bulk operations (ns)",
-                labels=("op",),
-            )
-            self._m_busy = metrics.counter(
-                "ambit_busy_ns_total",
-                "Serial accounted busy time across all banks (ns)",
-            ).labels()
 
     # ------------------------------------------------------------------
     # Bulk operations
@@ -254,25 +229,8 @@ class AmbitController:
                 program.num_ap, total_ns, canonical_tally(executed),
             )
         trace.credit(totals)
-        metrics = self.op_metrics(program.op.value)
-        if metrics is not None:
-            ops, latency = metrics
-            ops.inc()
-            latency.observe(total_ns)
-            self._m_busy.inc(total_ns)
         if tracer is not None:
             tracer.end_op(self.chip.clock_ns)
-
-    def op_metrics(self, label: str):
-        """The ``ambit_ops_total`` counter and ``ambit_op_latency_ns``
-        histogram of one op label (``None`` without a registry)."""
-        metrics = self._op_metrics.get(label)
-        if metrics is None and self._m_ops is not None:
-            metrics = self._op_metrics[label] = (
-                self._m_ops.labels(op=label),
-                self._m_latency.labels(op=label),
-            )
-        return metrics
 
     def copy(self, bank: int, subarray: int, src: int, dst: int) -> None:
         """RowClone-FPM copy through the AAP machinery."""
@@ -296,7 +254,7 @@ class AmbitController:
         """Clear accumulated statistics and the command trace's counts.
 
         The plan cache's templates survive (they are derived state, not
-        statistics); only its hit/miss counters are zeroed.
+        statistics); only its hit/miss counts restart from zero.
         """
         self.stats = ControllerStats(self.chip.trace)
         self.chip.trace.clear()

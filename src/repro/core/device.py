@@ -9,7 +9,7 @@ the application-facing :class:`~repro.apps.bitvector.BitVector`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +48,12 @@ class AmbitDevice:
     initialize_control_rows:
         Set False when attaching to an already-initialized shared store
         (a worker process must not re-stamp C0/C1).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` to record
-        into; by default every device owns a fresh registry.  The
-        controller, plan cache, batch engine, driver, and (for sharded
-        devices) the worker pool all feed it.
+
+    :attr:`metrics` is the device's own
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Its op, latency,
+    busy-time and plan-cache families are folded from the statistics
+    and the plan cache when read (:meth:`_collect_metrics`); no
+    execution path updates them.
     """
 
     def __init__(
@@ -63,7 +64,6 @@ class AmbitDevice:
         charge_model_factory: Optional[Callable[[], object]] = None,
         row_store: Optional[object] = None,
         initialize_control_rows: bool = True,
-        metrics: Optional[object] = None,
     ):
         from repro.obs.metrics import MetricsRegistry
 
@@ -71,7 +71,7 @@ class AmbitDevice:
         self.timing = timing if timing is not None else ddr3_1600()
         self.amap = AmbitAddressMap(self.geometry.subarray)
         self.row_store = row_store
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.chip = DramChip(
             self.geometry,
             decoder_factory=lambda: self.amap.build_decoder(),
@@ -79,12 +79,10 @@ class AmbitDevice:
             row_store=row_store,
         )
         self.controller = AmbitController(
-            self.chip,
-            self.timing,
-            split_decoder=split_decoder,
-            metrics=self.metrics,
+            self.chip, self.timing, split_decoder=split_decoder
         )
         self._engine = None
+        self.metrics.register_collector(self._collect_metrics)
         if initialize_control_rows:
             self._initialize_control_rows()
 
@@ -247,7 +245,7 @@ class AmbitDevice:
         return self.controller.stats.busy_ns
 
     def reset_stats(self) -> None:
-        """Clear controller statistics and the command trace.
+        """Clear controller statistics, the command trace and the metrics.
 
         Quiesce-then-reset protocol: when this device's cells back a
         multi-process :class:`~repro.parallel.device.ShardedDevice`,
@@ -259,7 +257,8 @@ class AmbitDevice:
 
         The metrics registry resets with the statistics: counters,
         per-op histograms, and worker gauges all restart from zero in
-        the same call, so metrics and counters can never describe
+        the same call, and the folded families read the restarted
+        statistics, so metrics and counters can never describe
         different epochs.
         """
         self.controller.reset_stats()
@@ -288,6 +287,46 @@ class AmbitDevice:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
+    def _collect_metrics(self) -> None:
+        """Fill the device's folded metric families (the registry's
+        collector: it runs whenever the registry is read).
+
+        Ops and their latencies are the controller statistics' record
+        delta, one observation of ``totals.ns`` per row (RowClone-PSM
+        copies excluded, as in ``ControllerStats.ops``).  Each value is
+        assigned, never added, so concurrent scrapes cannot count twice.
+        """
+        ops: Dict[tuple, int] = {}
+        latency: Dict[tuple, list] = {}
+        for totals, n in self.controller.stats.runs():
+            if totals.op is not None:
+                key = (totals.name,)
+                ops[key] = ops.get(key, 0) + n
+                latency.setdefault(key, []).append((totals.ns, n))
+        cache = self.controller.plan_cache
+        metrics = self.metrics
+        metrics.counter(
+            "ambit_ops_total", "Completed bulk bitwise operations", ("op",)
+        ).assign(ops)
+        metrics.histogram(
+            "ambit_op_latency_ns",
+            "Accounted per-row latency of bulk operations (ns)", ("op",),
+        ).assign(latency)
+        metrics.counter(
+            "ambit_busy_ns_total",
+            "Serial accounted busy time across all banks (ns)",
+        ).assign({(): self.busy_ns})
+        metrics.counter(
+            "ambit_plan_cache_hits_total", "Plan-cache hits, per row"
+        ).assign({(): cache.hits})
+        metrics.counter(
+            "ambit_plan_cache_misses_total",
+            "Plan-cache misses (template compilations)",
+        ).assign({(): cache.misses})
+        metrics.gauge(
+            "ambit_plan_cache_plans", "Plan templates held (one per op shape)"
+        ).set(len(cache))
+
     @property
     def tracer(self):
         """The attached :class:`repro.obs.tracer.Tracer` (or ``None``)."""

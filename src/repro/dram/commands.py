@@ -134,7 +134,7 @@ def canonical_tally(counts: Mapping[CommandKind, int]) -> Tally:
     ))
 
 
-def _minus(after: Mapping, before: Mapping) -> Dict:
+def minus(after: Mapping, before: Mapping) -> Dict:
     """Per-key ``after - before`` of two counters, zero entries dropped."""
     delta = {}
     for key, n in after.items():
@@ -164,9 +164,9 @@ class TraceRecord:
 
     def __sub__(self, base: "TraceRecord") -> "TraceRecord":
         return TraceRecord(
-            _minus(self.tally, base.tally),
-            _minus(self.charged, base.charged),
-            _minus(self.credited, base.credited),
+            minus(self.tally, base.tally),
+            minus(self.charged, base.charged),
+            minus(self.credited, base.credited),
         )
 
     def commands(self) -> Dict[CommandKind, int]:
@@ -296,7 +296,7 @@ class CommandTrace:
         self, mark: Mapping[CommandKind, int]
     ) -> Dict[CommandKind, int]:
         """Commands executed since ``mark``, a copy of :attr:`tally`."""
-        return _minus(self.tally, mark)
+        return minus(self.tally, mark)
 
     def record(self) -> TraceRecord:
         """A snapshot of every counter (see :class:`TraceRecord`)."""

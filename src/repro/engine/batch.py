@@ -83,7 +83,7 @@ class BatchReport:
 class _Group:
     """All rows of one batch that target one (bank, subarray)."""
 
-    __slots__ = ("bank", "subarray", "indices", "rows", "templates")
+    __slots__ = ("bank", "subarray", "indices", "rows", "templates", "_columns")
 
     def __init__(self, bank: int, subarray: int):
         self.bank = bank
@@ -94,6 +94,7 @@ class _Group:
         #: One template for every row, or one per row
         #: (:meth:`repro.engine.plan.PlanCache.lookup`).
         self.templates: List[PlanTemplate] = []
+        self._columns: Optional[List[Tuple[int, ...]]] = None
 
     @property
     def duration_ns(self) -> float:
@@ -101,6 +102,13 @@ class _Group:
         if len(templates) == 1:
             return templates[0].total_ns(len(self.rows))
         return sum(template.totals.ns for template in templates)
+
+    def columns(self) -> List[Tuple[int, ...]]:
+        """:attr:`rows` transposed, once: one address column per binding
+        position -- the destination, the sources, then the scratch rows."""
+        if self._columns is None:
+            self._columns = list(zip(*self.rows))
+        return self._columns
 
     def bindings(self) -> Iterator[Tuple[Rows, PlanTemplate]]:
         """``(rows, template)`` of every row, in row order."""
@@ -189,11 +197,12 @@ class BatchEngine:
         ]
         parallelism = self.scheduler.report(command_groups)
 
+        arity = len(srcs)
         fused = 0
         for issued in self.scheduler.order(command_groups):
             group: _Group = issued.payload
-            if fuse and self._fused_eligible(group, dst, srcs, temps):
-                self._run_group_fused(op, group, dst, srcs, temps)
+            if fuse and self._fused_eligible(group, arity):
+                self._run_group_fused(op, group, arity)
                 fused += len(group.indices)
             else:
                 self._run_group_per_row(group)
@@ -299,13 +308,7 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Eligibility
     # ------------------------------------------------------------------
-    def _fused_eligible(
-        self,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        srcs: Columns,
-        temps: Columns,
-    ) -> bool:
+    def _fused_eligible(self, group: _Group, arity: int) -> bool:
         subarray = self.chip.bank(group.bank).subarray(group.subarray)
         if subarray.has_faults or subarray.amps.charge_model is not None:
             return False
@@ -314,24 +317,20 @@ class BatchEngine:
         # write-write aliasing across the group's rows (duplicate
         # destinations, shared scratch rows) or write-read overlap must
         # take the sequential per-row walk.
-        write_addrs = [dst[i].address for i in group.indices]
-        for col in temps:
-            write_addrs.extend([col[i].address for i in group.indices])
-        if len(set(write_addrs)) != len(write_addrs):
+        dst, *operands = group.columns()
+        writes = list(dst)
+        for col in operands[arity:]:
+            writes.extend(col)
+        unique = set(writes)
+        if len(unique) != len(writes):
             return False
-        read_addrs = {col[i].address for col in srcs for i in group.indices}
-        return not (set(write_addrs) & read_addrs)
+        return unique.isdisjoint(set().union(*operands[:arity]))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _run_group_fused(
-        self,
-        op: StepProgram,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        srcs: Columns,
-        temps: Columns,
+        self, op: StepProgram, group: _Group, arity: int
     ) -> None:
         bank, sub = group.bank, group.subarray
         if self.chip.bank(bank).open_subarray is not None:
@@ -339,33 +338,30 @@ class BatchEngine:
                 f"bank {bank} must be precharged before a bulk operation"
             )
         subarray = self.chip.bank(bank).subarray(sub)
-        indices = group.indices
         start_ns = self.chip.clock_ns
+        dst, *operands = group.columns()
+        srcs = operands[:arity]
 
         # Functional effect: the op's steps over the whole group at once.
-        sources = [
-            subarray.peek_batch([col[i].address for i in indices])
-            for col in srcs
-        ]
-        result, temp_values = op.eval_rows(sources)
-        dst_addrs = [dst[i].address for i in indices]
-        subarray.poke_batch(dst_addrs, result, now_ns=start_ns)
+        result, temp_values = op.eval_rows(
+            [subarray.peek_batch(col) for col in srcs]
+        )
+        subarray.poke_batch(dst, result, now_ns=start_ns)
         # Scratch rows end a per-row walk holding their final step
         # values; poke them too so fused and per-row leave identical
         # memory behind (the dispatch-parity property).
-        touched = list(dst_addrs)
-        for col, values in zip(temps, temp_values):
-            temp_addrs = [col[i].address for i in indices]
-            subarray.poke_batch(temp_addrs, values, now_ns=start_ns)
-            touched.extend(temp_addrs)
+        touched = list(dst)
+        for col, values in zip(operands[arity:], temp_values):
+            subarray.poke_batch(col, values, now_ns=start_ns)
+            touched.extend(col)
         # Source activations restore (and thereby refresh) their rows.
         for col in srcs:
-            touched.extend([col[i].address for i in indices])
+            touched.extend(col)
         subarray.touch_rows(touched, now_ns=start_ns)
 
-        self.account_group(op, group)
+        self.account_group(group)
 
-    def account_group(self, op, group: _Group) -> None:
+    def account_group(self, group: _Group) -> None:
         """Charge one group's rows to the accounting record.
 
         A group of one template is one counter bump of n rows in the
@@ -410,20 +406,9 @@ class BatchEngine:
                     clock_ns = _emit_plan(
                         tracer, template, commands, bank, sub, clock_ns
                     )
-        controller = self.controller
-        stats = controller.stats
+        stats = self.controller.stats
         stats.busy_ns += total_ns
         stats.bank_busy_ns[bank] += total_ns
-        metrics = controller.op_metrics(op.value)
-        if metrics is not None:
-            ops, latency = metrics
-            ops.inc(rows)
-            if len(templates) == 1:
-                latency.observe(templates[0].totals.ns, count=rows)
-            else:
-                for template in templates:
-                    latency.observe(template.totals.ns)
-            controller._m_busy.inc(total_ns)
         self.chip.clock_ns += total_ns
 
     def _run_group_per_row(self, group: _Group) -> None:

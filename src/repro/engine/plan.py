@@ -22,10 +22,10 @@ row costs but is no valid destination.  Data rows are interchangeable.
 
 Nothing is stored per address.  Templates are bounded by ops x DCC
 routes x reserved-row patterns, so the cache needs no eviction.  A miss
-compiles one program (:meth:`StepProgram.program`).  Hits and misses
-count per bound row, and per operation label too
-(``hits_by_op``/``misses_by_op``), so ``repro profile`` shows each
-compiled op as its own line.  The shape is keyed under one fixed
+compiles one program (:meth:`StepProgram.program`).  Each bound row
+counts once, as a hit or a miss, under its operation label, so ``repro
+profile`` shows each compiled op as its own line; the counts only grow
+(:meth:`PlanCache.counts`).  The shape is keyed under one fixed
 ``(address map, timing, split_decoder)`` configuration -- the cache is
 per-controller, and the controller's configuration is immutable.
 
@@ -64,6 +64,7 @@ from repro.dram.commands import (
     Opcode,
     Tally,
     canonical_tally,
+    minus,
 )
 from repro.dram.timing import TimingParameters
 from repro.errors import AddressError
@@ -230,10 +231,10 @@ class PlanCache:
         Speed grade used for the templates' per-primitive latencies.
     split_decoder:
         Decoder configuration the latencies assume (Section 5.3).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; hit/miss
-        counters mirror into ``ambit_plan_cache_{hits,misses}_total``
-        and a collector samples the template count at scrape time.
+
+    The device's metrics read the cache when scraped: its counts fill
+    ``ambit_plan_cache_{hits,misses}_total`` and its size
+    ``ambit_plan_cache_plans``.
     """
 
     def __init__(
@@ -241,7 +242,6 @@ class PlanCache:
         amap: AmbitAddressMap,
         timing: TimingParameters,
         split_decoder: bool = True,
-        metrics: Optional[object] = None,
     ):
         self.amap = amap
         self.timing = timing
@@ -256,33 +256,14 @@ class PlanCache:
         #: Value -> the one :class:`OpTotals` with that value (see
         #: :meth:`totals`); never trimmed, one entry per distinct cost.
         self._totals: Dict[tuple, OpTotals] = {}
-        #: Cache statistics; reset with :meth:`reset_counters` (the
-        #: templates themselves survive a stats reset).
-        self.hits = 0
-        self.misses = 0
+        #: Hits and misses by operation label (see :meth:`counts`).
+        self._hits: Dict[str, int] = {}
+        self._misses: Dict[str, int] = {}
+        #: The :meth:`counts` that ``hits`` and ``misses`` start from.
+        self._zero = self.counts()
         #: Always 0: templates are bounded by construction and never
         #: evicted.  Kept while benchmark readers still read it.
         self.evictions = 0
-        #: Per-operation-label statistics (``op.value`` -> count); the
-        #: fix for compiled plans colliding into one profile bucket.
-        self.hits_by_op: Dict[str, int] = {}
-        self.misses_by_op: Dict[str, int] = {}
-        self._m_hits = self._m_misses = None
-        if metrics is not None:
-            self._m_hits = metrics.counter(
-                "ambit_plan_cache_hits_total", "Plan-cache hits, per row"
-            ).labels()
-            self._m_misses = metrics.counter(
-                "ambit_plan_cache_misses_total",
-                "Plan-cache misses (template compilations)",
-            ).labels()
-            templates_gauge = metrics.gauge(
-                "ambit_plan_cache_plans",
-                "Plan templates held (one per op shape)",
-            )
-            metrics.register_collector(
-                lambda: templates_gauge.set(len(self._templates))
-            )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -363,20 +344,14 @@ class PlanCache:
         return template
 
     def _count_hits(self, template: PlanTemplate, n: int) -> None:
-        self.hits += n
         label = template.totals.name
-        self.hits_by_op[label] = self.hits_by_op.get(label, 0) + n
-        if self._m_hits is not None:
-            self._m_hits.inc(n)
+        self._hits[label] = self._hits.get(label, 0) + n
 
     def _compile(self, key: tuple, rows: Rows) -> PlanTemplate:
         """Compile one binding's program into its shape's template."""
         op, dcc, arity, _ = key
-        self.misses += 1
         label = op.value
-        self.misses_by_op[label] = self.misses_by_op.get(label, 0) + 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
+        self._misses[label] = self._misses.get(label, 0) + 1
         # Compiled over rows that remember their position, the program
         # tells every address apart by where it came from: a destination
         # aliasing a source, or a C-group operand equal to a control row
@@ -436,12 +411,42 @@ class PlanCache:
             totals = self._totals[value] = OpTotals(*value)
         return totals
 
+    # ------------------------------------------------------------------
+    def counts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Per-label ``(hits, misses)`` since the cache was built.  They
+        only grow, so two snapshots difference exactly (:meth:`since`),
+        :meth:`reset_counters` included."""
+        return dict(self._hits), dict(self._misses)
+
+    def since(self, mark: tuple) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Per-label ``(hits, misses)`` counted after ``mark``, a
+        :meth:`counts` snapshot; safe while another thread looks up."""
+        hits, misses = self.counts()
+        return minus(hits, mark[0]), minus(misses, mark[1])
+
+    @property
+    def hits_by_op(self) -> Dict[str, int]:
+        """Hits by operation label since :meth:`reset_counters`."""
+        return self.since(self._zero)[0]
+
+    @property
+    def misses_by_op(self) -> Dict[str, int]:
+        """Misses by operation label since :meth:`reset_counters`."""
+        return self.since(self._zero)[1]
+
+    @property
+    def hits(self) -> int:
+        return sum(self.hits_by_op.values())
+
+    @property
+    def misses(self) -> int:
+        return sum(self.misses_by_op.values())
+
     def reset_counters(self) -> None:
-        """Zero the hit/miss counters without dropping templates."""
-        self.hits = 0
-        self.misses = 0
-        self.hits_by_op.clear()
-        self.misses_by_op.clear()
+        """Count ``hits`` and ``misses`` from zero again, as
+        ``CommandTrace.clear`` does: the zero point moves, the counts and
+        the templates stay."""
+        self._zero = self.counts()
 
     # ------------------------------------------------------------------
     # Flat command schedules

@@ -7,9 +7,9 @@ service-style view the ROADMAP's production north star needs.  A
 :class:`~repro.core.device.AmbitDevice` and is threaded through the
 whole execution stack:
 
-* the :class:`~repro.core.controller.AmbitController` counts executed
-  bulk operations and feeds a per-op accounted-latency histogram,
-* the :class:`~repro.engine.plan.PlanCache` counts hits and misses,
+* the device folds executed bulk operations, their per-op accounted
+  latency, busy time and plan-cache traffic from its statistics and
+  plan cache whenever the registry is read,
 * the :class:`~repro.engine.batch.BatchEngine` counts batches and
   fused-vs-fallback rows,
 * the :class:`~repro.parallel.pool.WorkerPool` maintains per-worker
@@ -352,6 +352,29 @@ class MetricFamily:
             raise ConfigError(f"histogram {self.name!r} has no scalar value")
         return child.value
 
+    def assign(self, samples: Dict[LabelValues, Any]) -> None:
+        """Replace every child at once with a fold's values.
+
+        ``samples`` maps label values to a counter or gauge value, or,
+        for a histogram, to its ``(value, count)`` observations.  Labels
+        seen before and absent from ``samples`` read zero.  The new
+        children are built aside and installed in one assignment, so two
+        threads folding at once never add into each other's values.
+        """
+        children: Dict[LabelValues, MetricInstance] = {}
+        for key in dict.fromkeys((*self._children, *samples)):
+            child = children[key] = self._factory()
+            sample = samples.get(key)
+            if sample is None:
+                continue
+            if isinstance(child, Histogram):
+                for value, count in sample:
+                    child.observe(value, count=count)
+            else:
+                child.value = float(sample)
+        with self._lock:
+            self._children = children
+
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Zero every child in place (registrations survive)."""
@@ -434,8 +457,9 @@ class MetricsRegistry:
         """Add a callback run before every exposition.
 
         Collectors pull sampled state (plan-cache size, allocator
-        high-water marks) into gauges at scrape time, keeping hot paths
-        free of bookkeeping they already do elsewhere.
+        high-water marks) and counts kept elsewhere into their families
+        at scrape time, keeping hot paths free of bookkeeping they
+        already do elsewhere.
         """
         self._collectors.append(collect)
 

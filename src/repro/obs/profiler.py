@@ -61,18 +61,6 @@ class ProfileReport:
         #: appear under their own ``c:<name>`` labels instead of
         #: colliding into the aggregate counters.
         self.plan_cache_by_op: Dict[str, Tuple[int, int]] = {}
-        self._finalized = False
-
-    def _finalize(
-        self,
-        counters: CounterSet,
-        per_op: Dict[str, OpStats],
-        allocator: Optional[Tuple[int, int, int]] = None,
-    ) -> None:
-        self.counters = counters
-        self.per_op = per_op
-        self.allocator = allocator
-        self._finalized = True
 
     # ------------------------------------------------------------------
     def rows(self) -> List[Tuple[str, OpStats]]:
@@ -127,63 +115,34 @@ def profile(device: "object") -> Iterator[ProfileReport]:
     """Profile a region of work on an Ambit device.
 
     ``device`` is an :class:`~repro.core.device.AmbitDevice` (anything
-    exposing ``chip.trace`` and ``row_bytes``).  The counters and per-op
-    statistics are the delta of the chip trace's accounting record over
-    the region, so a ``reset_stats`` inside the region loses none of its
-    work; only the plan-cache counts restart with it.
+    exposing ``chip.trace``, ``controller.plan_cache`` and
+    ``row_bytes``).  The counters and per-op statistics are the delta of
+    the chip trace's accounting record over the region, and the
+    plan-cache counts the delta of the cache's counts; both only grow,
+    so a ``reset_stats`` inside the region loses none of its work.
     """
     trace = device.chip.trace
+    plan_cache = device.controller.plan_cache
     start = trace.record()
-    # Plan-cache hits/misses are controller state, not trace events;
-    # snapshot-and-delta keeps the region counters reset_stats-safe.
-    plan_cache = getattr(
-        getattr(device, "controller", None), "plan_cache", None
-    )
-    hits_before = plan_cache.hits if plan_cache is not None else 0
-    misses_before = plan_cache.misses if plan_cache is not None else 0
-    hits_by_op_before = (
-        dict(plan_cache.hits_by_op) if plan_cache is not None else {}
-    )
-    misses_by_op_before = (
-        dict(plan_cache.misses_by_op) if plan_cache is not None else {}
-    )
+    plan_start = plan_cache.counts()
     report = ProfileReport()
     try:
         yield report
     finally:
-        counters, per_op = fold_record(
+        report.counters, report.per_op = fold_record(
             trace.record() - start, device.row_bytes
         )
-        if plan_cache is not None:
-            # max(0, ...): a reset_stats inside the region zeroes the
-            # cache counters; never report a negative delta.
-            counters.plan_cache_hits += max(
-                0, plan_cache.hits - hits_before
-            )
-            counters.plan_cache_misses += max(
-                0, plan_cache.misses - misses_before
-            )
-            for label in set(plan_cache.hits_by_op) | set(
-                plan_cache.misses_by_op
-            ):
-                hits = max(
-                    0,
-                    plan_cache.hits_by_op.get(label, 0)
-                    - hits_by_op_before.get(label, 0),
-                )
-                misses = max(
-                    0,
-                    plan_cache.misses_by_op.get(label, 0)
-                    - misses_by_op_before.get(label, 0),
-                )
-                if hits or misses:
-                    report.plan_cache_by_op[label] = (hits, misses)
+        hits, misses = plan_cache.since(plan_start)
+        report.counters.plan_cache_hits = sum(hits.values())
+        report.counters.plan_cache_misses = sum(misses.values())
+        report.plan_cache_by_op = {
+            label: (hits.get(label, 0), misses.get(label, 0))
+            for label in {**hits, **misses}
+        }
         driver = getattr(device, "driver", None)
-        allocator = None
         if driver is not None:
-            allocator = (
+            report.allocator = (
                 driver.rows_in_use,
                 driver.high_water_rows,
                 driver.free_rows(),
             )
-        report._finalize(counters, per_op, allocator)

@@ -486,7 +486,7 @@ class ShardedDevice:
         # Deterministic merge: accounting (and any tracer events) in the
         # parent, in the exact bank-interleaved order of the
         # single-process engine.
-        self._account(op, engine, groups)
+        self._account(engine, groups)
         if chip.tracer is not None:
             self._trace_spans(
                 op, chip.tracer, groups, assignment, shard_rows, results,
@@ -633,9 +633,9 @@ class ShardedDevice:
             for g in groups
         ]
 
-    def _account(self, op, engine, groups) -> None:
+    def _account(self, engine, groups) -> None:
         for issued in engine.scheduler.order(self._command_groups(groups)):
-            engine.account_group(op, issued.payload)
+            engine.account_group(issued.payload)
 
     def _report(self, engine, groups, rows, fused, shards) -> BatchReport:
         return BatchReport(

@@ -251,6 +251,27 @@ class TestFallbacks:
             fast.read_row(dst[0]), fast.read_row(src1[1])
         )
 
+    def test_shared_scratch_row_forces_per_row_path(self):
+        """Both rows clobber scratch row 10: sequential semantics."""
+        from repro.compile import compile_expr, parse_expr
+
+        mux = compile_expr(parse_expr("mux(c, a, b)"), name="shared_temp")
+        slow, fast = _twin_devices(seed=23)
+        dst = [RowLocation(0, 0, 5), RowLocation(0, 0, 6)]
+        srcs = [[RowLocation(0, 0, k)] * 2 for k in range(mux.arity)]
+        temps = [
+            [RowLocation(0, 0, 10)] * 2,
+            [RowLocation(0, 0, 11), RowLocation(0, 0, 12)],
+        ]
+        for i in range(len(dst)):
+            slow.bbop_row(
+                mux, dst[i], *(col[i] for col in srcs),
+                temps=[col[i] for col in temps],
+            )
+        report = fast.engine.run_rows(mux, dst, *srcs, temps=temps)
+        assert report.fused_rows == 0 and report.fallback_rows == 2
+        _assert_equivalent(slow, fast)
+
 
 class TestParallelismReport:
     def test_even_spread_reports_full_overlap(self):

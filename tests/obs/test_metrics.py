@@ -243,6 +243,78 @@ def test_batch_engine_and_allocator_metrics():
     assert registry.get("ambit_allocator_high_water_rows").value == 3
 
 
+def test_busy_metric_is_the_device_busy_time():
+    """``ambit_busy_ns_total`` reads the device's busy time, RowClone-PSM
+    copies included: 876 ns here, the AND's 196 plus the copy's 680."""
+    from repro.dram.chip import RowLocation
+
+    device = AmbitDevice()
+    device.bbop_row(
+        BulkOp.AND, RowLocation(0, 0, 3), RowLocation(0, 0, 0),
+        RowLocation(0, 0, 1),
+    )
+    device.psm_copy(RowLocation(0, 0, 3), RowLocation(1, 0, 3))
+    busy = device.metrics.get("ambit_busy_ns_total").value
+    assert busy == device.busy_ns == 876.0
+    # The copy is no bulk operation: only the AND is counted.
+    ops = device.metrics.get("ambit_ops_total").children
+    assert {labels: child.value for labels, child in ops.items()} == {
+        ("and",): 1
+    }
+
+
+def test_concurrent_scrapes_do_not_double_count():
+    """Scrapes assign the folded values: threads scraping while ops run
+    (a serving loop and a metrics server) never read more work than was
+    done, nor trip over the counts growing under them."""
+    import sys
+    import threading
+
+    device = AmbitDevice(geometry=GEO)
+    stats = device.controller.stats
+    done = threading.Event()
+    scrapes, overcounts, errors = [], [], []
+
+    def scrape():
+        try:
+            while not done.is_set():
+                samples = device.metrics.snapshot()["ambit_ops_total"]
+                read = sum(s["value"] for s in samples["samples"])
+                # Work only grows: what was done by now bounds the read.
+                done_by_now = sum(stats.ops.values())
+                scrapes.append(read)
+                if read > done_by_now:
+                    overcounts.append((read, done_by_now))
+        except Exception as exc:  # reported by the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=scrape) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for op in (BulkOp.OR, BulkOp.AND, BulkOp.XOR):
+            _run_ops(device, op, count=10)
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert scrapes and not overcounts, overcounts
+    registry = device.metrics
+    ops = registry.get("ambit_ops_total").children
+    assert {op: child.value for (op,), child in ops.items()} == {
+        "or": 10, "and": 10, "xor": 10
+    }
+    assert registry.get("ambit_busy_ns_total").value == device.busy_ns
+    hits = registry.get("ambit_plan_cache_hits_total").value
+    misses = registry.get("ambit_plan_cache_misses_total").value
+    assert (hits, misses) == (27, 3)
+
+
 def test_device_reset_stats_resets_metrics():
     device = AmbitDevice(geometry=GEO)
     _run_ops(device, BulkOp.OR, count=2)

@@ -73,9 +73,15 @@ class TestProfileContextManager:
         assert (c.aaps, c.aps, c.activates) == (9, 2, 20)
         assert c.energy_pj == pytest.approx(559.2, abs=0.05)
         assert set(prof.per_op) == {"and", "xor"}
+        # Plan-cache lookups made before the reset count too.
+        assert (c.plan_cache_hits, c.plan_cache_misses) == (0, 2)
+        assert prof.plan_cache_by_op == {"and": (0, 1), "xor": (0, 1)}
         # The statistics themselves restart at the reset.
         assert device.controller.stats.aap_count == 5
         assert len(device.chip.trace) == 19
+        cache = device.controller.plan_cache
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.misses_by_op == {"xor": 1}
 
     def test_piggybacks_on_existing_tracer(self, device):
         ring = RingBufferSink()

@@ -283,11 +283,44 @@ def test_random_spreads_traced_parity(op, seed, counts, workers, data):
         _assert_streams_identical(ring_s.events, ring_p.events)
 
 
+def _scraped(device):
+    """The device's folded metric families, as a scrape reads them."""
+    registry = device.metrics
+    latency = registry.get("ambit_op_latency_ns").children
+    return {
+        "ops": {
+            op: child.value
+            for (op,), child in registry.get("ambit_ops_total").children.items()
+        },
+        "latency": {
+            op: (child.count, child.sum) for (op,), child in latency.items()
+        },
+        "busy_ns": registry.get("ambit_busy_ns_total").value,
+        "plan_cache": (
+            registry.get("ambit_plan_cache_hits_total").value,
+            registry.get("ambit_plan_cache_misses_total").value,
+        ),
+    }
+
+
+def _profiled(prof):
+    """What :func:`_scraped` must read after a profiled fresh device."""
+    c = prof.counters
+    return {
+        "ops": {name: s.count for name, s in prof.per_op.items()},
+        "latency": {
+            name: (s.count, s.busy_ns) for name, s in prof.per_op.items()
+        },
+        "busy_ns": c.busy_ns,
+        "plan_cache": (c.plan_cache_hits, c.plan_cache_misses),
+    }
+
+
 def test_profile_table_is_the_same_on_every_tier():
     """``device.profile()`` reports one per-op table whichever tier ran,
     traced or not, and it equals every other fold of the same work: the
-    tracer's :class:`CounterSink`, the op events, and the controller's
-    statistics."""
+    tracer's :class:`CounterSink`, the op events, the controller's
+    statistics, and the device's scraped metrics."""
     tables, folds = {}, {}
     for tier in TIERS:
         for traced in (False, True):
@@ -301,6 +334,7 @@ def test_profile_table_is_the_same_on_every_tier():
                     for op in ALL_OPS:
                         _run(device, tier, op, UNEVEN_SPREAD)
                 after = (stats.aap_count, stats.ap_count, stats.busy_ns)
+                assert _scraped(device) == _profiled(prof)
             report = (
                 prof.counters.as_dict(),
                 {
