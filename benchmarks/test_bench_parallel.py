@@ -28,7 +28,7 @@ Whatever applied is written into the JSON artifact as ``speedup_tier``
 mistaken for one that actually cleared a floor.
 
 ``REPRO_BENCH_REQUIRE=<factor>`` forces a floor regardless of the
-detected core count (used by the CI bench-smoke job on runners known to
+detected core count (used by the CI bench-regress job on runners known to
 have cores).
 """
 

@@ -16,7 +16,7 @@ bit).  The speedup floor is host-tiered like ``BENCH_parallel.json``:
   the magnitude is waived down.
 
 ``REPRO_BENCH_REQUIRE=<factor>`` forces a floor regardless of detected
-cores (CI bench-smoke runners).  Whichever floor applied is recorded in
+cores (CI serve-smoke runners).  Whichever floor applied is recorded in
 the artifact as ``speedup_tier``/``required_speedup`` so a laptop
 baseline can never masquerade as a multi-core one.
 """

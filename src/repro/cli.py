@@ -15,7 +15,6 @@ Usage::
     python -m repro top [--jobs N]       # per-op + per-worker health view
     python -m repro top --url URL        # same view for a remote server
     python -m repro bench [--jobs N]     # serial vs multi-process timing
-    python -m repro bench --check        # regression gate vs committed JSON
     python -m repro serve [--port P]     # async bulk-bitwise NDJSON service
     python -m repro loadgen [--clients N]  # deterministic SLO load soak
 
@@ -294,24 +293,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_parallel_bench,
     )
     from repro.parallel.pmap import default_jobs
-
-    if args.check:
-        from repro.obs.regress import run_bench_check
-
-        reports = run_bench_check(
-            args.results_dir,
-            repeats=args.repeats,
-            tolerance_scale=args.tolerance_scale,
-        )
-        for report in reports:
-            print(report.format())
-        failed = [r for r in reports if not r.ok]
-        if failed:
-            print(f"\nREGRESSION: {len(failed)} benchmark(s) out of "
-                  f"tolerance", file=sys.stderr)
-            return 1
-        print("\nall benchmarks within tolerance of the committed baselines")
-        return 0
 
     config = ParallelBenchConfig(
         jobs=args.jobs if args.jobs is not None else default_jobs(),
@@ -779,15 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timings per arm; best is kept")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="also write the JSON payload")
-    p.add_argument("--check", action="store_true",
-                   help="regression gate: re-run the gated benchmarks and "
-                        "compare against benchmarks/results/BENCH_*.json; "
-                        "exit 1 on regression")
-    p.add_argument("--results-dir", default="benchmarks/results",
-                   help="directory holding the committed baselines")
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   help="scale every check tolerance (e.g. 1.5 for noisy "
-                        "CI hosts)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

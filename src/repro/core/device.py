@@ -289,7 +289,7 @@ class AmbitDevice:
     # ------------------------------------------------------------------
     def _collect_metrics(self) -> None:
         """Fill the device's folded metric families (the registry's
-        collector: it runs whenever the registry is read).
+        collector: it runs once per scrape, snapshot or ``collect()``).
 
         Ops and their latencies are the controller statistics' record
         delta, one observation of ``totals.ns`` per row (RowClone-PSM

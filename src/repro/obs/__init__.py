@@ -31,8 +31,6 @@ artifact beyond the counts ``chip.trace`` keeps:
   layer: per-request critical-path breakdowns that tile the wall clock,
   a bounded ring of recent traces (``repro spans``), and a flight
   recorder that dumps the ring to JSONL when a request ends badly.
-* :mod:`repro.obs.regress` -- the benchmark-regression gate behind
-  ``repro bench --check``.
 
 The same machinery backs the golden-trace regression suite: the
 ``command_log`` pytest fixture (``tests/conftest.py``) records exact
@@ -53,12 +51,6 @@ from repro.obs.metrics import (
     format_top,
 )
 from repro.obs.profiler import ProfileReport, profile
-from repro.obs.regress import (
-    MetricCheck,
-    MetricSpec,
-    RegressionReport,
-    run_bench_check,
-)
 from repro.obs.spans import (
     STAGES,
     FlightRecorder,
@@ -91,14 +83,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonLinesSink",
-    "MetricCheck",
     "MetricFamily",
-    "MetricSpec",
     "MetricsRegistry",
     "MetricsServer",
     "OpStats",
     "ProfileReport",
-    "RegressionReport",
     "RequestSpanCtx",
     "RequestTrace",
     "RingBufferSink",
@@ -113,6 +102,5 @@ __all__ = [
     "format_top",
     "format_trace_tree",
     "profile",
-    "run_bench_check",
     "validate_trace",
 ]

@@ -372,14 +372,8 @@ class ShardedDevice:
         shard_rows: List[List[RowSpec]] = [[] for _ in range(shards)]
         for group in groups:
             shard_rows[assignment[group.bank]].extend(
-                (
-                    group.bank,
-                    group.subarray,
-                    dst[i].address,
-                    tuple(col[i].address for col in srcs),
-                    tuple(col[i].address for col in temps),
-                )
-                for i in group.indices
+                (group.bank, group.subarray, tuple(binding))
+                for binding in group.rows
             )
         return self._run_sharded(
             op, engine, groups, len(dst), shard_rows, assignment

@@ -54,11 +54,10 @@ from typing import Dict, Optional, Tuple
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import TimingParameters
 
-#: One row of a shard job: (bank, subarray, dk, source addresses in
-#: input order, scratch addresses in slot order).  The nested tuples
-#: make the spec self-describing for any op, so the worker needs no
-#: per-op schema.
-RowSpec = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
+#: One row of a shard job: (bank, subarray, binding), the binding being
+#: the row's addresses ``(dk, *srcs, *temps)`` as the parent planned
+#: them; the worker splits it by the op's arity.
+RowSpec = Tuple[int, int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -222,15 +221,13 @@ def run_shard(job: ShardJob) -> int:
     device.chip.clock_ns = job.start_ns
 
     op = _job_op(job)
-    dst = []
-    srcs = [[] for _ in range(op.arity)]
-    temps = [[] for _ in range(op.num_temps)]
-    for bank, sub, dk, src_addrs, temp_addrs in _job_rows(job):
-        dst.append(RowLocation(bank, sub, dk))
-        for column, address in zip(srcs, src_addrs):
-            column.append(RowLocation(bank, sub, address))
-        for column, address in zip(temps, temp_addrs):
-            column.append(RowLocation(bank, sub, address))
+    # The bindings transposed: one row column per binding position --
+    # the destination, the sources, then the scratch rows.
+    dst, *operands = zip(*(
+        [RowLocation(bank, sub, address) for address in binding]
+        for bank, sub, binding in _job_rows(job)
+    ))
+    srcs, temps = operands[:op.arity], operands[op.arity:]
 
     fused = device.engine.run_rows(op, dst, *srcs, temps=temps).fused_rows
 

@@ -15,10 +15,9 @@ returns the ``BENCH_engine.json`` payload:
   ratio (the modelled bank-level overlap, distinct from wall-clock).
 
 Both paths are pinned bit-exact and accounting-exact against each other
-inside the run, so a speedup can never come from skipped work.  The
-benchmark test under ``benchmarks/`` asserts thresholds and writes the
-payload; ``repro bench --check`` re-runs this against the committed
-baseline (see :mod:`repro.obs.regress`).
+inside the run, so a speedup can never come from skipped work.
+``benchmarks/test_bench_engine.py`` asserts the speedup floors and the
+modelled parallelism, and writes the payload.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ cannot pollute the comparison, and each arm keeps its best of
 amortizing fixed per-batch cost over many rows is where in-DRAM
 throughput comes from (Ambit Section 7.1 at memory scale, the batched
 engine at per-dispatch scale) -- becomes a single recorded ratio:
-``speedup = coalesced.throughput / single.throughput``, gated in
-``benchmarks/results/BENCH_serve.json`` by ``repro bench --check``.
+``speedup = coalesced.throughput / single.throughput``, floored by
+``benchmarks/test_bench_serve.py``, which writes
+``benchmarks/results/BENCH_serve.json``.
 """
 
 from __future__ import annotations

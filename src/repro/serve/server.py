@@ -599,6 +599,8 @@ class BulkBitwiseServer:
         return ok_response(name=name, rows=len(handle.rows))
 
     async def _cmd_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        # The snapshot runs the collectors; the totals read after it.
+        snapshot = self.metrics.snapshot()
         totals = {
             "batches": self._family_total("ambit_serve_batches_total"),
             "coalesced_batches": self._family_total(
@@ -617,12 +619,12 @@ class BulkBitwiseServer:
                 "ambit_faults_unrecovered_total"
             ),
         }
-        snapshot = {
+        serve = {
             name: value
-            for name, value in self.metrics.snapshot().items()
+            for name, value in snapshot.items()
             if name.startswith("ambit_serve_")
         }
-        return ok_response(totals=totals, metrics=snapshot)
+        return ok_response(totals=totals, metrics=serve)
 
     async def _cmd_spans(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self.spans is None:

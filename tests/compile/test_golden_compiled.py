@@ -14,7 +14,9 @@ from tests.golden.regen import (
     COMPILED_CASES,
     compiled_path,
     compiled_trace_text,
+    golden_device,
     golden_path,
+    golden_trace_text,
 )
 
 REGEN_HINT = (
@@ -46,8 +48,9 @@ def test_compiled_goldens_are_distinct():
 class TestParityWithHandWrittenPrograms:
     """The compiler reaches the native command stream, byte for byte.
 
-    This is the strongest form of the bench gate: a 1.0x ratio by
-    construction, pinned as trace equality rather than a timing bound.
+    A 1.0x compiled/native latency ratio by construction, pinned as
+    trace equality and, since trace text carries no times, as equal
+    modelled time.
     """
 
     def test_compiled_and_is_the_native_and(self):
@@ -61,3 +64,14 @@ class TestParityWithHandWrittenPrograms:
             compiled_path("compiled_xor").read_text()
             == golden_path(BulkOp.XOR).read_text()
         )
+
+    @pytest.mark.parametrize(
+        "op, expr_text, ns",
+        [(BulkOp.AND, "a & b", 196), (BulkOp.XOR, "a ^ b", 335)],
+        ids=lambda v: getattr(v, "value", str(v)),
+    )
+    def test_compiled_op_takes_the_native_time(self, op, expr_text, ns):
+        native, compiled = golden_device(), golden_device()
+        golden_trace_text(op, native)
+        compiled_trace_text(f"compiled_{op.value}", expr_text, compiled)
+        assert native.elapsed_ns == compiled.elapsed_ns == ns

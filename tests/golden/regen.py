@@ -78,7 +78,7 @@ SRC3 = RowLocation(0, 0, 2)
 
 #: Canonical compiled expressions with pinned command streams: the two
 #: ops whose synthesized programs must match the hand-written native
-#: ones (the bench gate prices exactly these), plus a mux and the
+#: ones (the parity tests time exactly these), plus a mux and the
 #: full-adder carry the bit-serial kernels are built from.
 COMPILED_CASES = (
     ("compiled_and", "a & b"),

@@ -204,6 +204,7 @@ def test_device_threads_metrics_through_controller_and_cache():
     device = AmbitDevice(geometry=GEO)
     _run_ops(device, BulkOp.AND, count=4)
     registry = device.metrics
+    registry.collect()
     ops = registry.get("ambit_ops_total")
     assert ops.children[("and",)].value == 4
     latency = registry.get("ambit_op_latency_ns")
@@ -232,6 +233,7 @@ def test_batch_engine_and_allocator_metrics():
         )
     device.engine.run_rows(BulkOp.XOR, dst, src1, src2)
     registry = device.metrics
+    registry.collect()
     assert registry.get("ambit_batches_total").value == 1
     rows = registry.get("ambit_batch_rows_total")
     assert sum(c.value for c in rows.children.values()) == 2
@@ -239,6 +241,7 @@ def test_batch_engine_and_allocator_metrics():
     assert registry.get("ambit_allocator_high_water_rows").value == 3
     for handle in handles:
         driver.free(handle)
+    registry.collect()
     assert registry.get("ambit_allocator_rows_in_use").value == 0
     assert registry.get("ambit_allocator_high_water_rows").value == 3
 
@@ -254,6 +257,7 @@ def test_busy_metric_is_the_device_busy_time():
         RowLocation(0, 0, 1),
     )
     device.psm_copy(RowLocation(0, 0, 3), RowLocation(1, 0, 3))
+    device.metrics.collect()
     busy = device.metrics.get("ambit_busy_ns_total").value
     assert busy == device.busy_ns == 876.0
     # The copy is no bulk operation: only the AND is counted.
@@ -305,6 +309,7 @@ def test_concurrent_scrapes_do_not_double_count():
     assert not errors, errors
     assert scrapes and not overcounts, overcounts
     registry = device.metrics
+    registry.collect()
     ops = registry.get("ambit_ops_total").children
     assert {op: child.value for (op,), child in ops.items()} == {
         "or": 10, "and": 10, "xor": 10
@@ -318,9 +323,28 @@ def test_concurrent_scrapes_do_not_double_count():
 def test_device_reset_stats_resets_metrics():
     device = AmbitDevice(geometry=GEO)
     _run_ops(device, BulkOp.OR, count=2)
+    device.metrics.collect()
     assert device.metrics.get("ambit_ops_total").children[("or",)].value == 2
     device.reset_stats()
+    device.metrics.collect()
     assert device.metrics.get("ambit_ops_total").children[("or",)].value == 0
+
+
+def test_reads_run_the_collectors_once():
+    """``get`` is a plain lookup; ``format_top`` and each exposition run
+    the collectors once per read."""
+    device = AmbitDevice(geometry=GEO)
+    _run_ops(device, BulkOp.NOT, count=2)
+    runs = []
+    device.metrics.register_collector(lambda: runs.append(1))
+    device.metrics.get("ambit_ops_total")
+    device.metrics.get("no_such_family")
+    assert len(runs) == 0
+    format_top(device.metrics)
+    assert len(runs) == 1
+    device.metrics.snapshot()
+    device.metrics.render_prometheus()
+    assert len(runs) == 3
 
 
 def test_format_top_renders_sections():

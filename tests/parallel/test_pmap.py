@@ -78,6 +78,15 @@ def test_montecarlo_parallel_is_job_count_invariant():
     assert serial.trials == fanned.trials == 6_000
 
 
+def test_montecarlo_failure_count_is_pinned():
+    # BENCH_parallel.json's Monte Carlo arm: the seeded deck's failure
+    # count depends on the model, the seed and the chunking only.
+    result = tra_failure_rate_parallel(
+        0.15, jobs=1, trials=8_000_000, chunks=32, seed=42
+    )
+    assert result.failures == 412_816
+
+
 def test_montecarlo_chunks_are_configuration():
     # Changing chunks is allowed to change the drawn streams...
     a = tra_failure_rate_parallel(0.2, trials=6_000, chunks=4, seed=13)

@@ -286,6 +286,7 @@ def test_random_spreads_traced_parity(op, seed, counts, workers, data):
 def _scraped(device):
     """The device's folded metric families, as a scrape reads them."""
     registry = device.metrics
+    registry.collect()
     latency = registry.get("ambit_op_latency_ns").children
     return {
         "ops": {

@@ -25,7 +25,9 @@ from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
 from repro.errors import ConcurrencyError
 from repro.parallel import ShardedDevice
+from repro.parallel.bench import ParallelBenchConfig
 from repro.parallel.shm import live_segment_names, system_segments
+from repro.perf.throughput import measure_ambit_batched, measure_ambit_sharded
 
 ALL_OPS = tuple(BulkOp)
 
@@ -191,6 +193,23 @@ def test_single_bank_batch_stays_in_process():
         report = sharded.run_rows(BulkOp.XOR, dst, src1, src2)
         assert report.shards == 1
         assert sharded.pool is None
+
+
+def test_accounted_throughput_is_pinned():
+    """BENCH_parallel's bulk-op arm at 512 B rows: AND on 8 rows per
+    bank over 8 banks.  Accounted throughput scales exactly with row
+    size, so this is its 5349.877551020408 GOPS at 128 KiB x 512 / 131072,
+    in process and sharded alike."""
+    geometry = ParallelBenchConfig(row_bytes=512).geometry()
+    batched, _ = measure_ambit_batched(
+        AmbitDevice(geometry=geometry), BulkOp.AND, rows_per_bank=8
+    )
+    with ShardedDevice(geometry=geometry, max_workers=2) as sharded:
+        gops, report = measure_ambit_sharded(
+            sharded, BulkOp.AND, rows_per_bank=8
+        )
+    assert report.shards == 2
+    assert batched == gops == 20.897959183673468
 
 
 def _slow_job(seconds):

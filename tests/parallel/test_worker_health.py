@@ -108,6 +108,7 @@ def test_reset_stats_zeroes_metrics_and_counters_atomically():
         assert sum(
             _gauge_values(registry, "ambit_worker_batches_total").values()
         ) > 0
+        registry.collect()
         assert sum(_gauge_values(registry, "ambit_ops_total").values()) > 0
         latency = registry.get("ambit_op_latency_ns")
         assert any(c.count for c in latency.children.values())
@@ -118,6 +119,7 @@ def test_reset_stats_zeroes_metrics_and_counters_atomically():
         # Device counters and the whole registry reset in one epoch:
         # scalars to zero, histograms emptied, worker gauges cleared.
         assert sharded.elapsed_ns == 0.0
+        registry.collect()
         assert sum(_gauge_values(registry, "ambit_ops_total").values()) == 0
         assert all(
             v == 0.0
@@ -139,6 +141,7 @@ def test_reset_stats_zeroes_metrics_and_counters_atomically():
         # (Worker telemetry folds at quiesce time, not per batch.)
         sharded.run_rows(BulkOp.OR, dst, src1, src2)
         sharded.quiesce()
+        registry.collect()
         assert sum(
             _gauge_values(registry, "ambit_ops_total").values()
         ) == len(dst)

@@ -263,6 +263,20 @@ def test_pipelined_ops_coalesce_and_stats_see_it():
     run(scenario)
 
 
+def test_stats_runs_the_collectors_once():
+    async def scenario(server):
+        runs = []
+        server.metrics.register_collector(lambda: runs.append(1))
+        async with Client(server.port) as client:
+            await make_vectors(client, ("a",))
+            for expected in (1, 2):
+                response = await client.rpc("stats")
+                assert response["ok"], response
+                assert len(runs) == expected
+
+    run(scenario)
+
+
 def test_quota_rejections_surface_on_the_wire():
     async def scenario(server):
         async with Client(server.port) as client:
