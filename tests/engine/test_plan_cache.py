@@ -395,4 +395,5 @@ class TestTemplates:
                 cache.get(op, dk, *range(op.arity))
         assert len(cache) == len(BulkOp) and cache.evictions == 0
         assert cache.misses == len(BulkOp)
+        device.metrics.collect()
         assert device.metrics.get("ambit_plan_cache_evictions_total") is None
