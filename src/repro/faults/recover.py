@@ -1,12 +1,26 @@
 """Verified execution with a recovery ladder (Sections 5.5.3 / 6).
 
 :class:`FaultTolerantSession` wraps a device (plain or sharded) and
-maintains a host-side *shadow*: a numpy image of every row the workload
-owns, advanced by each op's ``eval_rows`` -- the same interpreter over
-:func:`~repro.core.microprograms.apply_bulk_op` the fused kernels and
-property tests use.  Every bulk operation is verified against the
-shadow by reading the destination back; a mismatch walks the recovery
-ladder:
+maintains a host-side *shadow* of every row the workload owns: one
+``(storage_rows, words_per_row)`` image per (bank, subarray), shaped
+like the subarray's own cell array, plus a mask of the rows it owns.
+The images are advanced by each op's ``eval_rows`` -- the same
+interpreter over :func:`~repro.core.microprograms.apply_bulk_op` the
+fused kernels and property tests use -- and never by the chip's cells.
+
+A call is verified per (bank, subarray) group, as the fused kernel
+executes it: the operands are gathered from the group's image (a row
+seen for the first time is adopted from the device's cells) and
+evaluated in one ``eval_rows`` over the 2-D block; after the device
+call, the destinations are read back in one backdoor ``peek_rows``
+through the repair map (no DRAM command), compared row-wise, and the
+results scattered into the image.  From the first mismatching row in
+row order onward, each row takes the per-row step instead: re-read it,
+then update the shadow or walk the recovery ladder.  A ladder rung
+changes the device, so later rows must be checked after it, exactly in
+row order; rows before the first mismatch are final either way.
+
+The ladder:
 
 1. **retry** -- restore the source rows from the shadow and re-execute.
    A transient variation-induced TRA failure (Section 6) does not
@@ -40,6 +54,7 @@ a TRA glitch" from "burned a spare row".
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -131,6 +146,23 @@ class RecoveryAttempt:
         }
 
 
+@dataclass
+class _Group:
+    """The rows of one verified call that share a (bank, subarray): their
+    call positions (ascending), destination and scratch addresses, and
+    expected values, with the subarray's shadow image."""
+
+    bank: int
+    subarray: int
+    image: np.ndarray
+    owned: np.ndarray
+    index: List[int]
+    dst: List[int]
+    temps: List[List[int]]
+    want: np.ndarray
+    want_temps: Tuple[np.ndarray, ...]
+
+
 class FaultTolerantSession:
     """Shadow-verified bulk execution over a (possibly faulty) device.
 
@@ -155,8 +187,11 @@ class FaultTolerantSession:
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.controller = device.controller
         self.amap = device.amap
-        #: (bank, subarray, logical address) -> pristine numpy row image.
-        self.shadow: Dict[Tuple[int, int, int], np.ndarray] = {}
+        #: (bank, subarray) -> ``(image, owned)``: the shadow row values
+        #: by logical address, and the mask of rows the workload owns.
+        #: Allocated zeroed on first touch, so rows nobody owns stay
+        #: unresident.
+        self._images: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         #: (bank, subarray) -> two reserved scratch D-group rows the
         #: ladder may destroy (DCC probes, degraded programs).
         self.scratch: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -206,8 +241,8 @@ class FaultTolerantSession:
         spares until a healthy one takes the data.
         """
         data = np.array(data, dtype=np.uint64)
-        self.shadow[self._key(loc)] = data.copy()
         self.device.write_row(loc, data)
+        self._store(loc, data)
         if np.array_equal(self.device.read_row(loc), data):
             return
         self._counters["detected"].labels(kind="stuck_row").inc()
@@ -223,6 +258,18 @@ class FaultTolerantSession:
     def read_row(self, loc: RowLocation) -> np.ndarray:
         """Read one row through the device's (repair-aware) address path."""
         return self.device.read_row(loc)
+
+    def forget(self, rows: Sequence[RowLocation]) -> None:
+        """Stop shadowing ``rows``, e.g. when their owner frees them.
+
+        Clears the rows' owned bits: they leave :meth:`verify_all` and
+        :meth:`scrub`, an op that reads one adopts the device's cells as
+        for a row never seen, and the next store owns it again.
+        """
+        for loc in rows:
+            image = self._images.get((loc.bank, loc.subarray))
+            if image is not None:
+                image[1][loc.address] = False
 
     def scrub(self) -> List[Tuple[int, int, int]]:
         """Patrol scrub: re-read every shadowed row, repair mismatches.
@@ -242,7 +289,7 @@ class FaultTolerantSession:
                 bad.append(key)
                 continue
             started = time.perf_counter_ns()
-            rewritten = self._rewrite_with_remap(loc, self.shadow[key])
+            rewritten = self._rewrite_with_remap(loc, self._shadow_row(loc))
             self._attempt("scrub", loc, "remap", rewritten, started)
             if not rewritten:
                 self._unrecovered("scrub", loc, "stuck_row")
@@ -281,20 +328,18 @@ class FaultTolerantSession:
 
         ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
         compiled op, with one row list per input in ``srcs`` (``None``
-        entries are dropped) and one per scratch slot in ``temps``.
-        The expected image comes from ``op.eval_rows`` over the shadow.
-        Scratch rows are clobbered by construction; their shadow entries
-        (when something else made them interesting) are re-synced to the
-        op's final scratch values.
+        entries are dropped) and one per scratch slot in ``temps``; row
+        ``i`` of every list shares ``dst[i]``'s (bank, subarray).  The
+        expected values come from one ``op.eval_rows`` per (bank,
+        subarray) group over the shadow image, and each group's
+        destinations are read back at once.  Scratch rows are clobbered
+        by construction; those the shadow owns (when something else
+        made them interesting) are re-synced to the op's final scratch
+        values.
         """
         srcs = [col for col in srcs if col is not None]
         n = len(dst)
-        sources = [[col[i] for col in srcs] for i in range(n)]
-        row_temps = [[col[i] for col in temps] for i in range(n)]
-        expected = [
-            op.eval_rows([self._shadow_value(s) for s in row])
-            for row in sources
-        ]
+        groups = self._expect(op, dst, srcs, temps)
 
         # Rows on subarrays with a known-dead DCC cannot take XOR/XNOR
         # steps; send them down the degraded program up front instead
@@ -314,17 +359,26 @@ class FaultTolerantSession:
                 temps=[[col[i] for i in normal] for col in temps],
             )
         for i in sorted(degraded):
-            self._run_degraded(op, dst[i], sources[i], row_temps[i])
+            self._run_degraded(
+                op, dst[i], [col[i] for col in srcs], [col[i] for col in temps]
+            )
 
-        for i in range(n):
+        # Rows before the first mismatch are final; a ladder rung changes
+        # the device, so every row from there on is checked after it.
+        chip = self.device.chip
+        cut = min((self._first_mismatch(chip, g, n) for g in groups), default=n)
+        expected = {}
+        for group in groups:
+            expected.update(self._commit(group, cut))
+        for i in range(cut, n):
             want, want_temps = expected[i]
+            sources = [col[i] for col in srcs]
+            row_temps = [col[i] for col in temps]
             if np.array_equal(self.device.read_row(dst[i]), want):
-                self.shadow[self._key(dst[i])] = want.copy()
-                self._sync_temps(row_temps[i], want_temps)
+                self._store(dst[i], want)
+                self._sync_temps(row_temps, want_temps)
             else:
-                self._recover(
-                    op, dst[i], sources[i], row_temps[i], want, want_temps
-                )
+                self._recover(op, dst[i], sources, row_temps, want, want_temps)
 
     def bbop_row(
         self,
@@ -364,14 +418,18 @@ class FaultTolerantSession:
         return self._recovered_total
 
     def verify_all(self) -> List[Tuple[int, int, int]]:
-        """Re-read every shadowed row; returns keys that mismatch."""
-        return [
-            key
-            for key, value in sorted(self.shadow.items())
-            if not np.array_equal(
-                self.device.read_row(RowLocation(*key)), value
+        """Re-read every shadowed row; returns the ``(bank, subarray,
+        address)`` keys that mismatch, sorted.  Each subarray's owned
+        rows are read back at once."""
+        bad = []
+        for (bank, sub), (image, owned) in sorted(self._images.items()):
+            addresses = np.flatnonzero(owned)
+            got = self.device.chip.peek_rows(
+                bank, sub, self._physical(bank, sub, addresses.tolist())
             )
-        ]
+            wrong = addresses[(got != image[addresses]).any(axis=1)]
+            bad.extend((bank, sub, address) for address in wrong.tolist())
+        return bad
 
     # ------------------------------------------------------------------
     # The recovery ladder
@@ -452,7 +510,7 @@ class FaultTolerantSession:
                 temps=[[t] for t in temps],
             )
         if np.array_equal(self.device.read_row(dst), expected):
-            self.shadow[self._key(dst)] = expected.copy()
+            self._store(dst, expected)
             self._sync_temps(temps, expected_temps)
             return True
         return False
@@ -465,10 +523,9 @@ class FaultTolerantSession:
         remapped = False
         seen = set()
         for loc in [dst] + list(rows):
-            key = self._key(loc)
-            if key in seen or not self.amap.is_d_group(loc.address):
+            if loc in seen or not self.amap.is_d_group(loc.address):
                 continue  # control rows cannot be remapped
-            seen.add(key)
+            seen.add(loc)
             physical = repair.translate(loc.bank, loc.subarray, loc.address)
             if probe_row(self.device, loc.bank, loc.subarray, physical):
                 # Probe destroyed the row's contents; put them back.
@@ -494,7 +551,7 @@ class FaultTolerantSession:
                     break
             if not healthy:
                 return remapped
-            value = self.shadow.get(key)
+            value = self._shadow_row(loc)
             if value is not None:
                 self.device.write_row(loc, value)
             self._counters["recovered"].labels(kind="stuck_row").inc()
@@ -553,9 +610,8 @@ class FaultTolerantSession:
         # verified write; fresh driver leases stay out of it so
         # verify_all()/scrub() never chase recycled scratch garbage.
         for loc, value in zip(temps, values):
-            key = self._key(loc)
-            if key in self.shadow:
-                self.shadow[key] = value.copy()
+            if self._shadow_row(loc) is not None:
+                self._store(loc, value)
 
     # ------------------------------------------------------------------
     # Execution plumbing
@@ -603,22 +659,129 @@ class FaultTolerantSession:
 
     def _restore_sources(self, sources: Sequence[RowLocation]) -> None:
         for loc in sources:
-            value = self.shadow.get(self._key(loc))
+            value = self._shadow_row(loc)
             if value is not None:
                 self.device.write_row(loc, value)
 
-    def _shadow_value(self, loc: RowLocation) -> np.ndarray:
-        key = self._key(loc)
-        value = self.shadow.get(key)
-        if value is None:
-            # First sight of this row: trust the device's current cells.
-            value = self.device.read_row(loc)
-            self.shadow[key] = value.copy()
-        return value
+    # ------------------------------------------------------------------
+    # The shadow images
+    # ------------------------------------------------------------------
+    def _image(self, bank: int, sub: int) -> Tuple[np.ndarray, np.ndarray]:
+        image = self._images.get((bank, sub))
+        if image is None:
+            geometry = self.device.geometry.subarray
+            rows = geometry.storage_rows
+            image = self._images[bank, sub] = (
+                np.zeros((rows, geometry.words_per_row), dtype=np.uint64),
+                np.zeros(rows, dtype=bool),
+            )
+        return image
 
-    @staticmethod
-    def _key(loc: RowLocation) -> Tuple[int, int, int]:
-        return (loc.bank, loc.subarray, loc.address)
+    def _shadow_row(self, loc: RowLocation) -> Optional[np.ndarray]:
+        """The shadow of one row, or ``None`` if the workload does not
+        own it."""
+        image = self._images.get((loc.bank, loc.subarray))
+        if image is None or not image[1][loc.address]:
+            return None
+        return image[0][loc.address]
+
+    def _store(self, loc: RowLocation, value: np.ndarray) -> None:
+        image, owned = self._image(loc.bank, loc.subarray)
+        image[loc.address] = value
+        owned[loc.address] = True
+
+    def _physical(self, bank: int, sub: int, addresses: List[int]) -> List[int]:
+        """Resolve addresses through the repair map, as ``read_row`` does."""
+        repair = self.controller.repair
+        if not repair:
+            return addresses
+        return [repair.translate(bank, sub, a) for a in addresses]
+
+    def _expect(
+        self,
+        op: StepProgram,
+        dst: Sequence[RowLocation],
+        srcs: List[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]],
+    ) -> List["_Group"]:
+        """Group the rows by (bank, subarray) and evaluate each group's
+        expected values in one ``eval_rows`` over its shadow image.
+
+        A source row the shadow does not own yet is adopted first: the
+        device's current cells are trusted on first sight.
+        """
+        rows_of: Dict[Tuple[int, int], List[int]] = {}
+        for i, loc in enumerate(dst):
+            rows_of.setdefault((loc.bank, loc.subarray), []).append(i)
+        chip = self.device.chip
+        groups = []
+        for (bank, sub), index in rows_of.items():
+            image, owned = self._image(bank, sub)
+            columns = np.array(
+                [[col[i].address for i in index] for col in srcs], dtype=np.intp
+            )
+            if not owned[columns].all():
+                unseen = columns[~owned[columns]].tolist()
+                image[unseen] = chip.peek_rows(
+                    bank, sub, self._physical(bank, sub, unseen)
+                )
+                owned[unseen] = True
+            want, want_temps = op.eval_rows([image[col] for col in columns])
+            groups.append(_Group(
+                bank, sub, image, owned, index,
+                [dst[i].address for i in index],
+                [[col[i].address for i in index] for col in temps],
+                want, want_temps,
+            ))
+        return groups
+
+    def _first_mismatch(self, chip, group: "_Group", n: int) -> int:
+        """The call position of the group's first row whose destination
+        differs from its expected value (``n`` if none does)."""
+        got = chip.peek_rows(
+            group.bank, group.subarray,
+            self._physical(group.bank, group.subarray, group.dst),
+        )
+        if (got == group.want).all():
+            return n
+        return group.index[int((got != group.want).any(axis=1).argmax())]
+
+    def _commit(
+        self, group: "_Group", cut: int
+    ) -> Dict[int, Tuple[np.ndarray, List[np.ndarray]]]:
+        """Scatter the group's rows before call position ``cut`` into its
+        image; return the expected values of the rest, by position.
+
+        The writes land in row order, as when each row is stored on its
+        own: the row's destination, then its scratch rows the shadow
+        owns by then; the last write to a row wins.  (Destinations that
+        verified against one readback hold equal values, so without
+        scratch rows the order cannot matter.)
+        """
+        k = bisect_left(group.index, cut)
+        if k:
+            want = group.want
+            if group.temps:
+                owned = group.owned
+                final: Dict[int, int] = {}
+                for j in range(k):
+                    final[group.dst[j]] = j
+                    for slot, col in enumerate(group.temps, 1):
+                        if col[j] in final or owned[col[j]]:
+                            final[col[j]] = slot * k + j
+                values = np.concatenate(
+                    [want[:k]] + [t[:k] for t in group.want_temps]
+                )
+                addresses = list(final)
+                group.image[addresses] = values[list(final.values())]
+            else:
+                addresses = group.dst[:k]
+                group.image[addresses] = want[:k]
+            group.owned[addresses] = True
+        return {
+            i: (group.want[j], [t[j] for t in group.want_temps])
+            for j, i in enumerate(group.index[k:], k)
+        }
 
     def attempts_since(self, mark: int) -> List[RecoveryAttempt]:
         """The rungs appended after ``attempts_total`` was ``mark``.
@@ -667,7 +830,7 @@ class FaultTolerantSession:
         # Re-sync the shadow with reality so one unrecovered fault does
         # not cascade into a mismatch storm on every downstream op; the
         # unrecovered count (not the shadow) is the failure signal.
-        self.shadow[self._key(loc)] = self.device.read_row(loc).copy()
+        self._store(loc, self.device.read_row(loc))
         if self.policy.strict:
             raise FaultError(
                 f"unrecovered {kind} fault: {op} at bank {loc.bank} "

@@ -588,14 +588,7 @@ class BulkBitwiseServer:
         tenant = self._tenant_of(request)
         name = self._name_of(request)
         handle = self.tenants.delete_vector(tenant, name)
-
-        def _forget() -> None:
-            for loc in handle.rows:
-                self.session.shadow.pop(
-                    (loc.bank, loc.subarray, loc.address), None
-                )
-
-        await self._on_device(_forget)
+        await self._on_device(self.session.forget, handle.rows)
         return ok_response(name=name, rows=len(handle.rows))
 
     async def _cmd_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -1,0 +1,354 @@
+"""The grouped shadow verify equals the per-row loop it replaced.
+
+:class:`FaultTolerantSession` verifies a call per (bank, subarray)
+group: one ``eval_rows`` over rows gathered from a 2-D shadow image, one
+readback of the destinations, and the per-row step only from the first
+mismatching row on.  :class:`PerRowSession` below is the reference: the
+same session with a dict shadow and the per-row ``run_rows`` loop (one
+``eval_rows``, one ``read_row`` and one compare per row).  Twin devices
+run the same calls -- all nine ops and a compiled op with scratch rows,
+multi-row groups on two banks, aliased rows, first-seen sources, and a
+stuck row, a TRA flip on one row or a dead DCC -- and must end with
+equal cells, command counts, recovery log, ladder attempts, fault
+counters and ``verify_all()``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.compile import compile_expr, parse_expr
+from repro.core.device import AmbitDevice
+from repro.core.microprograms import BulkOp
+from repro.dram.chip import RowLocation
+from repro.dram.geometry import small_test_geometry
+from repro.faults.recover import FaultTolerantSession
+
+GEOMETRY = small_test_geometry(
+    rows=48, row_bytes=32, banks=2, subarrays_per_bank=1
+)
+WORDS = GEOMETRY.subarray.words_per_row
+#: Rows written through the session before any call (owned).
+OWNED = tuple(range(8))
+#: Rows written straight to the device: an op reading one adopts it.
+UNSEEN = (16, 17, 18, 19)
+#: Scratch rows of the compiled op; the first is owned.
+TEMPS = (10, 11, 12)
+RECOVERY_SCRATCH = (20, 21)
+SPARES = tuple(range(22, 30))
+
+MUX = compile_expr(parse_expr("mux(c, a ^ b, a & b)"), name="parity_mux")
+OPS = tuple(BulkOp) + (MUX,)
+
+
+class PerRowSession(FaultTolerantSession):
+    """The reference: a dict shadow and the per-row verify loop."""
+
+    def __init__(self, device):
+        super().__init__(device)
+        self.rows = {}
+
+    def _shadow_row(self, loc):
+        return self.rows.get(loc)
+
+    def _store(self, loc, value):
+        self.rows[loc] = np.array(value, dtype=np.uint64)
+
+    def forget(self, rows):
+        for loc in rows:
+            self.rows.pop(loc, None)
+
+    def verify_all(self):
+        keys = sorted((l.bank, l.subarray, l.address) for l in self.rows)
+        return [
+            key for key in keys
+            if not np.array_equal(
+                self.device.read_row(RowLocation(*key)),
+                self.rows[RowLocation(*key)],
+            )
+        ]
+
+    def _shadow_value(self, loc):
+        if loc not in self.rows:
+            self._store(loc, self.device.read_row(loc))
+        return self.rows[loc]
+
+    def run_rows(self, op, dst, *srcs, temps=()):
+        srcs = [col for col in srcs if col is not None]
+        n = len(dst)
+        sources = [[col[i] for col in srcs] for i in range(n)]
+        row_temps = [[col[i] for col in temps] for i in range(n)]
+        expected = [
+            op.eval_rows([self._shadow_value(s) for s in row])
+            for row in sources
+        ]
+        degraded = set()
+        if self.bad_dcc and op.uses_dual_dcc:
+            degraded = {
+                i for i in range(n)
+                if (dst[i].bank, dst[i].subarray) in self.bad_dcc
+            }
+        normal = [i for i in range(n) if i not in degraded]
+        if normal:
+            self.device.run_rows(
+                op,
+                [dst[i] for i in normal],
+                *[[col[i] for i in normal] for col in srcs],
+                temps=[[col[i] for i in normal] for col in temps],
+            )
+        for i in sorted(degraded):
+            self._run_degraded(op, dst[i], sources[i], row_temps[i])
+        for i in range(n):
+            want, want_temps = expected[i]
+            if np.array_equal(self.device.read_row(dst[i]), want):
+                self._store(dst[i], want)
+                self._sync_temps(row_temps[i], want_temps)
+            else:
+                self._recover(
+                    op, dst[i], sources[i], row_temps[i], want, want_temps
+                )
+
+
+def twins(seed):
+    """A reference and a grouped session over identically filled devices."""
+    sessions = (
+        PerRowSession(AmbitDevice(geometry=GEOMETRY)),
+        FaultTolerantSession(AmbitDevice(geometry=GEOMETRY)),
+    )
+    for session in sessions:
+        rng = np.random.default_rng(seed)
+        for bank in range(GEOMETRY.banks):
+            session.set_scratch(bank, 0, RECOVERY_SCRATCH)
+            session.add_spares(bank, 0, SPARES)
+            for row in OWNED + TEMPS[:1]:
+                session.write_row(RowLocation(bank, 0, row), _row(rng))
+            for row in UNSEEN:
+                session.device.write_row(RowLocation(bank, 0, row), _row(rng))
+    return sessions
+
+
+def _row(rng):
+    return rng.integers(0, 2**64, size=WORDS, dtype=np.uint64)
+
+
+def arm(device, fault, rows):
+    """Inject ``fault`` into ``device`` on one row of the call ``rows``."""
+    kind, pick, detail = fault
+    if kind == "none":
+        return
+    loc = rows[pick % len(rows)]
+    subarray = device.chip.bank(loc.bank).subarray(loc.subarray)
+    if kind == "stuck":
+        physical = device.controller.repair.translate(
+            loc.bank, loc.subarray, loc.address
+        )
+        junk = np.full(WORDS, np.uint64(0x5A5A5A5A5A5A5A5A + detail))
+        subarray.inject_stuck_row(physical, junk)
+    elif kind == "tra":
+        # The (detail + 1)-th fresh triple-row activation in the
+        # subarray senses an all-ones-flipped value, then the hook
+        # disarms: one row of the group is hit, the others are not.
+        countdown = [detail]
+
+        def hook(sensed):
+            if countdown[0]:
+                countdown[0] -= 1
+                return None
+            subarray.tra_fault_hook = None
+            return np.full(WORDS, np.uint64(0xFFFFFFFFFFFFFFFF))
+
+        subarray.tra_fault_hook = hook
+    else:
+        subarray.inject_dcc_fault(device.amap.row_dcc(detail % 2))
+
+
+def observe(session):
+    """Everything the grouped verify must leave as the loop does."""
+    device = session.device
+    record = device.chip.trace.record()
+    return {
+        "cells": [
+            device.chip.bank(b).subarray(0).cells.tobytes()
+            for b in range(GEOMETRY.banks)
+        ],
+        "trace": (
+            record.tally, _by_value(record.charged), _by_value(record.credited)
+        ),
+        "log": list(session.log),
+        "attempts": [
+            (a.op, a.bank, a.subarray, a.address, a.action, a.ok)
+            for a in session.attempts
+        ],
+        "faults": [
+            line for line in device.metrics.render_prometheus().splitlines()
+            if line.startswith("ambit_faults_")
+        ],
+        "verify_all": session.verify_all(),
+        "repairs": [
+            device.controller.repair.repairs(b, 0)
+            for b in range(GEOMETRY.banks)
+        ],
+        "bad_dcc": dict(session.bad_dcc),
+        "dcc_route": dict(device.controller.dcc_route),
+    }
+
+
+def _by_value(counts):
+    """Trace counters keyed by each op totals' value, not its identity
+    (every device's plan cache builds its own totals objects)."""
+    folded = {}
+    for totals, n in counts.items():
+        key = (totals.name, totals.aaps, totals.aps, totals.ns, totals.commands)
+        folded[key] = folded.get(key, 0) + n
+    return folded
+
+
+def run_twins(sessions, op, dst, srcs, temps, fault):
+    for session in sessions:
+        arm(session.device, fault, dst + [loc for col in srcs for loc in col])
+        session.run_rows(op, dst, *srcs, temps=temps)
+    reference, grouped = (observe(session) for session in sessions)
+    for key in reference:
+        assert grouped[key] == reference[key], key
+
+
+@st.composite
+def calls(draw, op):
+    """One call: 4-6 rows on each drawn bank, interleaved in a drawn
+    order, over small row pools so rows alias often."""
+    banks = draw(st.sampled_from(((0,), (1,), (0, 1))))
+    rows = []
+    for bank in banks:
+        for _ in range(draw(st.integers(4, 6))):
+            pool = OWNED + UNSEEN
+            dst = draw(st.sampled_from(pool))
+            if op is BulkOp.COPY:
+                pool = tuple(r for r in pool if r != dst)
+            srcs = [draw(st.sampled_from(pool)) for _ in range(op.arity)]
+            # Scratch rows differ from their own row's operands but may
+            # be another row's destination or source.
+            free = [r for r in TEMPS + OWNED[:3] if r != dst and r not in srcs]
+            temps = draw(st.permutations(free))[: op.num_temps]
+            rows.append((bank, dst, srcs, temps))
+    rows = draw(st.permutations(rows))
+    loc = lambda bank, a: RowLocation(bank, 0, a)  # noqa: E731
+    return (
+        [loc(b, d) for b, d, _, _ in rows],
+        [[loc(b, s[k]) for b, _, s, _ in rows] for k in range(op.arity)],
+        [[loc(b, t[k]) for b, _, _, t in rows] for k in range(op.num_temps)],
+    )
+
+
+FAULTS = st.tuples(
+    st.sampled_from(("none", "stuck", "tra", "dcc")),
+    st.integers(0, 30),
+    st.integers(0, 7),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.sampled_from(OPS).flatmap(
+            lambda op: st.tuples(st.just(op), calls(op), FAULTS)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_grouped_verify_matches_per_row_loop(seed, steps):
+    sessions = twins(seed)
+    for op, (dst, srcs, temps), fault in steps:
+        run_twins(sessions, op, dst, srcs, temps, fault)
+
+
+def _bank0(addresses):
+    return [RowLocation(0, 0, a) for a in addresses]
+
+
+@pytest.mark.parametrize(
+    "case, op, dst, srcs, fault",
+    [
+        # A stuck destination in the middle of a group of five.
+        ("stuck_row", BulkOp.AND, (0, 1, 2, 3, 4), ((5, 5, 5, 5, 5),
+                                                    (6, 6, 6, 6, 6)),
+         ("stuck", 2, 0)),
+        # The third row's TRA senses a flipped value.
+        ("tra_flip", BulkOp.OR, (0, 1, 2, 3), ((4, 5, 6, 7),
+                                               (7, 6, 5, 4)),
+         ("tra", 0, 2)),
+        # A dead DCC under an op that needs both.
+        ("dead_dcc", BulkOp.XOR, (0, 1, 2, 3), ((4, 5, 6, 7),
+                                                (5, 6, 7, 4)),
+         ("dcc", 0, 1)),
+        # Rows 0 and 2 write the same destination.
+        ("duplicate_dst", BulkOp.NAND, (0, 1, 0, 2), ((4, 5, 6, 7),
+                                                      (5, 6, 7, 4)),
+         ("none", 0, 0)),
+        # Row 1 writes row 2's source; row 3 reads row 0's destination.
+        ("dst_is_source", BulkOp.XNOR, (0, 4, 1, 2), ((4, 5, 4, 0),
+                                                      (6, 7, 5, 3)),
+         ("none", 0, 0)),
+        # Every source is adopted from the device on first sight.
+        ("first_seen", BulkOp.MAJ, (0, 1, 2, 3), ((16, 17, 18, 19),
+                                                  (17, 18, 19, 16),
+                                                  (18, 19, 16, 17)),
+         ("none", 0, 0)),
+    ],
+)
+def test_named_cases(case, op, dst, srcs, fault):
+    sessions = twins(seed=0)
+    run_twins(
+        sessions, op, _bank0(dst), [_bank0(col) for col in srcs], [], fault
+    )
+
+
+def test_compiled_op_with_shared_owned_scratch_rows():
+    """Every row clobbers the owned scratch row 10: the shadow keeps the
+    last row's scratch value, as the loop's row-by-row re-sync does."""
+    sessions = twins(seed=5)
+    dst = _bank0((0, 1, 2, 3))
+    srcs = [_bank0((4, 5, 6, 7)), _bank0((5, 6, 7, 4)), _bank0((6, 7, 4, 5))]
+    temps = [_bank0((10,) * 4), _bank0((11,) * 4), _bank0((12,) * 4)]
+    run_twins(sessions, MUX, dst, srcs, temps, ("none", 0, 0))
+    run_twins(sessions, MUX, dst, srcs, temps, ("stuck", 1, 3))
+
+
+def test_scratch_rows_aliasing_other_rows_destinations():
+    """Row 0's scratch row 1 is row 1's destination: both rows verify,
+    and the shadow takes row 0's scratch write before row 1's
+    destination write.  Row 3's scratch row 16 clobbers row 2's
+    destination, so row 2 mismatches and takes the ladder, and so does
+    every row after it in row order."""
+    sessions = twins(seed=6)
+    rows = [
+        (0, (4, 5, 6), (10, 1, 11)),
+        (1, (5, 6, 7), (10, 11, 12)),
+        (16, (4, 6, 7), (11, 12, 10)),
+        (2, (5, 7, 4), (16, 11, 12)),
+    ]
+    dst = _bank0([d for d, _, _ in rows])
+    srcs = [_bank0([s[k] for _, s, _ in rows]) for k in range(3)]
+    temps = [_bank0([t[k] for _, _, t in rows]) for k in range(3)]
+    run_twins(sessions, MUX, dst, srcs, temps, ("none", 0, 0))
+    assert [(r.address, r.action) for r in sessions[1].log] == [
+        (16, "retried")
+    ]
+
+
+def test_forget_matches_the_dict_pop():
+    sessions = twins(seed=8)
+    for session in sessions:
+        session.forget(_bank0((0, 1)))
+        session.device.write_row(RowLocation(0, 0, 0), np.zeros(WORDS, np.uint64))
+    # A forgotten source is adopted again: row 0's new zeros are expected.
+    run_twins(
+        sessions, BulkOp.OR, _bank0((2, 3, 4, 5)),
+        [_bank0((0, 1, 0, 1)), _bank0((6, 7, 6, 7))], [], ("none", 0, 0),
+    )

@@ -167,6 +167,35 @@ def test_create_zero_fills_and_delete_frees():
     run(scenario)
 
 
+def test_delete_forgets_the_vectors_shadow_rows():
+    """A deleted vector's rows leave the session's shadow; a vector
+    created into the same slots is verified against its zero fill."""
+    async def scenario(server):
+        session = server.session
+        words = server.device.geometry.subarray.words_per_row
+        junk = np.full(words, np.uint64(0xA5A5A5A5A5A5A5A5))
+        async with Client(server.port) as client:
+            await make_vectors(client, ("v",), seed=4)
+            rows = server.tenants.lookup(TENANT, "v").rows
+            assert (await client.rpc("delete", tenant=TENANT, name="v"))["ok"]
+            for loc in rows:
+                server.device.write_row(loc, junk)
+            assert session.verify_all() == []
+
+            response = await client.rpc(
+                "create", tenant=TENANT, name="w", bits=BITS
+            )
+            assert response["ok"]
+            assert server.tenants.lookup(TENANT, "w").rows == rows
+            assert session.verify_all() == []
+            server.device.write_row(rows[0], junk)
+            assert session.verify_all() == [
+                (rows[0].bank, rows[0].subarray, rows[0].address)
+            ]
+
+    run(scenario)
+
+
 def test_error_paths():
     async def scenario(server):
         async with Client(server.port) as client:
