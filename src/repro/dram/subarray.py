@@ -258,14 +258,18 @@ class Subarray:
                 f"batch row index must be one-dimensional; got shape {index.shape}"
             )
         if index.size:
-            if int(index.min()) < 0 or int(index.max()) >= self.geometry.storage_rows:
+            # Python min/max/set over the list, not numpy reductions: on
+            # the 1-32 rows a call indexes, each reduction costs more
+            # than the list conversion.  A set, not ``np.unique``: on
+            # numpy 2 its first call imports ``numpy.ma``, a
+            # resident-memory cost for every process that runs a fused
+            # kernel.
+            rows = index.tolist()
+            if min(rows) < 0 or max(rows) >= self.geometry.storage_rows:
                 raise AddressError(
                     f"batch rows out of range [0, {self.geometry.storage_rows})"
                 )
-            # A set, not ``np.unique``: on numpy 2 its first call imports
-            # ``numpy.ma``, a resident-memory cost for every process
-            # that runs a fused kernel.
-            if unique and len(set(index.tolist())) != index.size:
+            if unique and len(set(rows)) != index.size:
                 raise AddressError("batch write targets duplicate rows")
         return index
 

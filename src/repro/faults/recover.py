@@ -9,16 +9,19 @@ interpreter over :func:`~repro.core.microprograms.apply_bulk_op` the
 fused kernels and property tests use -- and never by the chip's cells.
 
 A call is verified per (bank, subarray) group, as the fused kernel
-executes it: the operands are gathered from the group's image (a row
-seen for the first time is adopted from the device's cells) and
-evaluated in one ``eval_rows`` over the 2-D block; after the device
-call, the destinations are read back in one backdoor ``peek_rows``
-through the repair map (no DRAM command), compared row-wise, and the
-results scattered into the image.  From the first mismatching row in
-row order onward, each row takes the per-row step instead: re-read it,
-then update the shadow or walk the recovery ladder.  A ladder rung
-changes the device, so later rows must be checked after it, exactly in
-row order; rows before the first mismatch are final either way.
+executes it.  Its rows must be independent: no row may write a row (as
+destination or scratch) that another row of the call reads or writes.
+A row may read its own destination, and rows may share sources.  Then
+every expected value follows from the shadow as it stood before the
+call, and no ladder rung on one row can change another row's
+destination; any other call raises :class:`~repro.errors.AddressError`
+before anything changes.  The operands are gathered from the group's
+image (a row seen for the first time is adopted from the device's
+cells) and evaluated in one ``eval_rows`` over the 2-D block.  After
+the device call, the destinations are read back in one backdoor
+``peek_rows`` through the repair map (no DRAM command) and compared
+row-wise; the matching rows are scattered into the image, and each
+mismatching row walks the recovery ladder, in call order.
 
 The ladder:
 
@@ -54,11 +57,11 @@ a TRA glitch" from "burned a spare row".
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +99,6 @@ class RecoveryPolicy:
     """
 
     enabled: bool = True
-    max_retries: int = 1
     strict: bool = False
 
 
@@ -134,33 +136,42 @@ class RecoveryAttempt:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form, as embedded in request-span timing dicts."""
-        return {
-            "op": self.op,
-            "bank": self.bank,
-            "subarray": self.subarray,
-            "address": self.address,
-            "action": self.action,
-            "ok": self.ok,
-            "start_ns": self.start_ns,
-            "dur_ns": self.dur_ns,
-        }
+        return asdict(self)
 
 
 @dataclass
 class _Group:
     """The rows of one verified call that share a (bank, subarray): their
-    call positions (ascending), destination and scratch addresses, and
-    expected values, with the subarray's shadow image."""
+    call positions (ascending), their destination, source and scratch
+    addresses by slot, and, once evaluated, their expected values."""
 
     bank: int
     subarray: int
-    image: np.ndarray
-    owned: np.ndarray
     index: List[int]
     dst: List[int]
+    srcs: List[List[int]]
     temps: List[List[int]]
-    want: np.ndarray
-    want_temps: Tuple[np.ndarray, ...]
+    want: Optional[np.ndarray] = None
+    want_temps: Tuple[np.ndarray, ...] = ()
+
+    def check_independent(self) -> None:
+        """Raise :class:`~repro.errors.AddressError` if a row writes a
+        row, as destination or scratch, that another row reads or
+        writes."""
+        writer: Dict[int, int] = {}
+        for col in (self.dst, *self.temps):
+            for j, address in enumerate(col):
+                writer.setdefault(address, j)
+        for col in (self.dst, *self.temps, *self.srcs):
+            for j, address in enumerate(col):
+                w = writer.get(address, j)
+                if w != j:
+                    raise AddressError(
+                        f"run_rows call row {self.index[j]} touches bank "
+                        f"{self.bank} subarray {self.subarray} row {address}, "
+                        f"which call row {self.index[w]} writes; the rows of "
+                        f"a verified call must be independent"
+                    )
 
 
 class FaultTolerantSession:
@@ -243,17 +254,8 @@ class FaultTolerantSession:
         data = np.array(data, dtype=np.uint64)
         self.device.write_row(loc, data)
         self._store(loc, data)
-        if np.array_equal(self.device.read_row(loc), data):
-            return
-        self._counters["detected"].labels(kind="stuck_row").inc()
-        if not self.policy.enabled:
-            self._unrecovered("write", loc, "stuck_row")
-            return
-        started = time.perf_counter_ns()
-        rewritten = self._rewrite_with_remap(loc, data)
-        self._attempt("write", loc, "remap", rewritten, started)
-        if not rewritten:
-            self._unrecovered("write", loc, "stuck_row")
+        if not np.array_equal(self.device.read_row(loc), data):
+            self._repair_stored("write", loc, data)
 
     def read_row(self, loc: RowLocation) -> np.ndarray:
         """Read one row through the device's (repair-aware) address path."""
@@ -283,36 +285,48 @@ class FaultTolerantSession:
         bad = []
         for key in self.verify_all():
             loc = RowLocation(*key)
-            self._counters["detected"].labels(kind="stuck_row").inc()
-            if not self.policy.enabled:
-                self._unrecovered("scrub", loc, "stuck_row")
-                bad.append(key)
-                continue
-            started = time.perf_counter_ns()
-            rewritten = self._rewrite_with_remap(loc, self._shadow_row(loc))
-            self._attempt("scrub", loc, "remap", rewritten, started)
-            if not rewritten:
-                self._unrecovered("scrub", loc, "stuck_row")
+            if not self._repair_stored("scrub", loc, self._shadow_row(loc)):
                 bad.append(key)
         return bad
 
-    def _rewrite_with_remap(self, loc: RowLocation, data: np.ndarray) -> bool:
+    def _repair_stored(self, op: str, loc: RowLocation, data: np.ndarray) -> bool:
+        """A stored row reads back wrong (a stuck-at fault swallows
+        writes): remap it until a spare holds ``data``, else record it
+        unrecovered.  ``op`` labels the log and the attempt."""
+        self._counters["detected"].labels(kind="stuck_row").inc()
+        rewrite = partial(self._rewrite_with_remap, op, loc, data)
+        if self.policy.enabled and self._rung(op, loc, "remap", rewrite):
+            return True
+        self._unrecovered(op, loc, "stuck_row")
+        return False
+
+    def _rewrite_with_remap(
+        self, op: str, loc: RowLocation, data: np.ndarray
+    ) -> bool:
         """Remap ``loc`` to spares until one verifiably holds ``data``."""
-        repair = self.controller.repair
-        subarray = self.device.chip.bank(loc.bank).subarray(loc.subarray)
-        while repair.spares_free(loc.bank, loc.subarray):
-            retired = repair.translate(loc.bank, loc.subarray, loc.address)
-            repair.assign(loc.bank, loc.subarray, loc.address)
-            # The retired physical row is unreachable from here on, so
-            # lifting its fault flag is observationally safe -- and
-            # ``has_faults`` stops gating fused/sharded execution.
-            subarray.clear_stuck_row(retired)
+        while self._next_spare(loc):
             self.device.write_row(loc, data)
             if np.array_equal(self.device.read_row(loc), data):
                 self._counters["recovered"].labels(kind="stuck_row").inc()
-                self._record("write", loc, "stuck_row", "remapped")
+                self._record(op, loc, "stuck_row", "remapped")
                 return True
         return False
+
+    def _next_spare(self, loc: RowLocation) -> bool:
+        """Retire ``loc``'s physical row for the subarray's next free
+        spare; False when none is left (or ``loc`` is itself a spare)."""
+        repair = self.controller.repair
+        retired = repair.translate(loc.bank, loc.subarray, loc.address)
+        try:
+            repair.assign(loc.bank, loc.subarray, loc.address)
+        except AddressError:
+            return False
+        # The retired physical row is unreachable from here on, so lifting
+        # its fault flag is safe, and ``has_faults`` stops gating
+        # fused/sharded execution for the whole subarray.
+        subarray = self.device.chip.bank(loc.bank).subarray(loc.subarray)
+        subarray.clear_stuck_row(retired)
+        return True
 
     # ------------------------------------------------------------------
     # Verified bulk execution
@@ -330,55 +344,23 @@ class FaultTolerantSession:
         compiled op, with one row list per input in ``srcs`` (``None``
         entries are dropped) and one per scratch slot in ``temps``; row
         ``i`` of every list shares ``dst[i]``'s (bank, subarray).  The
-        expected values come from one ``op.eval_rows`` per (bank,
-        subarray) group over the shadow image, and each group's
-        destinations are read back at once.  Scratch rows are clobbered
-        by construction; those the shadow owns (when something else
-        made them interesting) are re-synced to the op's final scratch
-        values.
+        rows must be independent (see the module docstring), or
+        :class:`~repro.errors.AddressError` names the first that is not,
+        before anything changes.  Scratch rows are clobbered by
+        construction; those the shadow owns (when something else made
+        them interesting) are re-synced to the op's final scratch values.
         """
         srcs = [col for col in srcs if col is not None]
-        n = len(dst)
         groups = self._expect(op, dst, srcs, temps)
-
-        # Rows on subarrays with a known-dead DCC cannot take XOR/XNOR
-        # steps; send them down the degraded program up front instead
-        # of rediscovering the fault every op.
-        degraded = set()
-        if self.bad_dcc and op.uses_dual_dcc:
-            degraded = {
-                i for i in range(n)
-                if (dst[i].bank, dst[i].subarray) in self.bad_dcc
-            }
-        normal = [i for i in range(n) if i not in degraded]
-        if normal:
-            self.device.run_rows(
-                op,
-                [dst[i] for i in normal],
-                *[[col[i] for i in normal] for col in srcs],
-                temps=[[col[i] for i in normal] for col in temps],
-            )
-        for i in sorted(degraded):
-            self._run_degraded(
-                op, dst[i], [col[i] for col in srcs], [col[i] for col in temps]
-            )
-
-        # Rows before the first mismatch are final; a ladder rung changes
-        # the device, so every row from there on is checked after it.
-        chip = self.device.chip
-        cut = min((self._first_mismatch(chip, g, n) for g in groups), default=n)
-        expected = {}
+        self._execute(op, dst, srcs, temps)
+        bad = {}
         for group in groups:
-            expected.update(self._commit(group, cut))
-        for i in range(cut, n):
-            want, want_temps = expected[i]
-            sources = [col[i] for col in srcs]
-            row_temps = [col[i] for col in temps]
-            if np.array_equal(self.device.read_row(dst[i]), want):
-                self._store(dst[i], want)
-                self._sync_temps(row_temps, want_temps)
-            else:
-                self._recover(op, dst[i], sources, row_temps, want, want_temps)
+            bad.update(self._commit(group))
+        for i in sorted(bad):
+            self._recover(
+                op, dst[i], [col[i] for col in srcs], [col[i] for col in temps],
+                *bad[i],
+            )
 
     def bbop_row(
         self,
@@ -447,40 +429,44 @@ class FaultTolerantSession:
             self._counters["detected"].labels(kind="op_mismatch").inc()
             self._unrecovered(op.value, dst, "op_mismatch")
             return
-        rerun = (op, dst, sources, temps, expected, expected_temps)
+        rerun = partial(
+            self._reexecute, op, dst, sources, temps, expected, expected_temps
+        )
 
         # Rung 1: restore sources and retry -- a transient TRA glitch
         # (the armed one-shot variation fault) does not recur.
-        for _ in range(max(0, self.policy.max_retries)):
-            started = time.perf_counter_ns()
-            recovered = self._reexecute(*rerun)
-            self._attempt(op.value, dst, "retry", recovered, started)
-            if recovered:
-                self._counters["detected"].labels(kind="tra_flip").inc()
-                self._counters["recovered"].labels(kind="tra_flip").inc()
-                self._record(op.value, dst, "tra_flip", "retried")
-                return
+        if self._rung(op.value, dst, "retry", rerun):
+            self._counters["detected"].labels(kind="tra_flip").inc()
+            self._counters["recovered"].labels(kind="tra_flip").inc()
+            self._record(op.value, dst, "tra_flip", "retried")
+            return
 
         # Rung 2: march-probe the operand and scratch rows (a stuck
         # scratch row corrupts the result just as a stuck operand does);
         # remap the dead ones to spares and rewrite them from the shadow.
-        started = time.perf_counter_ns()
-        recovered = self._remap_stuck_rows(
-            op, dst, sources + temps
-        ) and self._reexecute(*rerun)
-        self._attempt(op.value, dst, "remap", recovered, started)
-        if recovered:
+        remap = partial(self._remap_stuck_rows, op, dst, sources + temps)
+        if self._rung(op.value, dst, "remap", remap, rerun):
             return
 
         # Rung 3: probe the DCC rows the program uses; reroute or
         # degrade around a dead n-wordline.
-        started = time.perf_counter_ns()
-        recovered = self._reroute_dcc(*rerun)
-        self._attempt(op.value, dst, "dcc_reroute", recovered, started)
-        if recovered:
+        reroute = partial(self._reroute_dcc, op, dst)
+        if self._rung(op.value, dst, "dcc_reroute", reroute, rerun):
+            self._counters["recovered"].labels(kind="dcc").inc()
+            self._record(op.value, dst, "dcc", "rerouted")
             return
 
         self._unrecovered(op.value, dst, "op_mismatch")
+
+    def _rung(
+        self, op: str, loc: RowLocation, action: str, *steps: Callable[[], bool]
+    ) -> bool:
+        """Climb one timed rung: run ``steps`` in order while they
+        succeed, and log the rung as an attempt."""
+        started = time.perf_counter_ns()
+        ok = all(step() for step in steps)
+        self._attempt(op, loc, action, ok, started)
+        return ok
 
     def _reexecute(
         self,
@@ -499,16 +485,7 @@ class FaultTolerantSession:
         a scratch row before any step reads it.
         """
         self._restore_sources(sources)
-        if (
-            op.uses_dual_dcc
-            and (dst.bank, dst.subarray) in self.bad_dcc
-        ):
-            self._run_degraded(op, dst, sources, temps)
-        else:
-            self.device.run_rows(
-                op, [dst], *[[s] for s in sources],
-                temps=[[t] for t in temps],
-            )
+        self._execute(op, [dst], [[s] for s in sources], [[t] for t in temps])
         if np.array_equal(self.device.read_row(dst), expected):
             self._store(dst, expected)
             self._sync_temps(temps, expected_temps)
@@ -532,23 +509,14 @@ class FaultTolerantSession:
                 self._restore_sources([loc])
                 continue
             self._counters["detected"].labels(kind="stuck_row").inc()
-            subarray = self.device.chip.bank(loc.bank).subarray(loc.subarray)
+            # A spare can be stuck too: walk the pool until one probes
+            # healthy; out of spares, let the ladder continue.
             healthy = False
-            while True:
-                retired = repair.translate(loc.bank, loc.subarray, loc.address)
-                try:
-                    repair.assign(loc.bank, loc.subarray, loc.address)
-                except AddressError:
-                    break  # out of spares; let the ladder continue
-                # The retired physical row is unreachable from here on,
-                # so lifting its fault flag is observationally safe --
-                # and ``has_faults`` stops gating fused/sharded
-                # execution for the whole subarray.
-                subarray.clear_stuck_row(retired)
-                fresh = repair.translate(loc.bank, loc.subarray, loc.address)
-                if probe_row(self.device, loc.bank, loc.subarray, fresh):
-                    healthy = True  # a spare can be stuck too: keep going
-                    break
+            while not healthy and self._next_spare(loc):
+                healthy = probe_row(
+                    self.device, loc.bank, loc.subarray,
+                    repair.translate(loc.bank, loc.subarray, loc.address),
+                )
             if not healthy:
                 return remapped
             value = self._shadow_row(loc)
@@ -559,15 +527,9 @@ class FaultTolerantSession:
             remapped = True
         return remapped
 
-    def _reroute_dcc(
-        self,
-        op: StepProgram,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: Sequence[np.ndarray],
-    ) -> bool:
+    def _reroute_dcc(self, op: StepProgram, dst: RowLocation) -> bool:
+        """Probe the DCC rows ``op`` uses on ``dst``'s subarray; True if
+        a dead one was routed around."""
         bank, sub = dst.bank, dst.subarray
         scratch = self.scratch.get((bank, sub))
         if scratch is None:
@@ -597,11 +559,7 @@ class FaultTolerantSession:
             self.controller.dcc_route[(bank, sub)] = other
         else:
             return False
-        if self._reexecute(op, dst, sources, temps, expected, expected_temps):
-            self._counters["recovered"].labels(kind="dcc").inc()
-            self._record(op.value, dst, "dcc", "rerouted")
-            return True
-        return False
+        return True
 
     def _sync_temps(
         self, temps: List[RowLocation], values: Sequence[np.ndarray]
@@ -616,6 +574,33 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
+    def _execute(
+        self,
+        op: StepProgram,
+        dst: Sequence[RowLocation],
+        srcs: Sequence[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]],
+    ) -> None:
+        """Run rows on the device.  Rows on subarrays with a known-dead
+        DCC cannot take XOR/XNOR steps: they take the degraded program
+        up front instead of rediscovering the fault every op."""
+        degraded = []
+        if self.bad_dcc and op.uses_dual_dcc:
+            degraded = [
+                i for i, loc in enumerate(dst)
+                if (loc.bank, loc.subarray) in self.bad_dcc
+            ]
+        normal = [i for i in range(len(dst)) if i not in degraded]
+        if normal:
+            pick = lambda col: [col[i] for i in normal]  # noqa: E731
+            self.device.run_rows(
+                op, pick(dst), *map(pick, srcs), temps=[pick(c) for c in temps]
+            )
+        for i in degraded:
+            self._run_degraded(
+                op, dst[i], [col[i] for col in srcs], [col[i] for col in temps]
+            )
+
     def _run_degraded(
         self,
         op: StepProgram,
@@ -703,84 +688,65 @@ class FaultTolerantSession:
         dst: Sequence[RowLocation],
         srcs: List[Sequence[RowLocation]],
         temps: Sequence[Sequence[RowLocation]],
-    ) -> List["_Group"]:
-        """Group the rows by (bank, subarray) and evaluate each group's
-        expected values in one ``eval_rows`` over its shadow image.
+    ) -> List[_Group]:
+        """Group the rows by (bank, subarray), check that each group's
+        rows are independent, and evaluate each group's expected values
+        in one ``eval_rows`` over its shadow image.
 
-        A source row the shadow does not own yet is adopted first: the
-        device's current cells are trusted on first sight.
+        A source row the shadow does not own yet is adopted (the
+        device's cells are trusted on first sight), but only once every
+        group has passed the check, so a rejected call changes nothing.
         """
         rows_of: Dict[Tuple[int, int], List[int]] = {}
         for i, loc in enumerate(dst):
             rows_of.setdefault((loc.bank, loc.subarray), []).append(i)
-        chip = self.device.chip
         groups = []
         for (bank, sub), index in rows_of.items():
+            groups.append(_Group(
+                bank, sub, index, [dst[i].address for i in index],
+                [[col[i].address for i in index] for col in srcs],
+                [[col[i].address for i in index] for col in temps],
+            ))
+            if len(index) > 1:
+                groups[-1].check_independent()
+        chip = self.device.chip
+        for group in groups:
+            bank, sub = group.bank, group.subarray
             image, owned = self._image(bank, sub)
-            columns = np.array(
-                [[col[i].address for i in index] for col in srcs], dtype=np.intp
-            )
+            columns = np.array(group.srcs, dtype=np.intp)
             if not owned[columns].all():
                 unseen = columns[~owned[columns]].tolist()
                 image[unseen] = chip.peek_rows(
                     bank, sub, self._physical(bank, sub, unseen)
                 )
                 owned[unseen] = True
-            want, want_temps = op.eval_rows([image[col] for col in columns])
-            groups.append(_Group(
-                bank, sub, image, owned, index,
-                [dst[i].address for i in index],
-                [[col[i].address for i in index] for col in temps],
-                want, want_temps,
-            ))
+            group.want, group.want_temps = op.eval_rows(
+                [image[col] for col in columns]
+            )
         return groups
 
-    def _first_mismatch(self, chip, group: "_Group", n: int) -> int:
-        """The call position of the group's first row whose destination
-        differs from its expected value (``n`` if none does)."""
-        got = chip.peek_rows(
-            group.bank, group.subarray,
-            self._physical(group.bank, group.subarray, group.dst),
+    def _commit(self, group: _Group) -> Dict[int, tuple]:
+        """Read the group's destinations back and scatter the rows that
+        match into its image: each destination, and its scratch rows the
+        shadow owns.  Returns the other rows' expected values (the
+        destination's and the scratch rows'), by call position."""
+        bank, sub = group.bank, group.subarray
+        got = self.device.chip.peek_rows(
+            bank, sub, self._physical(bank, sub, group.dst)
         )
-        if (got == group.want).all():
-            return n
-        return group.index[int((got != group.want).any(axis=1).argmax())]
-
-    def _commit(
-        self, group: "_Group", cut: int
-    ) -> Dict[int, Tuple[np.ndarray, List[np.ndarray]]]:
-        """Scatter the group's rows before call position ``cut`` into its
-        image; return the expected values of the rest, by position.
-
-        The writes land in row order, as when each row is stored on its
-        own: the row's destination, then its scratch rows the shadow
-        owns by then; the last write to a row wins.  (Destinations that
-        verified against one readback hold equal values, so without
-        scratch rows the order cannot matter.)
-        """
-        k = bisect_left(group.index, cut)
-        if k:
-            want = group.want
-            if group.temps:
-                owned = group.owned
-                final: Dict[int, int] = {}
-                for j in range(k):
-                    final[group.dst[j]] = j
-                    for slot, col in enumerate(group.temps, 1):
-                        if col[j] in final or owned[col[j]]:
-                            final[col[j]] = slot * k + j
-                values = np.concatenate(
-                    [want[:k]] + [t[:k] for t in group.want_temps]
-                )
-                addresses = list(final)
-                group.image[addresses] = values[list(final.values())]
-            else:
-                addresses = group.dst[:k]
-                group.image[addresses] = want[:k]
-            group.owned[addresses] = True
+        bad = (got != group.want).any(axis=1)
+        ok = np.flatnonzero(~bad) if bad.any() else slice(None)
+        image, owned = self._images[bank, sub]
+        for col, values in zip(group.temps, group.want_temps):
+            col = np.asarray(col)[ok]
+            mine = owned[col]
+            image[col[mine]] = values[ok][mine]
+        dst = np.asarray(group.dst)[ok]
+        image[dst] = group.want[ok]
+        owned[dst] = True
         return {
-            i: (group.want[j], [t[j] for t in group.want_temps])
-            for j, i in enumerate(group.index[k:], k)
+            group.index[j]: (group.want[j], [t[j] for t in group.want_temps])
+            for j in np.flatnonzero(bad).tolist()
         }
 
     def attempts_since(self, mark: int) -> List[RecoveryAttempt]:
@@ -846,3 +812,4 @@ def _since(ring: Deque, total: int, mark: int) -> List:
     if start == 0:
         return list(ring)
     return list(islice(ring, start, None))
+

@@ -221,6 +221,18 @@ class TestBatchAccess:
         with pytest.raises(AddressError, match="out of range"):
             sub.poke_batch(rows, np.stack([_row(rng)] * len(rows)))
 
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    @pytest.mark.parametrize("rows", [[3, -1], [GEO.storage_rows, 0]])
+    def test_every_batch_port_bounds_checks_any_sequence(self, sub, kind, rows):
+        index = kind(rows)
+        for port in (
+            sub.peek_batch,
+            lambda index: sub.touch_rows(index, now_ns=0.0),
+            lambda index: sub.poke_batch(index, np.zeros((2, WORDS), np.uint64)),
+        ):
+            with pytest.raises(AddressError, match=r"out of range \[0, "):
+                port(index)
+
     def test_poke_batch_rejects_a_2d_index(self, sub, rng):
         with pytest.raises(AddressError, match="one-dimensional"):
             sub.poke_batch([[1, 2]], np.stack([_row(rng)] * 2))

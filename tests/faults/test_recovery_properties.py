@@ -179,6 +179,27 @@ class TestSerialProperties:
             for r in session.log
         ), "an all-ones TRA flip must surface as a retried mismatch"
 
+    def test_stored_row_remaps_are_labelled_by_their_caller(self):
+        """A scrub's remap is logged as ``scrub``, as its timed attempt
+        is, and a verified write's as ``write``."""
+        device = AmbitDevice(geometry=make_geometry())
+        session = FaultTolerantSession(device)
+        images = provision(session, np.random.default_rng(11))
+        subarray = device.chip.bank(0).subarray(0)
+        subarray.inject_stuck_row(0, ~images[0])
+        assert session.scrub() == []
+        subarray.inject_stuck_row(1, ~images[1])
+        session.write_row(RowLocation(0, 0, 1), images[1])
+        assert [(r.op, r.address, r.kind, r.action) for r in session.log] == [
+            ("scrub", 0, "stuck_row", "remapped"),
+            ("write", 1, "stuck_row", "remapped"),
+        ]
+        assert [(a.op, a.address, a.action, a.ok) for a in session.attempts] == [
+            ("scrub", 0, "remap", True),
+            ("write", 1, "remap", True),
+        ]
+        assert session.verify_all() == []
+
 
 class TestShardedProperties:
     """The same single-fault property over a live worker pool.

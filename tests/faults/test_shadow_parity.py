@@ -2,15 +2,18 @@
 
 :class:`FaultTolerantSession` verifies a call per (bank, subarray)
 group: one ``eval_rows`` over rows gathered from a 2-D shadow image, one
-readback of the destinations, and the per-row step only from the first
-mismatching row on.  :class:`PerRowSession` below is the reference: the
-same session with a dict shadow and the per-row ``run_rows`` loop (one
-``eval_rows``, one ``read_row`` and one compare per row).  Twin devices
-run the same calls -- all nine ops and a compiled op with scratch rows,
-multi-row groups on two banks, aliased rows, first-seen sources, and a
-stuck row, a TRA flip on one row or a dead DCC -- and must end with
-equal cells, command counts, recovery log, ladder attempts, fault
-counters and ``verify_all()``.
+readback of the destinations, and the ladder for each mismatching row.
+:class:`PerRowSession` below is the reference: the same session with a
+dict shadow and the per-row ``run_rows`` loop (one ``eval_rows``, one
+``read_row`` and one compare per row).  Twin devices run the same calls
+-- all nine ops and a compiled op with scratch rows, multi-row groups on
+two banks, in-place rows, shared and first-seen sources, and a stuck
+row, a TRA flip on one row or a dead DCC -- and must end with equal
+cells, command counts, recovery log, ladder attempts, fault counters and
+``verify_all()``.  The rows of a call must be independent (no row writes
+a row another row reads or writes); a call whose rows are not is
+rejected with :class:`~repro.errors.AddressError` before anything
+changes.
 """
 
 import numpy as np
@@ -23,10 +26,11 @@ from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
+from repro.errors import AddressError
 from repro.faults.recover import FaultTolerantSession
 
 GEOMETRY = small_test_geometry(
-    rows=48, row_bytes=32, banks=2, subarrays_per_bank=1
+    rows=64, row_bytes=32, banks=2, subarrays_per_bank=1
 )
 WORDS = GEOMETRY.subarray.words_per_row
 #: Rows written through the session before any call (owned).
@@ -34,7 +38,7 @@ OWNED = tuple(range(8))
 #: Rows written straight to the device: an op reading one adopts it.
 UNSEEN = (16, 17, 18, 19)
 #: Scratch rows of the compiled op; the first is owned.
-TEMPS = (10, 11, 12)
+TEMPS = (10, 11, 12) + tuple(range(30, 46))
 RECOVERY_SCRATCH = (20, 21)
 SPARES = tuple(range(22, 30))
 
@@ -215,23 +219,41 @@ def run_twins(sessions, op, dst, srcs, temps, fault):
 
 @st.composite
 def calls(draw, op):
-    """One call: 4-6 rows on each drawn bank, interleaved in a drawn
-    order, over small row pools so rows alias often."""
+    """One call: up to 4-6 independent rows on each drawn bank,
+    interleaved in a drawn order.  Destinations and sources come from a
+    small pool, so rows share sources and read their own destinations
+    often; a row writes (as destination or scratch) only rows no other
+    row of its bank reads or writes."""
     banks = draw(st.sampled_from(((0,), (1,), (0, 1))))
+    pool = OWNED + UNSEEN
     rows = []
     for bank in banks:
+        written, read = set(), set()
         for _ in range(draw(st.integers(4, 6))):
-            pool = OWNED + UNSEEN
-            dst = draw(st.sampled_from(pool))
-            if op is BulkOp.COPY:
-                pool = tuple(r for r in pool if r != dst)
-            srcs = [draw(st.sampled_from(pool)) for _ in range(op.arity)]
-            # Scratch rows differ from their own row's operands but may
-            # be another row's destination or source.
-            free = [r for r in TEMPS + OWNED[:3] if r != dst and r not in srcs]
+            free = [r for r in pool if r not in written | read]
+            if not free:
+                break
+            dst = draw(st.sampled_from(free))
+            readable = [
+                r for r in pool
+                if r not in written and not (op is BulkOp.COPY and r == dst)
+            ]
+            srcs = [draw(st.sampled_from(readable)) for _ in range(op.arity)]
+            free = [
+                r for r in TEMPS + OWNED
+                if r not in written | read and r != dst and r not in srcs
+            ]
+            if len(free) < op.num_temps:
+                break
             temps = draw(st.permutations(free))[: op.num_temps]
+            written |= {dst, *temps}
+            read |= set(srcs)
             rows.append((bank, dst, srcs, temps))
-    rows = draw(st.permutations(rows))
+    return _call(draw(st.permutations(rows)), op)
+
+
+def _call(rows, op):
+    """``(bank, dst, srcs, temps)`` rows as run_rows' columns."""
     loc = lambda bank, a: RowLocation(bank, 0, a)  # noqa: E731
     return (
         [loc(b, d) for b, d, _, _ in rows],
@@ -287,14 +309,16 @@ def _bank0(addresses):
         ("dead_dcc", BulkOp.XOR, (0, 1, 2, 3), ((4, 5, 6, 7),
                                                 (5, 6, 7, 4)),
          ("dcc", 0, 1)),
-        # Rows 0 and 2 write the same destination.
-        ("duplicate_dst", BulkOp.NAND, (0, 1, 0, 2), ((4, 5, 6, 7),
-                                                      (5, 6, 7, 4)),
-         ("none", 0, 0)),
-        # Row 1 writes row 2's source; row 3 reads row 0's destination.
-        ("dst_is_source", BulkOp.XNOR, (0, 4, 1, 2), ((4, 5, 4, 0),
-                                                      (6, 7, 5, 3)),
-         ("none", 0, 0)),
+        # Every row reads its own destination; the second TRA flips,
+        # so the retry must restore the clobbered operand first.
+        ("in_place", BulkOp.NAND, (0, 1, 2, 3), ((0, 1, 2, 3),
+                                                 (4, 5, 6, 7)),
+         ("tra", 0, 1)),
+        # Rows 0 and 1 share the stuck source row 4: row 0 remaps it,
+        # and row 1, computed from the stuck cells, retries.
+        ("shared_sources", BulkOp.XNOR, (0, 1, 2, 3), ((4, 4, 5, 5),
+                                                       (6, 7, 6, 7)),
+         ("stuck", 4, 0)),
         # Every source is adopted from the device on first sight.
         ("first_seen", BulkOp.MAJ, (0, 1, 2, 3), ((16, 17, 18, 19),
                                                   (17, 18, 19, 16),
@@ -309,37 +333,68 @@ def test_named_cases(case, op, dst, srcs, fault):
     )
 
 
+def assert_rejected(session, op, rows, row):
+    """The call raises AddressError naming call row ``row`` and leaves
+    cells, commands, shadow, log, attempts and fault counters as they
+    were."""
+    def state():
+        shadow = {
+            key: (image.tobytes(), owned.tobytes())
+            for key, (image, owned) in session._images.items()
+        }
+        return observe(session), shadow
+
+    before = state()
+    dst, srcs, temps = _call(rows, op)
+    with pytest.raises(AddressError, match=f"call row {row} .*independent"):
+        session.run_rows(op, dst, *srcs, temps=temps)
+    assert state() == before
+
+
+@pytest.mark.parametrize(
+    "op, rows, row",
+    [
+        # Call rows 1 and 3 both write row 0 of bank 1.  Row 0, on bank
+        # 0, reads two rows the shadow has not seen: the check comes
+        # before they are adopted.
+        (BulkOp.NAND, [(0, 0, (16, 17), ()), (1, 0, (4, 5), ()),
+                       (1, 1, (5, 6), ()), (1, 0, (6, 7), ())], 3),
+        # Row 1 writes a source of rows 0 and 2; row 3 reads row 0's
+        # destination.
+        (BulkOp.XNOR, [(0, 0, (4, 6), ()), (0, 4, (5, 7), ()),
+                       (0, 1, (4, 5), ()), (0, 2, (0, 3), ())], 0),
+        # Call row 1 reads row 4, which the earlier call row 0 writes.
+        (BulkOp.AND, [(0, 4, (5, 6), ()), (0, 1, (4, 7), ())], 1),
+        # Call row 0 reads row 4, which the later call row 1 writes.
+        (BulkOp.AND, [(0, 1, (4, 7), ()), (0, 4, (5, 6), ())], 0),
+    ],
+    ids=["duplicate_dst", "dst_is_source", "reads_earlier_write",
+         "reads_later_write"],
+)
+def test_dependent_rows_are_rejected(op, rows, row):
+    _, session = twins(seed=0)
+    assert_rejected(session, op, rows, row)
+
+
 def test_compiled_op_with_shared_owned_scratch_rows():
-    """Every row clobbers the owned scratch row 10: the shadow keeps the
-    last row's scratch value, as the loop's row-by-row re-sync does."""
-    sessions = twins(seed=5)
-    dst = _bank0((0, 1, 2, 3))
-    srcs = [_bank0((4, 5, 6, 7)), _bank0((5, 6, 7, 4)), _bank0((6, 7, 4, 5))]
-    temps = [_bank0((10,) * 4), _bank0((11,) * 4), _bank0((12,) * 4)]
-    run_twins(sessions, MUX, dst, srcs, temps, ("none", 0, 0))
-    run_twins(sessions, MUX, dst, srcs, temps, ("stuck", 1, 3))
+    """Every row clobbers the scratch rows 10-12 (10 is owned): two rows
+    writing one scratch row are rejected."""
+    _, session = twins(seed=5)
+    rows = [(0, d, s, (10, 11, 12)) for d, s in (
+        (0, (4, 5, 6)), (1, (5, 6, 7)), (2, (6, 7, 4)), (3, (7, 4, 5))
+    )]
+    assert_rejected(session, MUX, rows, 1)
 
 
 def test_scratch_rows_aliasing_other_rows_destinations():
-    """Row 0's scratch row 1 is row 1's destination: both rows verify,
-    and the shadow takes row 0's scratch write before row 1's
-    destination write.  Row 3's scratch row 16 clobbers row 2's
-    destination, so row 2 mismatches and takes the ladder, and so does
-    every row after it in row order."""
-    sessions = twins(seed=6)
+    """Row 0's scratch row 1 is row 1's destination: a row writing
+    another row's destination is rejected."""
+    _, session = twins(seed=6)
     rows = [
-        (0, (4, 5, 6), (10, 1, 11)),
-        (1, (5, 6, 7), (10, 11, 12)),
-        (16, (4, 6, 7), (11, 12, 10)),
-        (2, (5, 7, 4), (16, 11, 12)),
+        (0, 0, (4, 5, 6), (10, 1, 11)),
+        (0, 1, (5, 6, 7), (12, 13, 14)),
     ]
-    dst = _bank0([d for d, _, _ in rows])
-    srcs = [_bank0([s[k] for _, s, _ in rows]) for k in range(3)]
-    temps = [_bank0([t[k] for _, _, t in rows]) for k in range(3)]
-    run_twins(sessions, MUX, dst, srcs, temps, ("none", 0, 0))
-    assert [(r.address, r.action) for r in sessions[1].log] == [
-        (16, "retried")
-    ]
+    assert_rejected(session, MUX, rows, 0)
 
 
 def test_forget_matches_the_dict_pop():

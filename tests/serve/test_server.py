@@ -292,6 +292,57 @@ def test_pipelined_ops_coalesce_and_stats_see_it():
     run(scenario)
 
 
+def test_coalesced_in_place_waves_verify():
+    """A pipelined burst of in-place requests, four per op over all nine
+    ops (``d = op(d, a, b)``; copy reads ``a``, as a row cannot copy
+    onto itself), coalesces into waves whose rows read their own
+    destinations and share sources.  Such rows are independent: every
+    row verifies, and nothing is rejected or recovered."""
+    async def scenario(server):
+        session = server.session
+        calls = []
+        run_rows = session.run_rows
+
+        def spy(op, dst, *srcs, **kwargs):
+            in_place = any(
+                d == s for col in srcs if col for d, s in zip(dst, col)
+            )
+            calls.append((len(dst), in_place))
+            return run_rows(op, dst, *srcs, **kwargs)
+
+        session.run_rows = spy
+        dsts = ("d0", "d1", "d2", "d3")
+        async with Client(server.port) as client:
+            models = await make_vectors(client, ("a", "b") + dsts, seed=9)
+            burst = []
+            for op_name, (arity, model) in sorted(OP_MODELS.items()):
+                for dst in dsts:
+                    srcs = ("a",) if op_name == "copy" else (dst, "a", "b")
+                    srcs = srcs[:arity]
+                    burst.append({
+                        "cmd": "op", "tenant": TENANT, "op": op_name,
+                        "dst": dst, "id": 20_000 + len(burst),
+                        **{f"src{i + 1}": s for i, s in enumerate(srcs)},
+                    })
+                    models[dst] = model(*(models[s] for s in srcs))
+            client.writer.write(b"".join(
+                (json.dumps(request) + "\n").encode() for request in burst
+            ))
+            await client.writer.drain()
+            responses = [
+                json.loads(await client.reader.readline()) for _ in burst
+            ]
+            assert all(r["ok"] for r in responses), responses
+            for dst in dsts:
+                assert np.array_equal(
+                    await read_vector(client, dst), models[dst]
+                ), dst
+        assert any(rows > 1 and in_place for rows, in_place in calls)
+        assert not session.log and session.verify_all() == []
+
+    run(scenario)
+
+
 def test_stats_runs_the_collectors_once():
     async def scenario(server):
         runs = []
