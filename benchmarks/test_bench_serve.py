@@ -2,8 +2,8 @@
 
 Runs :func:`repro.serve.bench.run_serve_bench` -- 64 concurrent clients
 each awaiting 8 bulk ops over 2048-bit vectors, against two self-hosted
-servers differing only in ``ServeConfig.coalesce`` -- and writes
-``benchmarks/results/BENCH_serve.json``.
+servers differing only in ``ServeConfig.max_batch_ops`` (1024 and 1)
+-- and writes ``benchmarks/results/BENCH_serve.json``.
 
 Bit-exactness is asserted unconditionally (both arms read every vector
 back against the clients' local models; the bench raises on any lost

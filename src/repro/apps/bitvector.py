@@ -67,8 +67,9 @@ class BitVector:
     """A bitvector living in Ambit DRAM rows.
 
     Supports ``&``, ``|``, ``^``, ``~`` (allocating the result
-    co-located with the left operand) and the named in-place forms.
-    Bits beyond ``nbits`` in the final row are kept zero.
+    co-located with the left operand).  Bits beyond ``nbits`` in the
+    final row are kept zero: :meth:`op_into` clears them when the op
+    maps all-zero inputs to ones.
     """
 
     def __init__(self, system: AmbitBitSystem, handle: BitVectorHandle):
@@ -141,7 +142,8 @@ class BitVector:
         one fused kernel per (bank, subarray) group, issued round-robin
         across banks, with identical results and identical
         timing/energy accounting.  An attached tracer sees the same
-        events from them as from the per-row walk.
+        events from them as from the per-row walk.  Bits beyond
+        ``dst.nbits`` are cleared again when ``op`` maps zeros to ones.
         """
         vectors = [self] + [v for v in others if v is not None]
         for v in vectors + [dst]:
@@ -182,6 +184,10 @@ class BitVector:
                 device.bbop_row(op, d, *srcs, temps=temps)
             if dst_rows:
                 device.run_rows(op, dst_rows, *src_cols, temps=temp_cols)
+        if dst.nbits % device.row_bits:
+            pad, _ = op.eval_rows([np.zeros(1, dtype=np.uint64)] * op.arity)
+            if int(pad[0]):
+                dst._clear_padding()
         return dst
 
     def _binary(self, op: BulkOp, other: "BitVector") -> "BitVector":
@@ -199,29 +205,19 @@ class BitVector:
 
     def __invert__(self) -> "BitVector":
         dst = self.system.bitvector(self.nbits, like=self)
-        self.op_into(BulkOp.NOT, dst)
-        # NOT flips the padding in the final partial row; re-zero it so
-        # popcount and round-trips stay correct.
-        dst._clear_padding()
-        return dst
+        return self.op_into(BulkOp.NOT, dst)
 
     def nand(self, other: "BitVector") -> "BitVector":
         """``~(self & other)`` via the Figure 8b microprogram."""
-        result = self._binary(BulkOp.NAND, other)
-        result._clear_padding()
-        return result
+        return self._binary(BulkOp.NAND, other)
 
     def nor(self, other: "BitVector") -> "BitVector":
         """``~(self | other)`` (the NAND program with C1)."""
-        result = self._binary(BulkOp.NOR, other)
-        result._clear_padding()
-        return result
+        return self._binary(BulkOp.NOR, other)
 
     def xnor(self, other: "BitVector") -> "BitVector":
         """``~(self ^ other)`` (the XOR program with swapped control rows)."""
-        result = self._binary(BulkOp.XNOR, other)
-        result._clear_padding()
-        return result
+        return self._binary(BulkOp.XNOR, other)
 
     # ------------------------------------------------------------------
     # Compiled (synthesized) operations
@@ -274,16 +270,7 @@ class BitVector:
                 )
 
         dst = self.system.bitvector(self.nbits, like=self)
-        vectors[0].op_into(cop, dst, *vectors[1:])
-        # A compiled function with a non-zero image of all-zero inputs
-        # (xnor-shaped outputs) flips the padding of the final partial
-        # row; re-zero it so popcount and round-trips stay correct.
-        pad, _ = cop.eval_rows(
-            [np.zeros(1, dtype=np.uint64)] * cop.arity
-        )
-        if int(pad[0]):
-            dst._clear_padding()
-        return dst
+        return vectors[0].op_into(cop, dst, *vectors[1:])
 
     def copy(self) -> "BitVector":
         """Duplicate the vector (RowClone copies, co-located)."""

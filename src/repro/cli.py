@@ -356,7 +356,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows=args.rows,
         row_bytes=args.row_bytes,
         jobs=args.jobs,
-        coalesce=not args.no_coalesce,
         max_queue=args.max_queue,
         max_batch_ops=args.max_batch_ops,
         max_vectors=args.max_vectors,
@@ -803,14 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=">= 2 serves from a ShardedDevice that asks the "
                         "dispatch auto-tuner per wave; waves stay in "
                         "process unless sharding is predicted to win")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="dispatch one request per engine batch "
-                        "(benchmark control arm)")
     p.add_argument("--max-queue", type=int, default=4096,
                    help="admission queue bound; overflow is rejected "
                         "with a backpressure error")
     p.add_argument("--max-batch-ops", type=int, default=512,
-                   help="max requests fused into one drain cycle")
+                   help="max requests fused into one drain cycle (1 "
+                        "dispatches one request per engine batch)")
     p.add_argument("--max-vectors", type=int, default=16,
                    help="per-tenant vector quota (0 = unlimited)")
     p.add_argument("--max-rows", type=int, default=512,

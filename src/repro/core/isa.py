@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.device import AmbitDevice
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import BulkOp, apply_bulk_op
 from repro.errors import AlignmentError
 
 
@@ -47,7 +47,7 @@ class BbopInstruction:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise AlignmentError(f"bbop size must be positive; got {self.size}")
-        if (self.src2 is None) != (self.op.arity == 1):
+        if self.op.arity > 2 or (self.src2 is None) != (self.op.arity == 1):
             raise AlignmentError(
                 f"bbop {self.op.value} takes {self.op.arity} source operand(s)"
             )
@@ -146,18 +146,6 @@ def write_bytes(device: AmbitDevice, address: int, data: np.ndarray) -> None:
         done += take
 
 
-_NUMPY_OPS = {
-    BulkOp.NOT: lambda a, b: ~a,
-    BulkOp.COPY: lambda a, b: a,
-    BulkOp.AND: lambda a, b: a & b,
-    BulkOp.OR: lambda a, b: a | b,
-    BulkOp.NAND: lambda a, b: ~(a & b),
-    BulkOp.NOR: lambda a, b: ~(a | b),
-    BulkOp.XOR: lambda a, b: a ^ b,
-    BulkOp.XNOR: lambda a, b: ~(a ^ b),
-}
-
-
 def _cpu_fallback(device: AmbitDevice, instr: BbopInstruction) -> None:
     a = read_bytes(device, instr.src1, instr.size)
     b = (
@@ -165,5 +153,5 @@ def _cpu_fallback(device: AmbitDevice, instr: BbopInstruction) -> None:
         if instr.src2 is not None
         else None
     )
-    result = _NUMPY_OPS[instr.op](a, b)
+    result = apply_bulk_op(instr.op, a, b)
     write_bytes(device, instr.dst, result)

@@ -22,13 +22,20 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    batch returns a :class:`~repro.engine.scheduler.ParallelismReport`
    comparing serialized vs bank-interleaved makespan.
 
+Every batch, and every call the fault-tolerant session verifies, is
+checked by one function, :func:`group_rows`, before anything runs; a
+malformed batch raises :class:`~repro.errors.AddressError`.
+
 The fused kernel only engages when it is *provably* equivalent to the
 per-row walk: no analog charge model (TRA outcomes would depend on
 cell-level state), no injected stuck-at faults in the target subarray
 (faults corrupt the B-group walk in ways the fused kernel cannot see),
-and no read/write hazards between the rows of a group.  Ineligible
-groups transparently fall back to the per-row walk -- results are
-always correct; batching is purely an optimisation.
+and independent rows (:func:`dependent_row`): no row writes a row, as
+destination or scratch, that another row of the group reads or writes.
+A row may read its own destination, so in-place rows fuse, and rows may
+share sources.  Ineligible groups transparently fall back to the
+per-row walk, in row order -- results are always correct; batching is
+purely an optimisation.
 
 An attached tracer does not change the path.  A fused group's rows
 emit the same op, primitive and command events as the per-row walk,
@@ -48,7 +55,7 @@ group's issue time instead of each primitive's individual clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.microprograms import StepProgram, apply_bulk_op
@@ -80,14 +87,19 @@ class BatchReport:
     shards: int = 1
 
 
-class _Group:
+class RowGroup:
     """All rows of one batch that target one (bank, subarray)."""
 
-    __slots__ = ("bank", "subarray", "indices", "rows", "templates", "_columns")
+    __slots__ = (
+        "bank", "subarray", "arity", "indices", "rows", "templates", "_columns",
+    )
 
-    def __init__(self, bank: int, subarray: int):
+    def __init__(self, bank: int, subarray: int, arity: int):
         self.bank = bank
         self.subarray = subarray
+        #: Sources per row: binding positions ``1..arity``.
+        self.arity = arity
+        #: Each row's position in the batch, ascending.
         self.indices: List[int] = []
         #: Each row's binding ``(dk, *srcs, *temps)``, in row order.
         self.rows: List[List[int]] = []
@@ -167,9 +179,10 @@ class BatchEngine:
         entries are dropped) and ``temps`` one row list per scratch slot
         the op clobbers.  All rows of index ``i`` must share ``dst[i]``'s
         (bank, subarray); stage strays first
-        (:meth:`repro.core.driver.AmbitDriver.stage_for`).  Timing,
-        energy, statistics, and the command trace are charged exactly as
-        the per-row path would.
+        (:meth:`repro.core.driver.AmbitDriver.stage_for`).  A batch of
+        another shape raises before anything runs (:func:`group_rows`).
+        Timing, energy, statistics, and the command trace are charged
+        exactly as the per-row path would.
 
         ``fuse=False`` forces every group down the per-row command walk
         -- the dispatch auto-tuner's "serial" tier.  The observable
@@ -177,32 +190,29 @@ class BatchEngine:
         parity property); only wall-clock changes.
         """
         srcs = [col for col in srcs if col is not None]
-        n = len(dst)
-        _check_aligned(n, srcs, temps)
-        if n == 0:
-            return BatchReport(
-                rows=0, fused_rows=0, fallback_rows=0,
-                parallelism=self.scheduler.report(()),
-            )
-
         # Runtime spare-row remapping happens here, at batch entry, so
         # planning, fusion, and accounting all see the repaired rows.
         dst = self.translate_rows(dst)
         srcs = [self.translate_rows(col) for col in srcs]
         temps = [self.translate_rows(col) for col in temps]
         groups = self.plan_groups(op, dst, *srcs, temps=temps)
+        if not groups:
+            return BatchReport(
+                rows=0, fused_rows=0, fallback_rows=0,
+                parallelism=self.scheduler.report(()),
+            )
         command_groups = [
             CommandGroup(bank=g.bank, duration_ns=g.duration_ns, payload=g)
             for g in groups
         ]
         parallelism = self.scheduler.report(command_groups)
 
-        arity = len(srcs)
+        n = len(dst)
         fused = 0
         for issued in self.scheduler.order(command_groups):
-            group: _Group = issued.payload
-            if fuse and self._fused_eligible(group, arity):
-                self._run_group_fused(op, group, arity)
+            group: RowGroup = issued.payload
+            if fuse and self._fused_eligible(group):
+                self._run_group_fused(op, group)
                 fused += len(group.indices)
             else:
                 self._run_group_per_row(group)
@@ -258,45 +268,28 @@ class BatchEngine:
         dst: Sequence[RowLocation],
         *srcs: Optional[Sequence[RowLocation]],
         temps: Columns = (),
-    ) -> List[_Group]:
-        """Validate co-location and bind the batch's per-(bank, subarray)
-        groups to plan templates.
+    ) -> List[RowGroup]:
+        """Check the batch (:func:`group_rows`) and bind its
+        per-(bank, subarray) groups to plan templates.
 
         This is the planning front half of :meth:`run_rows`; the sharded
         device calls it directly so its plan-cache traffic (and thus the
         hit/miss counters) matches the single-process engine exactly.
-        The co-location contract covers destination, operand *and*
-        scratch rows.  A group of data rows gets one template, looked up
-        once; a group binding reserved rows gets one per row.
+        A group of data rows gets one template, looked up once; a group
+        binding reserved rows gets one per row.
         """
         srcs = [col for col in srcs if col is not None]
-        operands = srcs + list(temps)
-        groups: Dict[Tuple[int, int], _Group] = {}
-        for i, d in enumerate(dst):
-            bank, sub = d.bank, d.subarray
-            rows = [d.address]
-            for col in operands:
-                loc = col[i]
-                if loc.bank != bank or loc.subarray != sub:
-                    raise AddressError(
-                        f"batch operands of row {i} must share a subarray: "
-                        f"{loc} vs bank {bank} subarray {sub} "
-                        f"(stage cross-subarray operands first)"
-                    )
-                rows.append(loc.address)
-            group = groups.get((bank, sub))
-            if group is None:
-                group = groups[bank, sub] = _Group(bank, sub)
-            group.indices.append(i)
-            group.rows.append(rows)
+        groups = group_rows(op, dst, srcs, temps)
         lookup = self.plan_cache.lookup
         route = self.controller.dcc_route
-        arity = len(srcs)
-        for key, group in groups.items():
-            group.templates = lookup(op, group.rows, arity, route.get(key, 0))
-        return list(groups.values())
+        for group in groups:
+            group.templates = lookup(
+                op, group.rows, group.arity,
+                route.get((group.bank, group.subarray), 0),
+            )
+        return groups
 
-    def plan_groups_compiled(self, cop, dst, operands, temps) -> List[_Group]:
+    def plan_groups_compiled(self, cop, dst, operands, temps) -> List[RowGroup]:
         """``plan_groups(cop, dst, *operands, temps=temps)``.
 
         Kept only because ``bench/layers.py`` wraps this name; nothing
@@ -308,31 +301,20 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Eligibility
     # ------------------------------------------------------------------
-    def _fused_eligible(self, group: _Group, arity: int) -> bool:
+    def _fused_eligible(self, group: RowGroup) -> bool:
         subarray = self.chip.bank(group.bank).subarray(group.subarray)
         if subarray.has_faults or subarray.amps.charge_model is not None:
             return False
-        # Hazard check: the fused kernel reads every operand column up
-        # front, then writes the destination and scratch columns; any
-        # write-write aliasing across the group's rows (duplicate
-        # destinations, shared scratch rows) or write-read overlap must
-        # take the sequential per-row walk.
-        dst, *operands = group.columns()
-        writes = list(dst)
-        for col in operands[arity:]:
-            writes.extend(col)
-        unique = set(writes)
-        if len(unique) != len(writes):
-            return False
-        return unique.isdisjoint(set().union(*operands[:arity]))
+        # The fused kernel reads every source column up front, then
+        # writes the destination and scratch columns: that equals the
+        # sequential per-row walk only when the rows are independent.
+        return dependent_row(group) is None
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run_group_fused(
-        self, op: StepProgram, group: _Group, arity: int
-    ) -> None:
-        bank, sub = group.bank, group.subarray
+    def _run_group_fused(self, op: StepProgram, group: RowGroup) -> None:
+        bank, sub, arity = group.bank, group.subarray, group.arity
         if self.chip.bank(bank).open_subarray is not None:
             raise DramProtocolError(
                 f"bank {bank} must be precharged before a bulk operation"
@@ -361,7 +343,7 @@ class BatchEngine:
 
         self.account_group(group)
 
-    def account_group(self, group: _Group) -> None:
+    def account_group(self, group: RowGroup) -> None:
         """Charge one group's rows to the accounting record.
 
         A group of one template is one counter bump of n rows in the
@@ -411,7 +393,7 @@ class BatchEngine:
         stats.bank_busy_ns[bank] += total_ns
         self.chip.clock_ns += total_ns
 
-    def _run_group_per_row(self, group: _Group) -> None:
+    def _run_group_per_row(self, group: RowGroup) -> None:
         for rows, template in group.bindings():
             self.controller.run_plan(
                 template.plan(rows), group.bank, group.subarray
@@ -446,8 +428,31 @@ def _emit_plan(
     return clock_ns
 
 
-def _check_aligned(n: int, srcs: Columns, temps: Columns) -> None:
-    """Raise unless every operand and scratch row list has ``n`` rows."""
+def group_rows(
+    op: StepProgram,
+    dst: Sequence[RowLocation],
+    srcs: Columns,
+    temps: Columns,
+) -> List[RowGroup]:
+    """Check a row batch's shape and group its rows by (bank, subarray).
+
+    ``srcs`` must hold one row list per input of ``op`` and ``temps``
+    one per scratch slot, each as long as ``dst``, and row ``i`` of
+    every list must share ``dst[i]``'s (bank, subarray) -- the driver's
+    co-location contract (Section 5.4.2); else
+    :class:`~repro.errors.AddressError`.  Groups and rows keep batch
+    order.
+    """
+    if len(srcs) != op.arity:
+        raise AddressError(
+            f"{op.value} takes {op.arity} source row lists; got {len(srcs)}"
+        )
+    if len(temps) != op.num_temps:
+        raise AddressError(
+            f"{op.value} needs {op.num_temps} scratch row lists; "
+            f"got {len(temps)}"
+        )
+    n = len(dst)
     for kind, columns in (("source", srcs), ("temp", temps)):
         for k, rows in enumerate(columns):
             if len(rows) != n:
@@ -455,3 +460,58 @@ def _check_aligned(n: int, srcs: Columns, temps: Columns) -> None:
                     f"batch operand lists must align: {kind} {k} has "
                     f"{len(rows)} rows, dst has {n}"
                 )
+    operands = [*srcs, *temps]
+    groups: Dict[Tuple[int, int], RowGroup] = {}
+    for i, d in enumerate(dst):
+        bank, sub = d.bank, d.subarray
+        rows = [d.address]
+        for col in operands:
+            loc = col[i]
+            if loc.bank != bank or loc.subarray != sub:
+                raise AddressError(
+                    f"batch operands of row {i} must share a subarray: "
+                    f"{loc} vs bank {bank} subarray {sub} "
+                    f"(stage cross-subarray operands first)"
+                )
+            rows.append(loc.address)
+        group = groups.get((bank, sub))
+        if group is None:
+            group = groups[bank, sub] = RowGroup(bank, sub, op.arity)
+        group.indices.append(i)
+        group.rows.append(rows)
+    return list(groups.values())
+
+
+def dependent_row(group: RowGroup) -> Optional[Tuple[int, int, int]]:
+    """The first row of ``group`` that is not independent, or ``None``.
+
+    Rows are independent -- they leave the same cells run in any order
+    or all at once -- when no row writes a row, as destination or
+    scratch, that another row reads or writes.  A row may read its own
+    destination, and rows may share sources.  Returns ``(row, address,
+    writer)``, positions in the group: row ``row`` touches ``address``,
+    which row ``writer`` writes.
+    """
+    if len(group.rows) < 2:
+        return None
+    dst, *operands = group.columns()
+    srcs, temps = operands[:group.arity], operands[group.arity:]
+    writes = [*dst, *chain.from_iterable(temps)]
+    unique = set(writes)
+    if len(unique) == len(writes) and unique.isdisjoint(
+        chain.from_iterable(srcs)
+    ):
+        return None
+    # Some row is written twice, or written and read: walk the
+    # addresses to tell a row reading its own destination from a
+    # dependence, and to name the row.
+    writer: Dict[int, int] = {}
+    for col in (dst, *temps):
+        for j, address in enumerate(col):
+            writer.setdefault(address, j)
+    for col in (dst, *temps, *srcs):
+        for j, address in enumerate(col):
+            w = writer.get(address, j)
+            if w != j:
+                return j, address, w
+    return None

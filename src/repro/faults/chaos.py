@@ -67,7 +67,6 @@ class ChaosConfig:
     rows: int = 48
     row_bytes: int = 64
     recovery: bool = True
-    variation_level: float = 0.15
     #: Rows of the per-(bank, subarray) working set faults land in.
     work_rows: int = 8
     #: Spare rows donated to each subarray's repair pool.
@@ -197,7 +196,6 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
         rows={(bank, 0): work for bank in range(config.banks)},
         row_bits=geometry.subarray.row_bits,
         kinds=kinds,
-        variation_level=config.variation_level,
     )
 
     device = _build_device(config, geometry)

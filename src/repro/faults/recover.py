@@ -9,19 +9,22 @@ interpreter over :func:`~repro.core.microprograms.apply_bulk_op` the
 fused kernels and property tests use -- and never by the chip's cells.
 
 A call is verified per (bank, subarray) group, as the fused kernel
-executes it.  Its rows must be independent: no row may write a row (as
-destination or scratch) that another row of the call reads or writes.
-A row may read its own destination, and rows may share sources.  Then
-every expected value follows from the shadow as it stood before the
-call, and no ladder rung on one row can change another row's
-destination; any other call raises :class:`~repro.errors.AddressError`
-before anything changes.  The operands are gathered from the group's
-image (a row seen for the first time is adopted from the device's
-cells) and evaluated in one ``eval_rows`` over the 2-D block.  After
-the device call, the destinations are read back in one backdoor
-``peek_rows`` through the repair map (no DRAM command) and compared
-row-wise; the matching rows are scattered into the image, and each
-mismatching row walks the recovery ladder, in call order.
+executes it.  It must pass the batch engine's shape check
+(:func:`~repro.engine.batch.group_rows`), and its rows must be
+independent (:func:`~repro.engine.batch.dependent_row`): no row may
+write a row (as destination or scratch) that another row of the call
+reads or writes.  A row may read its own destination, and rows may
+share sources.  Then every expected value follows from the shadow as it
+stood before the call, and no ladder rung on one row can change another
+row's destination; any other call raises
+:class:`~repro.errors.AddressError` before anything changes.  The
+operands are gathered from the group's image (a row seen for the first
+time is adopted from the device's cells) and evaluated in one
+``eval_rows`` over the 2-D block.  After the device call, the
+destinations are read back in one backdoor ``peek_rows`` through the
+repair map (no DRAM command) and compared row-wise; the matching rows
+are scattered into the image, and each mismatching row walks the
+recovery ladder, in call order.
 
 The ladder:
 
@@ -67,6 +70,7 @@ import numpy as np
 
 from repro.core.microprograms import Microprogram, StepProgram
 from repro.dram.chip import RowLocation
+from repro.engine.batch import RowGroup, dependent_row, group_rows
 from repro.errors import AddressError, FaultError
 from repro.faults.detect import probe_dcc, probe_row
 from repro.obs.metrics import fault_counters
@@ -137,41 +141,6 @@ class RecoveryAttempt:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form, as embedded in request-span timing dicts."""
         return asdict(self)
-
-
-@dataclass
-class _Group:
-    """The rows of one verified call that share a (bank, subarray): their
-    call positions (ascending), their destination, source and scratch
-    addresses by slot, and, once evaluated, their expected values."""
-
-    bank: int
-    subarray: int
-    index: List[int]
-    dst: List[int]
-    srcs: List[List[int]]
-    temps: List[List[int]]
-    want: Optional[np.ndarray] = None
-    want_temps: Tuple[np.ndarray, ...] = ()
-
-    def check_independent(self) -> None:
-        """Raise :class:`~repro.errors.AddressError` if a row writes a
-        row, as destination or scratch, that another row reads or
-        writes."""
-        writer: Dict[int, int] = {}
-        for col in (self.dst, *self.temps):
-            for j, address in enumerate(col):
-                writer.setdefault(address, j)
-        for col in (self.dst, *self.temps, *self.srcs):
-            for j, address in enumerate(col):
-                w = writer.get(address, j)
-                if w != j:
-                    raise AddressError(
-                        f"run_rows call row {self.index[j]} touches bank "
-                        f"{self.bank} subarray {self.subarray} row {address}, "
-                        f"which call row {self.index[w]} writes; the rows of "
-                        f"a verified call must be independent"
-                    )
 
 
 class FaultTolerantSession:
@@ -343,19 +312,19 @@ class FaultTolerantSession:
         ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
         compiled op, with one row list per input in ``srcs`` (``None``
         entries are dropped) and one per scratch slot in ``temps``; row
-        ``i`` of every list shares ``dst[i]``'s (bank, subarray).  The
-        rows must be independent (see the module docstring), or
-        :class:`~repro.errors.AddressError` names the first that is not,
+        ``i`` of every list shares ``dst[i]``'s (bank, subarray).  A call
+        of another shape, or whose rows are not independent (see the
+        module docstring), raises :class:`~repro.errors.AddressError`
         before anything changes.  Scratch rows are clobbered by
         construction; those the shadow owns (when something else made
         them interesting) are re-synced to the op's final scratch values.
         """
         srcs = [col for col in srcs if col is not None]
-        groups = self._expect(op, dst, srcs, temps)
+        expected = self._expect(op, dst, srcs, temps)
         self._execute(op, dst, srcs, temps)
         bad = {}
-        for group in groups:
-            bad.update(self._commit(group))
+        for group, want, want_temps in expected:
+            bad.update(self._commit(group, want, want_temps))
         for i in sorted(bad):
             self._recover(
                 op, dst[i], [col[i] for col in srcs], [col[i] for col in temps],
@@ -675,7 +644,9 @@ class FaultTolerantSession:
         image[loc.address] = value
         owned[loc.address] = True
 
-    def _physical(self, bank: int, sub: int, addresses: List[int]) -> List[int]:
+    def _physical(
+        self, bank: int, sub: int, addresses: Sequence[int]
+    ) -> Sequence[int]:
         """Resolve addresses through the repair map, as ``read_row`` does."""
         repair = self.controller.repair
         if not repair:
@@ -688,64 +659,68 @@ class FaultTolerantSession:
         dst: Sequence[RowLocation],
         srcs: List[Sequence[RowLocation]],
         temps: Sequence[Sequence[RowLocation]],
-    ) -> List[_Group]:
-        """Group the rows by (bank, subarray), check that each group's
-        rows are independent, and evaluate each group's expected values
-        in one ``eval_rows`` over its shadow image.
+    ) -> List[tuple]:
+        """Check the call, then evaluate each (bank, subarray) group's
+        expected destination and scratch values in one ``eval_rows``
+        over its shadow image: ``(group, want, want_temps)`` each.
 
         A source row the shadow does not own yet is adopted (the
-        device's cells are trusted on first sight), but only once every
-        group has passed the check, so a rejected call changes nothing.
+        device's cells are trusted on first sight), but only once the
+        whole call has passed the checks, so a rejected call changes
+        nothing.
         """
-        rows_of: Dict[Tuple[int, int], List[int]] = {}
-        for i, loc in enumerate(dst):
-            rows_of.setdefault((loc.bank, loc.subarray), []).append(i)
-        groups = []
-        for (bank, sub), index in rows_of.items():
-            groups.append(_Group(
-                bank, sub, index, [dst[i].address for i in index],
-                [[col[i].address for i in index] for col in srcs],
-                [[col[i].address for i in index] for col in temps],
-            ))
-            if len(index) > 1:
-                groups[-1].check_independent()
+        groups = group_rows(op, dst, srcs, temps)
+        for group in groups:
+            dependent = dependent_row(group)
+            if dependent is not None:
+                j, address, w = dependent
+                raise AddressError(
+                    f"run_rows call row {group.indices[j]} touches bank "
+                    f"{group.bank} subarray {group.subarray} row {address}, "
+                    f"which call row {group.indices[w]} writes; the rows of "
+                    f"a verified call must be independent"
+                )
         chip = self.device.chip
+        expected = []
         for group in groups:
             bank, sub = group.bank, group.subarray
             image, owned = self._image(bank, sub)
-            columns = np.array(group.srcs, dtype=np.intp)
+            columns = np.array(
+                group.columns()[1:1 + group.arity], dtype=np.intp
+            )
             if not owned[columns].all():
                 unseen = columns[~owned[columns]].tolist()
                 image[unseen] = chip.peek_rows(
                     bank, sub, self._physical(bank, sub, unseen)
                 )
                 owned[unseen] = True
-            group.want, group.want_temps = op.eval_rows(
-                [image[col] for col in columns]
+            expected.append(
+                (group, *op.eval_rows([image[col] for col in columns]))
             )
-        return groups
+        return expected
 
-    def _commit(self, group: _Group) -> Dict[int, tuple]:
+    def _commit(self, group: RowGroup, want, want_temps) -> Dict[int, tuple]:
         """Read the group's destinations back and scatter the rows that
         match into its image: each destination, and its scratch rows the
         shadow owns.  Returns the other rows' expected values (the
         destination's and the scratch rows'), by call position."""
         bank, sub = group.bank, group.subarray
+        dst, *operands = group.columns()
         got = self.device.chip.peek_rows(
-            bank, sub, self._physical(bank, sub, group.dst)
+            bank, sub, self._physical(bank, sub, dst)
         )
-        bad = (got != group.want).any(axis=1)
+        bad = (got != want).any(axis=1)
         ok = np.flatnonzero(~bad) if bad.any() else slice(None)
         image, owned = self._images[bank, sub]
-        for col, values in zip(group.temps, group.want_temps):
+        for col, values in zip(operands[group.arity:], want_temps):
             col = np.asarray(col)[ok]
             mine = owned[col]
             image[col[mine]] = values[ok][mine]
-        dst = np.asarray(group.dst)[ok]
-        image[dst] = group.want[ok]
+        dst = np.asarray(dst)[ok]
+        image[dst] = want[ok]
         owned[dst] = True
         return {
-            group.index[j]: (group.want[j], [t[j] for t in group.want_temps])
+            group.indices[j]: (want[j], [t[j] for t in want_temps])
             for j in np.flatnonzero(bad).tolist()
         }
 

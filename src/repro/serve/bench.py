@@ -6,12 +6,14 @@ bulk shape the engine is fast at.  This bench measures exactly that
 claim and nothing else: the same seeded client swarm (every client
 synchronously awaiting each op -- the worst case for batching, since
 nothing arrives pre-grouped) runs twice against self-hosted servers
-that differ in a single bit, ``ServeConfig.coalesce``:
+that differ only in ``ServeConfig.max_batch_ops``, the most requests
+one drain cycle takes:
 
-* **coalesced** -- the drain loop fuses whatever is queued into
-  hazard-safe waves (one engine batch per wave);
-* **single** -- the drain loop dispatches one request per batch, i.e.
-  the front door without its tentpole.
+* **coalesced** (``max_batch_ops=1024``) -- the drain loop fuses
+  whatever is queued into hazard-safe waves (one engine batch per
+  wave);
+* **single** (``max_batch_ops=1``) -- the drain loop dispatches one
+  request per batch, i.e. the front door without its tentpole.
 
 Both arms verify bit-exactness through the load generator's read-back
 (a throughput number from a server that corrupted state would be
@@ -41,6 +43,9 @@ from repro.serve.loadgen import (
 )
 from repro.serve.server import ServeConfig
 
+#: ``max_batch_ops`` of the coalesced arm; the single arm takes 1.
+COALESCED = 1024
+
 
 @dataclass(frozen=True)
 class ServeBenchConfig:
@@ -61,9 +66,9 @@ class ServeBenchConfig:
 
 
 def _serve_config(
-    config: ServeBenchConfig, coalesce: bool, trace: bool = True
+    config: ServeBenchConfig, max_batch_ops: int, trace: bool = True
 ) -> ServeConfig:
-    """A server sized so *only* the coalesce bit differs between arms.
+    """A server sized so *only* ``max_batch_ops`` differs between arms.
 
     Quotas unlimited and the queue far above the client count: any
     rejection would add client retries and measure flow control, not
@@ -78,9 +83,8 @@ def _serve_config(
         banks=4,
         rows=slots + 24,
         row_bytes=row_bytes,
-        coalesce=coalesce,
         max_queue=max(4096, config.clients * 4),
-        max_batch_ops=1024,
+        max_batch_ops=max_batch_ops,
         max_vectors=0,
         max_rows=0,
         max_inflight=0,
@@ -90,7 +94,7 @@ def _serve_config(
 
 
 def _run_once(
-    config: ServeBenchConfig, coalesce: bool, trace: bool = True
+    config: ServeBenchConfig, max_batch_ops: int, trace: bool = True
 ) -> Dict[str, Any]:
     report = run_loadgen(LoadGenConfig(
         clients=config.clients,
@@ -100,13 +104,13 @@ def _run_once(
         concurrency=config.clients,
         quota_probe=False,
         burst=0,
-        serve=_serve_config(config, coalesce, trace),
+        serve=_serve_config(config, max_batch_ops, trace),
     ))
     if not report.bit_exact:
+        arm = "single" if max_batch_ops == 1 else "coalesced"
         raise AssertionError(
-            f"{'coalesced' if coalesce else 'single'} arm lost "
-            f"{report.mismatches} bit(s); a throughput number from a "
-            f"corrupting server is void"
+            f"{arm} arm lost {report.mismatches} bit(s); a throughput "
+            f"number from a corrupting server is void"
         )
     totals = report.server_totals
     batches = totals.get("batches", 0.0)
@@ -129,8 +133,9 @@ def _best(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
     return max(runs, key=lambda run: run["throughput_ops_s"])
 
 
-def _run_arm(config: ServeBenchConfig, coalesce: bool) -> Dict[str, Any]:
-    return _best([_run_once(config, coalesce) for _ in range(config.repeats)])
+def _run_arm(config: ServeBenchConfig, max_batch_ops: int) -> Dict[str, Any]:
+    runs = [_run_once(config, max_batch_ops) for _ in range(config.repeats)]
+    return _best(runs)
 
 
 def run_serve_bench(
@@ -139,8 +144,8 @@ def run_serve_bench(
     """Both arms; raises on any bit-exactness violation."""
     config = config if config is not None else ServeBenchConfig()
     config.validate()
-    coalesced = _run_arm(config, coalesce=True)
-    single = _run_arm(config, coalesce=False)
+    coalesced = _run_arm(config, COALESCED)
+    single = _run_arm(config, 1)
     return {
         "bench": "serve",
         "cpu_count": os.cpu_count() or 1,
@@ -183,7 +188,7 @@ def run_spans_overhead_bench(
     for _ in range(config.repeats):
         for trace in (True, False, False, True):
             gc.collect()
-            runs[trace].append(_run_once(config, coalesce=True, trace=trace))
+            runs[trace].append(_run_once(config, COALESCED, trace=trace))
     traced, untraced = _best(runs[True]), _best(runs[False])
     overhead = (
         1.0 - traced["throughput_ops_s"] / untraced["throughput_ops_s"]

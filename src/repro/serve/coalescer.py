@@ -171,11 +171,9 @@ class Coalescer:
         metrics=None,
         max_queue: int = 4096,
         max_batch_ops: int = 512,
-        coalesce: bool = True,
     ):
         self.runner = runner
         self.executor = executor
-        self.coalesce = coalesce
         self.max_batch_ops = max(1, max_batch_ops)
         self._queue: "asyncio.Queue[OpRequest]" = asyncio.Queue(
             maxsize=max_queue
@@ -244,12 +242,11 @@ class Coalescer:
         while True:
             first = await self._queue.get()
             batch = [first]
-            if self.coalesce:
-                while len(batch) < self.max_batch_ops:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
+            while len(batch) < self.max_batch_ops:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
             drained = time.perf_counter_ns()
             for request in batch:
                 request.timing["drained"] = drained

@@ -102,13 +102,11 @@ class ServeConfig:
     jobs: int = 1                    # >= 2 -> ShardedDevice, auto-tuned tier
     max_queue: int = 4096
     max_batch_ops: int = 512
-    coalesce: bool = True
     max_vectors: int = 16
     max_rows: int = 512
     max_inflight: int = 64
     fault_rate: float = 0.0
     fault_ops: int = 512             # fault-plan horizon, in waves
-    variation_level: float = 0.15
     recovery: bool = True
     spare_rows: int = 2
     seed: int = 0
@@ -204,7 +202,6 @@ class BulkBitwiseServer:
             metrics=self.metrics,
             max_queue=config.max_queue,
             max_batch_ops=config.max_batch_ops,
-            coalesce=config.coalesce,
         )
         self.injector: Optional[FaultInjector] = None
         if config.fault_rate > 0.0:
@@ -221,7 +218,6 @@ class BulkBitwiseServer:
                         list(range(self.allocator.slots_total))
                 },
                 row_bits=geometry.subarray.row_bits,
-                variation_level=config.variation_level,
             )
             self.injector = FaultInjector(self.device, plan, self.metrics)
         self._wave_index = 0

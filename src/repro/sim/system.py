@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.coherence import CoherenceCost, CoherenceLog, DirtyBlockIndex
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import BulkOp, apply_bulk_op
 from repro.dram.timing import TimingParameters, ddr4_2400
 from repro.errors import SimulationError
 from repro.perf.systems import AmbitSystem, TRAFFIC_PER_OUTPUT_BYTE
@@ -53,18 +53,6 @@ class AmbitMemoryConfig:
         return self.row_bytes * 8
 
 
-_NUMPY_OPS = {
-    BulkOp.NOT: lambda a, b: ~a,
-    BulkOp.COPY: lambda a, b: a.copy(),
-    BulkOp.AND: lambda a, b: a & b,
-    BulkOp.OR: lambda a, b: a | b,
-    BulkOp.NAND: lambda a, b: ~(a & b),
-    BulkOp.NOR: lambda a, b: ~(a | b),
-    BulkOp.XOR: lambda a, b: a ^ b,
-    BulkOp.XNOR: lambda a, b: ~(a ^ b),
-}
-
-
 class ExecutionContext:
     """Functional execution plus time accounting.
 
@@ -85,11 +73,11 @@ class ExecutionContext:
         label: str = "bitwise",
     ) -> np.ndarray:
         """Compute ``op`` functionally and charge its cost."""
-        if (b is None) != (op.arity == 1):
+        if op.arity > 2 or (b is None) != (op.arity == 1):
             raise SimulationError(f"{op.value} takes {op.arity} operand(s)")
         if b is not None and a.shape != b.shape:
             raise SimulationError("bulk_op operands must have equal shape")
-        result = _NUMPY_OPS[op](a, b)
+        result = apply_bulk_op(op, a, b)
         self._charge(self._bulk_op_ns(op, a.nbytes), label)
         return result
 
@@ -107,7 +95,7 @@ class ExecutionContext:
         """
         if not (a.shape == b.shape == c.shape):
             raise SimulationError("bulk_maj operands must have equal shape")
-        result = (a & b) | (b & c) | (a & c)
+        result = apply_bulk_op(BulkOp.MAJ, a, b, c)
         self._charge(self._bulk_maj_ns(a.nbytes), label)
         return result
 

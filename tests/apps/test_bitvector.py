@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apps.bitvector import AmbitBitSystem
+from repro.compile import compile_expr, parse_expr
+from repro.core.microprograms import BulkOp
 from repro.dram.geometry import small_test_geometry
 from repro.errors import AllocationError
 
@@ -72,6 +74,30 @@ class TestOperators:
         assert np.array_equal(a.nand(b).to_bits(), ~(ba & bb))
         assert np.array_equal(a.nor(b).to_bits(), ~(ba | bb))
         assert np.array_equal(a.xnor(b).to_bits(), ~(ba ^ bb))
+
+    @pytest.mark.parametrize("op", ["not", "nand", "nor", "xnor", "~a"])
+    def test_op_into_keeps_the_padding_zero(self, system, rng, op):
+        """A direct ``op_into`` whose op maps zeros to ones leaves the
+        bits beyond ``nbits`` zero, as the operators do."""
+        n = 100  # 412 padding bits in the only row
+        ba, bb = rng.random(n) < 0.5, rng.random(n) < 0.5
+        a = system.from_bits(ba)
+        b = system.from_bits(bb, like=a)
+        dst = system.bitvector(n, like=a)
+        if op == "~a":
+            a.op_into(compile_expr(parse_expr(op)), dst)
+            expected = ~ba
+        else:
+            bulk = BulkOp(op)
+            a.op_into(bulk, dst, b if bulk.arity == 2 else None)
+            expected = {
+                "not": ~ba, "nand": ~(ba & bb), "nor": ~(ba | bb),
+                "xnor": ~(ba ^ bb),
+            }[op]
+        assert np.array_equal(dst.to_bits(), expected)
+        row = system.device.read_row(dst.handle.rows[-1])
+        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
+        assert not bits[n:].any()
 
     def test_copy(self, system, rng):
         ba = rng.random(ROW_BITS) < 0.5

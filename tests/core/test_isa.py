@@ -57,6 +57,8 @@ class TestOffloadCheck:
             BbopInstruction(BulkOp.NOT, dst=0, src1=ROW, src2=2 * ROW, size=ROW)
         with pytest.raises(AlignmentError):
             BbopInstruction(BulkOp.AND, dst=0, src1=ROW, size=ROW)
+        with pytest.raises(AlignmentError):  # a bbop names two sources
+            BbopInstruction(BulkOp.MAJ, dst=0, src1=ROW, src2=2 * ROW, size=ROW)
 
     def test_size_validated(self):
         with pytest.raises(AlignmentError):

@@ -27,6 +27,8 @@ from repro.obs.tracer import Tracer
 
 ALL_OPS = tuple(BulkOp)
 LOGIC_OPS = tuple(op for op in BulkOp if op not in (BulkOp.COPY, BulkOp.MAJ))
+#: A COPY cannot read its own destination.
+IN_PLACE_OPS = tuple(op for op in BulkOp if op is not BulkOp.COPY)
 
 GEO = small_test_geometry(rows=32, row_bytes=64, banks=2, subarrays_per_bank=2)
 DATA_ROWS = GEO.subarray.data_rows
@@ -173,6 +175,32 @@ class TestBitExactness:
         assert report.rows == len(dst)
         assert report.fused_rows == len(dst)  # hazard-free: all fused
         assert report.fallback_rows == 0
+        _assert_equivalent(slow, fast)
+
+    @pytest.mark.parametrize(
+        "op", IN_PLACE_OPS, ids=[op.value for op in IN_PLACE_OPS]
+    )
+    def test_in_place_rows_fuse(self, op):
+        """Every row reads its own destination, and rows share their
+        other sources: the rows are independent, so the whole batch
+        fuses and equals the per-row walk."""
+        slow, fast = _twin_devices(seed=43)
+        dst, src1, src2, src3 = [], [], [], []
+        for d in range(3, 8):
+            for bank in range(GEO.banks):
+                for sub in range(GEO.subarrays_per_bank):
+                    dst.append(RowLocation(bank, sub, d))
+                    src1.append(RowLocation(bank, sub, d))
+                    src2.append(RowLocation(bank, sub, 0))
+                    src3.append(RowLocation(bank, sub, 1))
+        srcs = (
+            src1,
+            src2 if op.arity >= 2 else None,
+            src3 if op.arity == 3 else None,
+        )
+        _run_per_row(slow, op, dst, *srcs)
+        report = fast.engine.run_rows(op, dst, *srcs)
+        assert report.fused_rows == report.rows == len(dst)
         _assert_equivalent(slow, fast)
 
     @pytest.mark.parametrize("op", ALL_OPS, ids=[op.value for op in ALL_OPS])

@@ -11,9 +11,9 @@ two banks, in-place rows, shared and first-seen sources, and a stuck
 row, a TRA flip on one row or a dead DCC -- and must end with equal
 cells, command counts, recovery log, ladder attempts, fault counters and
 ``verify_all()``.  The rows of a call must be independent (no row writes
-a row another row reads or writes); a call whose rows are not is
-rejected with :class:`~repro.errors.AddressError` before anything
-changes.
+a row another row reads or writes); a call whose rows are not, or whose
+row lists do not fit the op and its destinations, is rejected with
+:class:`~repro.errors.AddressError` before anything changes.
 """
 
 import numpy as np
@@ -333,8 +333,8 @@ def test_named_cases(case, op, dst, srcs, fault):
     )
 
 
-def assert_rejected(session, op, rows, row):
-    """The call raises AddressError naming call row ``row`` and leaves
+def assert_refused(session, run, match):
+    """``run()`` raises AddressError matching ``match`` and leaves
     cells, commands, shadow, log, attempts and fault counters as they
     were."""
     def state():
@@ -345,10 +345,20 @@ def assert_rejected(session, op, rows, row):
         return observe(session), shadow
 
     before = state()
-    dst, srcs, temps = _call(rows, op)
-    with pytest.raises(AddressError, match=f"call row {row} .*independent"):
-        session.run_rows(op, dst, *srcs, temps=temps)
+    with pytest.raises(AddressError, match=match):
+        run()
     assert state() == before
+
+
+def assert_rejected(session, op, rows, row):
+    """The call raises AddressError naming call row ``row`` and changes
+    nothing (:func:`assert_refused`)."""
+    dst, srcs, temps = _call(rows, op)
+    assert_refused(
+        session,
+        lambda: session.run_rows(op, dst, *srcs, temps=temps),
+        f"call row {row} .*independent",
+    )
 
 
 @pytest.mark.parametrize(
@@ -374,6 +384,57 @@ def assert_rejected(session, op, rows, row):
 def test_dependent_rows_are_rejected(op, rows, row):
     _, session = twins(seed=0)
     assert_rejected(session, op, rows, row)
+
+
+#: Calls of the wrong shape, each reading rows the shadow has not seen
+#: (16-19), so a check that came after adopting them would show.
+MALFORMED = [
+    # A source list one row longer than the destinations.
+    (BulkOp.AND, (0, 1), [_bank0((16, 17, 18)), _bank0((4, 5))], [],
+     "align"),
+    # A source list one row shorter.
+    (BulkOp.AND, (0, 1, 2), [_bank0((16, 17)), _bank0((4, 5, 6))], [],
+     "align"),
+    # Two source lists for a three-input op.
+    (BulkOp.MAJ, (0, 1), [_bank0((16, 17)), _bank0((18, 19))], [],
+     "takes 3 source"),
+    # Two scratch lists for an op that clobbers three.
+    (MUX, (0, 1), [_bank0((16, 17)), _bank0((4, 5)), _bank0((6, 7))],
+     [_bank0((30, 31)), _bank0((32, 33))], "needs 3 scratch"),
+    # Row 1's second source is on bank 1; bank 0's row 17 is unseen.
+    (BulkOp.OR, (0, 1), [_bank0((4, 5)),
+                         [RowLocation(0, 0, 16), RowLocation(1, 0, 17)]],
+     [], "share a subarray"),
+]
+MALFORMED_IDS = [
+    "long_source", "short_source", "wrong_arity", "short_scratch_list",
+    "source_in_other_bank",
+]
+
+
+@pytest.mark.parametrize(
+    "op, dst, srcs, temps, match", MALFORMED, ids=MALFORMED_IDS
+)
+def test_malformed_calls_are_rejected(op, dst, srcs, temps, match):
+    _, session = twins(seed=9)
+    assert_refused(
+        session,
+        lambda: session.run_rows(op, _bank0(dst), *srcs, temps=temps),
+        match,
+    )
+
+
+@pytest.mark.parametrize(
+    "op, dst, srcs, temps, match", MALFORMED, ids=MALFORMED_IDS
+)
+def test_engine_rejects_the_same_shapes(op, dst, srcs, temps, match):
+    _, session = twins(seed=9)
+    engine = session.device.engine
+    assert_refused(
+        session,
+        lambda: engine.run_rows(op, _bank0(dst), *srcs, temps=temps),
+        match,
+    )
 
 
 def test_compiled_op_with_shared_owned_scratch_rows():

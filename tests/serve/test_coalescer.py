@@ -155,7 +155,7 @@ def test_backpressure_is_synchronous_and_counted():
     asyncio.run(scenario())
 
 
-def _drain_scenario(coalesce):
+def _drain_scenario(max_batch_ops):
     """Submit a pipelined burst; return (wave batches seen, metrics)."""
 
     async def scenario():
@@ -175,7 +175,7 @@ def _drain_scenario(coalesce):
                 runner=runner,
                 executor=executor,
                 metrics=metrics,
-                coalesce=coalesce,
+                max_batch_ops=max_batch_ops,
             )
             coalescer.start()
             loop = asyncio.get_event_loop()
@@ -195,7 +195,7 @@ def _drain_scenario(coalesce):
 
 
 def test_drain_fuses_a_pipelined_burst():
-    batches, metrics = _drain_scenario(coalesce=True)
+    batches, metrics = _drain_scenario(max_batch_ops=512)
     fused = sum(
         len(wave.requests)
         for waves in batches
@@ -213,7 +213,7 @@ def test_drain_fuses_a_pipelined_burst():
 
 
 def test_coalesce_off_dispatches_one_request_per_batch():
-    batches, metrics = _drain_scenario(coalesce=False)
+    batches, metrics = _drain_scenario(max_batch_ops=1)
     assert len(batches) == 8
     assert all(
         len(waves) == 1 and len(waves[0].requests) == 1

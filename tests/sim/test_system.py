@@ -83,6 +83,8 @@ class TestFunctionalEquivalence:
     def test_arity_enforced(self, rng):
         with pytest.raises(SimulationError):
             CpuContext().bulk_op(BulkOp.NOT, _vec(rng), _vec(rng))
+        with pytest.raises(SimulationError):  # three operands: bulk_maj
+            CpuContext().bulk_op(BulkOp.MAJ, _vec(rng), _vec(rng))
 
 
 class TestCostStructure:
