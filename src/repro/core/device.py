@@ -153,6 +153,11 @@ class AmbitDevice:
         sharded device's ``run_rows``)."""
         return self.engine.run_rows(op, dst, *srcs, temps=temps)
 
+    def run_groups(self, op: StepProgram, groups):
+        """Execute groups planned by ``engine.plan_groups`` (see
+        :meth:`repro.engine.batch.BatchEngine.run_groups`)."""
+        return self.engine.run_groups(op, groups)
+
     @property
     def engine(self):
         """The device's :class:`~repro.engine.batch.BatchEngine`.
@@ -170,18 +175,31 @@ class AmbitDevice:
         return self._engine
 
     def psm_copy(self, src: RowLocation, dst: RowLocation) -> None:
-        """RowClone-PSM copy between banks, with latency accounting.
+        """Copy a row into another subarray, with latency accounting.
 
-        The copy is credited to the accounting record as a
-        ``psm_copy`` execution with the commands the chip executed.
+        Between banks this is RowClone-PSM.  Within a bank the row is
+        copied through the backdoor at the same latency, an internal-bus
+        copy that LISA would accelerate (the paper leaves it as future
+        work, Section 3.4 footnote).  Either way the copy is credited to
+        the accounting record as a ``psm_copy`` execution with the
+        commands the chip executed, and each bank it occupies is charged
+        once.
         """
+        if (src.bank, src.subarray) == (dst.bank, dst.subarray):
+            raise AddressError(
+                f"psm_copy copies into another subarray; {src} and {dst} "
+                f"share one (use RowClone-FPM)"
+            )
         tracer = self.chip.tracer
         trace = self.chip.trace
         mark = dict(trace.tally)
         start_ns = self.chip.clock_ns
         if tracer is not None:
             tracer.begin_op("psm_copy", dst.bank, dst.subarray, start_ns)
-        rowclone_psm(self.chip, src, dst)
+        if src.bank != dst.bank:
+            rowclone_psm(self.chip, src, dst)
+        else:
+            self.write_row(dst, self.read_row(src))
         latency = psm_latency_ns(self.timing, self.geometry.row_bytes)
         trace.credit(self.controller.plan_cache.totals(
             None, "psm_copy", 0, 0, latency,
@@ -189,8 +207,8 @@ class AmbitDevice:
         ))
         stats = self.controller.stats
         stats.busy_ns += latency
-        stats.bank_busy_ns[src.bank] += latency
-        stats.bank_busy_ns[dst.bank] += latency
+        for bank in dict.fromkeys((src.bank, dst.bank)):
+            stats.bank_busy_ns[bank] += latency
         self.chip.clock_ns += latency
         if tracer is not None:
             tracer.record_primitive(

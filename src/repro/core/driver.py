@@ -60,25 +60,14 @@ def stage_row(
 ) -> RowLocation:
     """Copy ``operand`` into a scratch row of ``target``'s subarray.
 
-    Cross-bank strays use RowClone-PSM; same-bank/different-subarray
-    strays pay an equivalent internal-bus copy (LISA would accelerate
-    this; the paper leaves it as future work, Section 3.4 footnote).
-    Co-located operands are returned unchanged at zero cost.
+    Strays are copied with :meth:`~repro.core.device.AmbitDevice.psm_copy`:
+    RowClone-PSM across banks, an equivalent internal-bus copy within a
+    bank.  Co-located operands are returned unchanged at zero cost.
     """
     if (operand.bank, operand.subarray) == (target.bank, target.subarray):
         return operand
     scratch = scratch_row_location(device, target.bank, target.subarray, scratch_index)
-    if operand.bank != target.bank:
-        device.psm_copy(operand, scratch)
-    else:
-        from repro.dram.rowclone import psm_latency_ns
-
-        device.write_row(scratch, device.read_row(operand))
-        latency = psm_latency_ns(device.timing, device.row_bytes)
-        stats = device.controller.stats
-        stats.busy_ns += latency
-        stats.bank_busy_ns[target.bank] += latency
-        device.chip.clock_ns += latency
+    device.psm_copy(operand, scratch)
     return scratch
 
 

@@ -114,10 +114,6 @@ class RowRepairMap:
             if addr not in pool:
                 pool.append(int(addr))
 
-    def spares_free(self, bank: int, subarray: int) -> int:
-        """Number of unassigned spares left in one subarray's pool."""
-        return len(self._free.get((bank, subarray), ()))
-
     def assign(self, bank: int, subarray: int, faulty_addr: int) -> int:
         """Map a faulty address to the next free spare of its subarray.
 

@@ -22,9 +22,16 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    batch returns a :class:`~repro.engine.scheduler.ParallelismReport`
    comparing serialized vs bank-interleaved makespan.
 
-Every batch, and every call the fault-tolerant session verifies, is
-checked by one function, :func:`group_rows`, before anything runs; a
-malformed batch raises :class:`~repro.errors.AddressError`.
+Every batch is planned once, by :meth:`BatchEngine.plan_groups`, and run
+from that plan by ``run_groups`` -- the engine's, the device's or the
+sharded device's.  The plan checks the batch (:func:`group_rows`),
+resolves each (bank, subarray) group's rows through the runtime repair
+map while keeping the caller's addresses, tests the rows' independence
+once (:func:`dependent_row`) and binds every row to a template, which
+checks its binding positions.  A malformed batch raises
+:class:`~repro.errors.AddressError` before anything runs.  The
+fault-tolerant session verifies a call from the same plan it hands to
+the device.
 
 The fused kernel only engages when it is *provably* equivalent to the
 per-row walk: no analog charge model (TRA outcomes would depend on
@@ -91,7 +98,8 @@ class RowGroup:
     """All rows of one batch that target one (bank, subarray)."""
 
     __slots__ = (
-        "bank", "subarray", "arity", "indices", "rows", "templates", "_columns",
+        "bank", "subarray", "arity", "indices", "logical", "rows",
+        "dependent", "templates", "_columns",
     )
 
     def __init__(self, bank: int, subarray: int, arity: int):
@@ -101,8 +109,15 @@ class RowGroup:
         self.arity = arity
         #: Each row's position in the batch, ascending.
         self.indices: List[int] = []
-        #: Each row's binding ``(dk, *srcs, *temps)``, in row order.
-        self.rows: List[List[int]] = []
+        #: Each row's binding ``(dk, *srcs, *temps)`` as the caller
+        #: named it, in row order.
+        self.logical: List[List[int]] = []
+        #: The bindings the device runs: :attr:`logical` resolved
+        #: through the runtime repair map (the same list while no row of
+        #: the subarray is remapped).
+        self.rows = self.logical
+        #: :func:`dependent_row` of :attr:`rows`.
+        self.dependent: Optional[Tuple[int, int, int]] = None
         #: One template for every row, or one per row
         #: (:meth:`repro.engine.plan.PlanCache.lookup`).
         self.templates: List[PlanTemplate] = []
@@ -121,6 +136,12 @@ class RowGroup:
         if self._columns is None:
             self._columns = list(zip(*self.rows))
         return self._columns
+
+    def logical_columns(self) -> List[Tuple[int, ...]]:
+        """:attr:`logical` transposed, as :meth:`columns`."""
+        if self.logical is self.rows:
+            return self.columns()
+        return list(zip(*self.logical))
 
     def bindings(self) -> Iterator[Tuple[Rows, PlanTemplate]]:
         """``(rows, template)`` of every row, in row order."""
@@ -180,22 +201,25 @@ class BatchEngine:
         the op clobbers.  All rows of index ``i`` must share ``dst[i]``'s
         (bank, subarray); stage strays first
         (:meth:`repro.core.driver.AmbitDriver.stage_for`).  A batch of
-        another shape raises before anything runs (:func:`group_rows`).
-        Timing, energy, statistics, and the command trace are charged
-        exactly as the per-row path would.
-
-        ``fuse=False`` forces every group down the per-row command walk
-        -- the dispatch auto-tuner's "serial" tier.  The observable
-        outcome is identical either way (that is the engine's core
-        parity property); only wall-clock changes.
+        another shape raises before anything runs.  This is
+        :meth:`run_groups` over :meth:`plan_groups`.
         """
-        srcs = [col for col in srcs if col is not None]
-        # Runtime spare-row remapping happens here, at batch entry, so
-        # planning, fusion, and accounting all see the repaired rows.
-        dst = self.translate_rows(dst)
-        srcs = [self.translate_rows(col) for col in srcs]
-        temps = [self.translate_rows(col) for col in temps]
-        groups = self.plan_groups(op, dst, *srcs, temps=temps)
+        return self.run_groups(
+            op, self.plan_groups(op, dst, *srcs, temps=temps), fuse=fuse
+        )
+
+    def run_groups(
+        self, op: StepProgram, groups: Sequence[RowGroup], fuse: bool = True
+    ) -> BatchReport:
+        """Execute the groups :meth:`plan_groups` returned for ``op``.
+
+        Timing, energy, statistics, and the command trace are charged
+        exactly as the per-row path would.  ``fuse=False`` forces every
+        group down the per-row command walk -- the dispatch auto-tuner's
+        "serial" tier.  The observable outcome is identical either way
+        (that is the engine's core parity property); only wall-clock
+        changes.
+        """
         if not groups:
             return BatchReport(
                 rows=0, fused_rows=0, fallback_rows=0,
@@ -207,7 +231,7 @@ class BatchEngine:
         ]
         parallelism = self.scheduler.report(command_groups)
 
-        n = len(dst)
+        n = sum(len(group.indices) for group in groups)
         fused = 0
         for issued in self.scheduler.order(command_groups):
             group: RowGroup = issued.payload
@@ -242,26 +266,6 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def translate_rows(
-        self, rows: Optional[Sequence[RowLocation]]
-    ) -> Optional[Sequence[RowLocation]]:
-        """Resolve a row list through the controller's runtime repair map.
-
-        Identity (and allocation-free) while no spare rows have been
-        assigned, which is the common case.
-        """
-        repair = self.controller.repair
-        if rows is None or not repair:
-            return rows
-        return [
-            RowLocation(
-                loc.bank,
-                loc.subarray,
-                repair.translate(loc.bank, loc.subarray, loc.address),
-            )
-            for loc in rows
-        ]
-
     def plan_groups(
         self,
         op: StepProgram,
@@ -269,23 +273,35 @@ class BatchEngine:
         *srcs: Optional[Sequence[RowLocation]],
         temps: Columns = (),
     ) -> List[RowGroup]:
-        """Check the batch (:func:`group_rows`) and bind its
-        per-(bank, subarray) groups to plan templates.
+        """Plan a row batch once: the front half of every ``run_rows``.
 
-        This is the planning front half of :meth:`run_rows`; the sharded
-        device calls it directly so its plan-cache traffic (and thus the
-        hit/miss counters) matches the single-process engine exactly.
-        A group of data rows gets one template, looked up once; a group
-        binding reserved rows gets one per row.
+        Checks the batch and groups it by (bank, subarray)
+        (:func:`group_rows`), resolves each group's rows through the
+        controller's runtime repair map (the caller's addresses stay on
+        :attr:`RowGroup.logical`), tests their independence once
+        (:func:`dependent_row`, kept on :attr:`RowGroup.dependent`) and
+        binds them to plan templates, which checks binding positions.
+        A malformed batch raises :class:`~repro.errors.AddressError`
+        here, before anything runs.  A group of data rows gets one
+        template, looked up once; a group binding reserved rows gets one
+        per row.
         """
         srcs = [col for col in srcs if col is not None]
         groups = group_rows(op, dst, srcs, temps)
+        repair = self.controller.repair
         lookup = self.plan_cache.lookup
         route = self.controller.dcc_route
         for group in groups:
+            key = (group.bank, group.subarray)
+            remap = repair.repairs(*key) if repair else None
+            if remap:
+                group.rows = [
+                    [remap.get(address, address) for address in binding]
+                    for binding in group.logical
+                ]
+            group.dependent = dependent_row(group)
             group.templates = lookup(
-                op, group.rows, group.arity,
-                route.get((group.bank, group.subarray), 0),
+                op, group.rows, group.arity, route.get(key, 0)
             )
         return groups
 
@@ -308,7 +324,7 @@ class BatchEngine:
         # The fused kernel reads every source column up front, then
         # writes the destination and scratch columns: that equals the
         # sequential per-row walk only when the rows are independent.
-        return dependent_row(group) is None
+        return group.dependent is None
 
     # ------------------------------------------------------------------
     # Execution
@@ -478,7 +494,7 @@ def group_rows(
         if group is None:
             group = groups[bank, sub] = RowGroup(bank, sub, op.arity)
         group.indices.append(i)
-        group.rows.append(rows)
+        group.logical.append(rows)
     return list(groups.values())
 
 

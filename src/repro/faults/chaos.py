@@ -131,10 +131,6 @@ class ChaosReport:
         return sum(self.unrecovered.values())
 
     @property
-    def recovered_total(self) -> float:
-        return sum(self.recovered.values())
-
-    @property
     def ok(self) -> bool:
         return (
             self.unrecovered_total == 0

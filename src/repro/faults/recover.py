@@ -8,23 +8,25 @@ The images are advanced by each op's ``eval_rows`` -- the same
 interpreter over :func:`~repro.core.microprograms.apply_bulk_op` the
 fused kernels and property tests use -- and never by the chip's cells.
 
-A call is verified per (bank, subarray) group, as the fused kernel
-executes it.  It must pass the batch engine's shape check
-(:func:`~repro.engine.batch.group_rows`), and its rows must be
-independent (:func:`~repro.engine.batch.dependent_row`): no row may
-write a row (as destination or scratch) that another row of the call
-reads or writes.  A row may read its own destination, and rows may
+A call is planned once, by the device's batch engine
+(:meth:`~repro.engine.batch.BatchEngine.plan_groups`), and verified per
+(bank, subarray) group of that plan, as the fused kernel executes it.
+The plan checks the call's shape and binding positions, and its rows
+must be independent (:func:`~repro.engine.batch.dependent_row`): no row
+may write a row (as destination or scratch) that another row of the
+call reads or writes.  A row may read its own destination, and rows may
 share sources.  Then every expected value follows from the shadow as it
 stood before the call, and no ladder rung on one row can change another
 row's destination; any other call raises
 :class:`~repro.errors.AddressError` before anything changes.  The
-operands are gathered from the group's image (a row seen for the first
-time is adopted from the device's cells) and evaluated in one
-``eval_rows`` over the 2-D block.  After the device call, the
-destinations are read back in one backdoor ``peek_rows`` through the
-repair map (no DRAM command) and compared row-wise; the matching rows
-are scattered into the image, and each mismatching row walks the
-recovery ladder, in call order.
+operands are gathered from the group's image by the caller's addresses
+(a row seen for the first time is adopted from the device's cells) and
+evaluated in one ``eval_rows`` over the 2-D block.  The same groups then
+run on the device (``run_groups``).  Afterwards the destinations are
+read back in one backdoor ``peek_rows`` of the plan's repaired rows (no
+DRAM command) and compared row-wise; the matching rows are scattered
+into the image, and each mismatching row walks the recovery ladder, in
+call order.
 
 The ladder:
 
@@ -70,7 +72,7 @@ import numpy as np
 
 from repro.core.microprograms import Microprogram, StepProgram
 from repro.dram.chip import RowLocation
-from repro.engine.batch import RowGroup, dependent_row, group_rows
+from repro.engine.batch import RowGroup
 from repro.errors import AddressError, FaultError
 from repro.faults.detect import probe_dcc, probe_row
 from repro.obs.metrics import fault_counters
@@ -313,18 +315,30 @@ class FaultTolerantSession:
         compiled op, with one row list per input in ``srcs`` (``None``
         entries are dropped) and one per scratch slot in ``temps``; row
         ``i`` of every list shares ``dst[i]``'s (bank, subarray).  A call
-        of another shape, or whose rows are not independent (see the
-        module docstring), raises :class:`~repro.errors.AddressError`
+        of another shape, one binding a row to two positions the op
+        keeps apart, or one whose rows are not independent (see the
+        module docstring) raises :class:`~repro.errors.AddressError`
         before anything changes.  Scratch rows are clobbered by
         construction; those the shadow owns (when something else made
         them interesting) are re-synced to the op's final scratch values.
         """
-        srcs = [col for col in srcs if col is not None]
-        expected = self._expect(op, dst, srcs, temps)
-        self._execute(op, dst, srcs, temps)
+        groups = self.device.engine.plan_groups(op, dst, *srcs, temps=temps)
+        for group in groups:
+            if group.dependent is not None:
+                j, address, w = group.dependent
+                address = group.logical[j][group.rows[j].index(address)]
+                raise AddressError(
+                    f"run_rows call row {group.indices[j]} touches bank "
+                    f"{group.bank} subarray {group.subarray} row {address}, "
+                    f"which call row {group.indices[w]} writes; the rows of "
+                    f"a verified call must be independent"
+                )
+        expected = [self._expect(op, group) for group in groups]
+        self._execute(op, groups)
         bad = {}
-        for group, want, want_temps in expected:
+        for group, (want, want_temps) in zip(groups, expected):
             bad.update(self._commit(group, want, want_temps))
+        srcs = [col for col in srcs if col is not None]
         for i in sorted(bad):
             self._recover(
                 op, dst[i], [col[i] for col in srcs], [col[i] for col in temps],
@@ -372,12 +386,13 @@ class FaultTolerantSession:
         """Re-read every shadowed row; returns the ``(bank, subarray,
         address)`` keys that mismatch, sorted.  Each subarray's owned
         rows are read back at once."""
+        translate = self.controller.repair.translate
         bad = []
         for (bank, sub), (image, owned) in sorted(self._images.items()):
             addresses = np.flatnonzero(owned)
-            got = self.device.chip.peek_rows(
-                bank, sub, self._physical(bank, sub, addresses.tolist())
-            )
+            got = self.device.chip.peek_rows(bank, sub, [
+                translate(bank, sub, address) for address in addresses.tolist()
+            ])
             wrong = addresses[(got != image[addresses]).any(axis=1)]
             bad.extend((bank, sub, address) for address in wrong.tolist())
         return bad
@@ -454,7 +469,9 @@ class FaultTolerantSession:
         a scratch row before any step reads it.
         """
         self._restore_sources(sources)
-        self._execute(op, [dst], [[s] for s in sources], [[t] for t in temps])
+        self._execute(op, self.device.engine.plan_groups(
+            op, [dst], *[[s] for s in sources], temps=[[t] for t in temps]
+        ))
         if np.array_equal(self.device.read_row(dst), expected):
             self._store(dst, expected)
             self._sync_temps(temps, expected_temps)
@@ -543,31 +560,30 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        op: StepProgram,
-        dst: Sequence[RowLocation],
-        srcs: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> None:
-        """Run rows on the device.  Rows on subarrays with a known-dead
-        DCC cannot take XOR/XNOR steps: they take the degraded program
-        up front instead of rediscovering the fault every op."""
+    def _execute(self, op: StepProgram, groups: List[RowGroup]) -> None:
+        """Run planned groups on the device.  Rows on subarrays with a
+        known-dead DCC cannot take XOR/XNOR steps: they take the
+        degraded program up front, in call order, instead of
+        rediscovering the fault every op."""
         degraded = []
         if self.bad_dcc and op.uses_dual_dcc:
             degraded = [
-                i for i, loc in enumerate(dst)
-                if (loc.bank, loc.subarray) in self.bad_dcc
+                g for g in groups if (g.bank, g.subarray) in self.bad_dcc
             ]
-        normal = [i for i in range(len(dst)) if i not in degraded]
-        if normal:
-            pick = lambda col: [col[i] for i in normal]  # noqa: E731
-            self.device.run_rows(
-                op, pick(dst), *map(pick, srcs), temps=[pick(c) for c in temps]
-            )
-        for i in degraded:
+            groups = [
+                g for g in groups if (g.bank, g.subarray) not in self.bad_dcc
+            ]
+        if groups:
+            self.device.run_groups(op, groups)
+        rows = sorted(
+            (i, g, binding) for g in degraded
+            for i, binding in zip(g.indices, g.logical)
+        )
+        for _, g, (dk, *operands) in rows:
+            loc = partial(RowLocation, g.bank, g.subarray)
             self._run_degraded(
-                op, dst[i], [col[i] for col in srcs], [col[i] for col in temps]
+                op, loc(dk), [loc(a) for a in operands[:g.arity]],
+                [loc(a) for a in operands[g.arity:]],
             )
 
     def _run_degraded(
@@ -644,60 +660,25 @@ class FaultTolerantSession:
         image[loc.address] = value
         owned[loc.address] = True
 
-    def _physical(
-        self, bank: int, sub: int, addresses: Sequence[int]
-    ) -> Sequence[int]:
-        """Resolve addresses through the repair map, as ``read_row`` does."""
-        repair = self.controller.repair
-        if not repair:
-            return addresses
-        return [repair.translate(bank, sub, a) for a in addresses]
+    def _expect(self, op: StepProgram, group: RowGroup) -> tuple:
+        """The group's expected destination and scratch values, from one
+        ``eval_rows`` over its shadow image.
 
-    def _expect(
-        self,
-        op: StepProgram,
-        dst: Sequence[RowLocation],
-        srcs: List[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> List[tuple]:
-        """Check the call, then evaluate each (bank, subarray) group's
-        expected destination and scratch values in one ``eval_rows``
-        over its shadow image: ``(group, want, want_temps)`` each.
-
-        A source row the shadow does not own yet is adopted (the
-        device's cells are trusted on first sight), but only once the
-        whole call has passed the checks, so a rejected call changes
-        nothing.
+        A source row the shadow does not own yet is adopted: the
+        device's cells, read at the plan's repaired address, are trusted
+        on first sight.
         """
-        groups = group_rows(op, dst, srcs, temps)
-        for group in groups:
-            dependent = dependent_row(group)
-            if dependent is not None:
-                j, address, w = dependent
-                raise AddressError(
-                    f"run_rows call row {group.indices[j]} touches bank "
-                    f"{group.bank} subarray {group.subarray} row {address}, "
-                    f"which call row {group.indices[w]} writes; the rows of "
-                    f"a verified call must be independent"
-                )
-        chip = self.device.chip
-        expected = []
-        for group in groups:
-            bank, sub = group.bank, group.subarray
-            image, owned = self._image(bank, sub)
-            columns = np.array(
-                group.columns()[1:1 + group.arity], dtype=np.intp
+        bank, sub, arity = group.bank, group.subarray, group.arity
+        image, owned = self._image(bank, sub)
+        sources = np.array(group.logical_columns()[1:1 + arity], dtype=np.intp)
+        unseen = ~owned[sources]
+        if unseen.any():
+            physical = np.array(group.columns()[1:1 + arity], dtype=np.intp)
+            image[sources[unseen]] = self.device.chip.peek_rows(
+                bank, sub, physical[unseen].tolist()
             )
-            if not owned[columns].all():
-                unseen = columns[~owned[columns]].tolist()
-                image[unseen] = chip.peek_rows(
-                    bank, sub, self._physical(bank, sub, unseen)
-                )
-                owned[unseen] = True
-            expected.append(
-                (group, *op.eval_rows([image[col] for col in columns]))
-            )
-        return expected
+            owned[sources[unseen]] = True
+        return op.eval_rows([image[col] for col in sources])
 
     def _commit(self, group: RowGroup, want, want_temps) -> Dict[int, tuple]:
         """Read the group's destinations back and scatter the rows that
@@ -705,10 +686,8 @@ class FaultTolerantSession:
         shadow owns.  Returns the other rows' expected values (the
         destination's and the scratch rows'), by call position."""
         bank, sub = group.bank, group.subarray
-        dst, *operands = group.columns()
-        got = self.device.chip.peek_rows(
-            bank, sub, self._physical(bank, sub, dst)
-        )
+        dst, *operands = group.logical_columns()
+        got = self.device.chip.peek_rows(bank, sub, group.columns()[0])
         bad = (got != want).any(axis=1)
         ok = np.flatnonzero(~bad) if bad.any() else slice(None)
         image, owned = self._images[bank, sub]

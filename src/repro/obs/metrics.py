@@ -131,10 +131,6 @@ class Gauge:
         """Subtract ``amount`` from the gauge."""
         self.value -= amount
 
-    def set_to_current_time(self) -> None:
-        """Stamp the gauge with ``time.time()`` (heartbeats)."""
-        self.value = time.time()
-
 
 class Histogram:
     """Fixed-bucket histogram with quantile derivation.

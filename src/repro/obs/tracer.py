@@ -122,13 +122,6 @@ class Tracer:
         self.sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: TraceSink) -> None:
-        """Detach a sink (no-op if absent); does not close it."""
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            pass
-
     def close(self) -> None:
         """Close every sink (flushes file-backed sinks)."""
         for sink in self.sinks:

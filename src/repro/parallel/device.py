@@ -333,41 +333,44 @@ class ShardedDevice:
         elapsed time, energy, command trace, tracer-sink aggregates) as
         :meth:`repro.engine.batch.BatchEngine.run_rows`; only the
         wall-clock time and the ``shards`` field of the report differ.
-        The op itself (one of the nine ops or a compiled op) is
-        published through the plan board once; workers resolve it by
-        entry id, and the parent re-derives accounting and traces from
-        its own plan cache under the op's label.
+        This is :meth:`run_groups` over the engine's ``plan_groups``.
         """
-        srcs = [col for col in srcs if col is not None]
+        return self.run_groups(
+            op, self.device.engine.plan_groups(op, dst, *srcs, temps=temps)
+        )
+
+    def run_groups(self, op: StepProgram, groups) -> BatchReport:
+        """Execute groups planned by ``engine.plan_groups``.
+
+        The plan resolved the rows through the parent's repair map, so
+        worker processes only ever see healthy (post-repair) rows and
+        need no view of the repair table.  The op itself (one of the
+        nine ops or a compiled op) is published through the plan board
+        once; workers resolve it by entry id, and the parent re-derives
+        accounting and traces from the plan's templates under the op's
+        label.
+        """
         engine = self.device.engine
-        # Runtime spare-row remapping resolves here, before sharding, so
-        # worker processes only ever see healthy (post-repair) rows and
-        # need no view of the parent's repair table.
-        dst = engine.translate_rows(dst)
-        srcs = [engine.translate_rows(col) for col in srcs]
-        temps = [engine.translate_rows(col) for col in temps]
-        banks = list(dict.fromkeys(loc.bank for loc in dst))
+        banks = list(dict.fromkeys(group.bank for group in groups))
         shards = min(self.max_workers, len(banks))
+        rows = sum(len(group.indices) for group in groups)
         sharded_ok = (
-            len(dst) > 0
-            and shards >= 2
+            shards >= 2
             and self._parallel_eligible()
-            and not self._faulty_subarrays(dst)
+            and not self._faulty_subarrays(groups)
         )
         tier = self._select_tier(
-            len(dst), self.device.row_bytes, sharded_ok, shards
+            rows, self.device.row_bytes, sharded_ok, shards
         )
         self._m_dispatch.labels(tier=tier.value).inc()
         if tier is DispatchTier.SERIAL:
-            return engine.run_rows(op, dst, *srcs, temps=temps, fuse=False)
+            return engine.run_groups(op, groups, fuse=False)
         if tier is DispatchTier.FUSED or not sharded_ok:
             # In-process fallback: plan-cache traffic, counters, trace,
             # and cells are those of the plain engine by construction.
-            return engine.run_rows(op, dst, *srcs, temps=temps)
+            return engine.run_groups(op, groups)
 
-        groups = engine.plan_groups(op, dst, *srcs, temps=temps)
         self._check_precharged(banks)
-
         assignment = {bank: i % shards for i, bank in enumerate(banks)}
         shard_rows: List[List[RowSpec]] = [[] for _ in range(shards)]
         for group in groups:
@@ -376,7 +379,7 @@ class ShardedDevice:
                 for binding in group.rows
             )
         return self._run_sharded(
-            op, engine, groups, len(dst), shard_rows, assignment
+            op, engine, groups, rows, shard_rows, assignment
         )
 
     def run_compiled(self, cop, dst, operands, temps) -> BatchReport:
@@ -601,7 +604,7 @@ class ShardedDevice:
     def _parallel_eligible(self) -> bool:
         return self.max_workers >= 2 and not self._closed
 
-    def _faulty_subarrays(self, dst: Sequence[RowLocation]) -> bool:
+    def _faulty_subarrays(self, groups) -> bool:
         # Worker processes cannot see the parent's injected fault state
         # (stuck dictionaries, DCC faults, armed TRA hooks, or rerouted
         # negations -- none live in the shared segment), so any of it in
@@ -609,9 +612,9 @@ class ShardedDevice:
         chip = self.device.chip
         dcc_route = self.device.controller.dcc_route
         return any(
-            chip.bank(bank).subarray(sub).has_faults
-            or dcc_route.get((bank, sub), 0)
-            for bank, sub in dict.fromkeys((d.bank, d.subarray) for d in dst)
+            chip.bank(group.bank).subarray(group.subarray).has_faults
+            or dcc_route.get((group.bank, group.subarray), 0)
+            for group in groups
         )
 
     def _note_stall(self, pending: int) -> None:

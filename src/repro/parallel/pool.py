@@ -366,12 +366,6 @@ class WorkerPool:
         with self._lock:
             self._staged = []
 
-    @property
-    def staged_telemetry(self) -> int:
-        """Shard records staged and not yet folded."""
-        with self._lock:
-            return len(self._staged)
-
     def shutdown(self) -> None:
         """Stop the workers (idempotent; tolerates a broken pool)."""
         self._executor.shutdown(wait=True, cancel_futures=True)

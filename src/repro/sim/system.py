@@ -116,10 +116,6 @@ class ExecutionContext:
         """Charge a custom streaming kernel (apps with fused loops)."""
         self._charge(self._stream_ns(traffic_bytes, working_set_bytes), label)
 
-    def charge_ns(self, ns: float, label: str = "other") -> None:
-        """Charge a fixed latency under the given label."""
-        self._charge(ns, label)
-
     # -- costing hooks --------------------------------------------------
     def _bulk_op_ns(self, op: BulkOp, nbytes: int) -> float:
         raise NotImplementedError

@@ -167,6 +167,11 @@ class TestValidationAndAccounting:
         assert np.array_equal(device.read_row(loc(5, bank=1)), data)
         assert device.controller.stats.busy_ns > 0
 
+    def test_psm_copy_within_one_subarray_is_refused(self, device):
+        with pytest.raises(AddressError, match="another subarray"):
+            device.psm_copy(loc(0), loc(5))
+        assert device.busy_ns == 0
+
     def test_split_decoder_ablation(self, rng):
         fast = AmbitDevice(geometry=GEO, split_decoder=True)
         slow = AmbitDevice(geometry=GEO, split_decoder=False)

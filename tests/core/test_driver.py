@@ -155,6 +155,20 @@ class TestScratchAndStaging:
         stage_row(device, RowLocation(0, 0, 1), RowLocation(1, 0, 2))
         assert device.busy_ns > before
 
+    def test_same_bank_stage_is_one_psm_copy_in_the_record(self, device, driver):
+        """A stray from another subarray of the same bank is credited as
+        one PSM copy, so the profile, the statistics and the metrics
+        agree; the bank is charged once, as before."""
+        busy, elapsed = device.busy_ns, device.elapsed_ns
+        with device.profile() as prof:
+            stage_row(device, RowLocation(0, 1, 1), RowLocation(0, 0, 2))
+        assert prof.per_op["psm_copy"].count == 1
+        assert prof.counters.rowclone_psm == 1
+        assert prof.counters.busy_ns == device.busy_ns - busy == 45.0
+        assert device.elapsed_ns - elapsed == 45.0
+        device.metrics.collect()
+        assert device.metrics.get("ambit_busy_ns_total").value == 45.0
+
 
 class TestRollbackAndColocation:
     def _fill_stripe(self, driver, bank, sub, leave=0):

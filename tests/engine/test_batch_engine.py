@@ -349,3 +349,100 @@ class TestValidation:
         assert report.rows == 0
         assert fast.chip.clock_ns == before
         assert report.parallelism.parallelism == 1.0
+
+
+#: Rows remapped to spare row 12 of their subarray before the call: a
+#: destination on (0, 0) and the shared second source of (1, 1).
+REMAPPED = ((0, 0, 4), (1, 1, 1))
+
+
+def _remapped_call():
+    """XOR rows 3-6 of every subarray from rows 0 and 1."""
+    dst = [
+        RowLocation(bank, sub, d)
+        for bank in range(GEO.banks)
+        for sub in range(GEO.subarrays_per_bank)
+        for d in range(3, 7)
+    ]
+    src1 = [RowLocation(loc.bank, loc.subarray, 0) for loc in dst]
+    src2 = [RowLocation(loc.bank, loc.subarray, 1) for loc in dst]
+    return dst, src1, src2
+
+
+def _remap(device):
+    repair = device.controller.repair
+    for bank, sub, address in REMAPPED:
+        repair.add_spares(bank, sub, (12, 13))
+        assert repair.assign(bank, sub, address) == 12
+
+
+def _runs(device):
+    """Op executions by value, charged and walked alike."""
+    runs = Counter()
+    for totals, n in device.chip.trace.record().runs():
+        runs[totals.name, totals.aaps, totals.aps, totals.ns] += n
+    return runs
+
+
+class TestRemappedRows:
+    """A group holding remapped rows runs at their spares."""
+
+    def test_plan_keeps_the_callers_addresses_and_binds_the_spares(self):
+        _, device = _twin_devices(seed=47)
+        _remap(device)
+        groups = device.engine.plan_groups(BulkOp.XOR, *_remapped_call())
+        by_key = {(g.bank, g.subarray): g for g in groups}
+        dst = by_key[0, 0]
+        assert [row[0] for row in dst.logical] == [3, 4, 5, 6]
+        assert [row[0] for row in dst.rows] == [3, 12, 5, 6]
+        src = by_key[1, 1]
+        assert {row[2] for row in src.logical} == {1}
+        assert {row[2] for row in src.rows} == {12}
+        assert by_key[0, 1].rows is by_key[0, 1].logical
+        assert all(
+            g.dependent is None and len(g.templates) == 1 for g in groups
+        )
+
+    @pytest.mark.parametrize("path", ["fused", "sharded", "session"])
+    def test_every_path_equals_the_per_row_walk(self, path):
+        from repro.faults.recover import FaultTolerantSession
+        from repro.parallel import ShardedDevice
+
+        walked, device = _twin_devices(seed=53)
+        if path == "sharded":
+            device = ShardedDevice(
+                geometry=GEO, max_workers=2, dispatch="sharded"
+            )
+            _CAPTURED[device.chip.trace] = device.chip.trace.open_capture()
+            _fill(device, np.random.default_rng(53))
+        call = _remapped_call()
+        try:
+            for dev in (walked, device):
+                _remap(dev)
+            walked.engine.run_rows(BulkOp.XOR, *call, fuse=False)
+            if path == "session":
+                session = FaultTolerantSession(device)
+                session.run_rows(BulkOp.XOR, *call)
+                assert not session.log and session.verify_all() == []
+            else:
+                report = device.run_rows(BulkOp.XOR, *call)
+                assert report.fused_rows == report.rows == len(call[0])
+                assert report.shards == (2 if path == "sharded" else 1)
+            # Every data row, the retired rows and the spares included
+            # (the fused kernel leaves B-group rows stale by design).
+            for bank in range(GEO.banks):
+                for sub in range(GEO.subarrays_per_bank):
+                    np.testing.assert_array_equal(
+                        device.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
+                        walked.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
+                    )
+            _assert_equivalent(walked, device)
+            assert device.chip.trace.record().commands() == (
+                walked.chip.trace.record().commands()
+            )
+            assert _runs(device) == _runs(walked)
+            assert device.busy_ns == walked.busy_ns
+            assert device.elapsed_ns == walked.elapsed_ns
+        finally:
+            if path == "sharded":
+                device.close()

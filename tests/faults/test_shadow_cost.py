@@ -1,10 +1,12 @@
 """The grouped shadow verify costs one kernel per group, not one per row.
 
-Call counts, not wall time: a verified 32-row call on four banks
-evaluates the shadow once per (bank, subarray) group and reads no row
-back through ``device.read_row``; a mismatch sends only the mismatching
-row down the recovery ladder.
+Call counts, not wall time: a verified 32-row call on four banks is
+planned once, evaluates the shadow once per (bank, subarray) group and
+reads no row back through ``device.read_row``; a mismatch sends only the
+mismatching row down the recovery ladder.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp, StepProgram
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
+from repro.engine import batch
 from repro.faults.recover import FaultTolerantSession
 
 BANKS = 4
@@ -43,7 +46,7 @@ def rig(monkeypatch):
     counts = {"eval_rows": 0, "read_row": []}
     in_device = [False]
     eval_rows = StepProgram.eval_rows
-    run_rows = device.run_rows
+    run_groups = device.run_groups
     read_row = device.read_row
 
     def counted_eval_rows(op, sources):
@@ -51,10 +54,10 @@ def rig(monkeypatch):
             counts["eval_rows"] += 1
         return eval_rows(op, sources)
 
-    def device_run_rows(*args, **kwargs):
+    def device_run_groups(*args, **kwargs):
         in_device[0] = True
         try:
-            return run_rows(*args, **kwargs)
+            return run_groups(*args, **kwargs)
         finally:
             in_device[0] = False
 
@@ -63,9 +66,26 @@ def rig(monkeypatch):
         return read_row(loc)
 
     monkeypatch.setattr(StepProgram, "eval_rows", counted_eval_rows)
-    monkeypatch.setattr(device, "run_rows", device_run_rows)
+    monkeypatch.setattr(device, "run_groups", device_run_groups)
     monkeypatch.setattr(device, "read_row", counted_read_row)
     return device, session, counts
+
+
+def count_calls(monkeypatch, function):
+    """Count calls of ``function`` from every loaded ``repro`` module
+    that binds it by name; returns the one-element counter."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, function.__name__, None) is function
+        ):
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
 
 
 def columns(banks, rows=ROWS_PER_BANK):
@@ -92,6 +112,23 @@ def test_healthy_call_is_one_kernel_per_group_and_no_row_reads(rig):
     session.run_rows(BulkOp.XOR, dst, src1, src2)
     assert counts["eval_rows"] == BANKS
     assert counts["read_row"] == []
+    assert session.verify_all() == [] and not session.log
+
+
+def test_healthy_call_is_planned_once(rig, monkeypatch):
+    """One ``group_rows`` pass for the call and one ``dependent_row`` per
+    group, shared by the shadow and the device; one plan-cache lookup
+    per row."""
+    device, session, _ = rig
+    grouped = count_calls(monkeypatch, batch.group_rows)
+    tested = count_calls(monkeypatch, batch.dependent_row)
+    cache = device.controller.plan_cache
+    hits, misses = cache.hits, cache.misses
+    dst, src1, src2 = columns(range(BANKS))
+    session.run_rows(BulkOp.XOR, dst, src1, src2)
+    assert grouped == [1]
+    assert tested == [BANKS]
+    assert (cache.hits - hits, cache.misses - misses) == (len(dst) - 1, 1)
     assert session.verify_all() == [] and not session.log
 
 

@@ -11,8 +11,9 @@ two banks, in-place rows, shared and first-seen sources, and a stuck
 row, a TRA flip on one row or a dead DCC -- and must end with equal
 cells, command counts, recovery log, ladder attempts, fault counters and
 ``verify_all()``.  The rows of a call must be independent (no row writes
-a row another row reads or writes); a call whose rows are not, or whose
-row lists do not fit the op and its destinations, is rejected with
+a row another row reads or writes); a call whose rows are not, whose
+row lists do not fit the op and its destinations, or which binds one row
+to two positions the op keeps apart, is rejected with
 :class:`~repro.errors.AddressError` before anything changes.
 """
 
@@ -386,8 +387,9 @@ def test_dependent_rows_are_rejected(op, rows, row):
     assert_rejected(session, op, rows, row)
 
 
-#: Calls of the wrong shape, each reading rows the shadow has not seen
-#: (16-19), so a check that came after adopting them would show.
+#: Calls of the wrong shape, or binding one row to two positions the op
+#: keeps apart, each reading rows the shadow has not seen (16-19), so a
+#: check that came after adopting them would show.
 MALFORMED = [
     # A source list one row longer than the destinations.
     (BulkOp.AND, (0, 1), [_bank0((16, 17, 18)), _bank0((4, 5))], [],
@@ -405,10 +407,15 @@ MALFORMED = [
     (BulkOp.OR, (0, 1), [_bank0((4, 5)),
                          [RowLocation(0, 0, 16), RowLocation(1, 0, 17)]],
      [], "share a subarray"),
+    # A copy onto its own source.
+    (BulkOp.COPY, (16,), [_bank0((16,))], [], "same row"),
+    # The mux's first scratch row is its first source.
+    (MUX, (0,), [_bank0((16,)), _bank0((17,)), _bank0((18,))],
+     [_bank0((16,)), _bank0((30,)), _bank0((31,))], "must be distinct"),
 ]
 MALFORMED_IDS = [
     "long_source", "short_source", "wrong_arity", "short_scratch_list",
-    "source_in_other_bank",
+    "source_in_other_bank", "copy_onto_own_source", "scratch_is_a_source",
 ]
 
 
