@@ -13,7 +13,7 @@ bit-exact and the device's timing/energy accounting reflects the work.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +42,10 @@ class AmbitBitSystem:
         self, nbits: int, like: Optional["BitVector"] = None
     ) -> "BitVector":
         """Allocate a zeroed bitvector (optionally co-located with ``like``)."""
-        handle = self.driver.allocate(
-            nbits, like=None if like is None else like.handle
-        )
-        vector = BitVector(self, handle)
-        vector.set_bits(np.zeros(nbits, dtype=bool))
+        vector = self._allocate(nbits, like)
+        zero = np.zeros(self.device.row_bits // 64, dtype=np.uint64)
+        for loc in vector.handle.rows:
+            self.device.write_row(loc, zero)
         return vector
 
     def from_bits(
@@ -54,9 +53,15 @@ class AmbitBitSystem:
     ) -> "BitVector":
         """Allocate and initialise a bitvector from a boolean array."""
         bits = np.asarray(bits, dtype=bool)
-        vector = self.bitvector(bits.size, like=like)
+        vector = self._allocate(bits.size, like)
         vector.set_bits(bits)
         return vector
+
+    def _allocate(self, nbits: int, like: Optional["BitVector"]) -> "BitVector":
+        handle = self.driver.allocate(
+            nbits, like=None if like is None else like.handle
+        )
+        return BitVector(self, handle)
 
     @property
     def elapsed_ns(self) -> float:
@@ -125,17 +130,24 @@ class BitVector:
         op,
         dst: "BitVector",
         *others: Optional["BitVector"],
+        outs: Sequence["BitVector"] = (),
     ) -> "BitVector":
         """``dst = op(self, *others)`` chunk by chunk inside DRAM.
 
         ``op`` is one of the nine :class:`BulkOp`\\ s or a compiled op
         (:class:`repro.compile.ops.CompiledOp`); ``None`` operands are
-        dropped.  A compiled op's scratch rows are leased from the
-        driver chunk-aligned with the destination.
+        dropped.  An op with ``outputs > 1`` results (a composed
+        bit-serial kernel, :func:`repro.compile.ops.compose`) writes its
+        first ``outputs - 1`` into ``outs``, which bind its leading
+        scratch slots, and its last into ``dst``.  The rest of a
+        compiled op's scratch rows are leased from the driver
+        chunk-aligned with the destination.
 
         Chunks not co-located with the destination are staged through
         scratch rows (the driver's slow path); co-located layouts --
-        anything allocated with ``like=`` -- run pure RowClone-FPM.
+        anything allocated with ``like=`` -- run pure RowClone-FPM.  A
+        multi-output op stages nothing: each of its operands must be
+        co-located, else :class:`AllocationError` before anything runs.
 
         Co-located chunks execute through the batch engine
         (:mod:`repro.engine`, or the sharded device when one wraps it):
@@ -143,15 +155,24 @@ class BitVector:
         across banks, with identical results and identical
         timing/energy accounting.  An attached tracer sees the same
         events from them as from the per-row walk.  Bits beyond
-        ``dst.nbits`` are cleared again when ``op`` maps zeros to ones.
+        ``dst.nbits`` are cleared again in every result the op maps
+        zeros to ones in.
         """
         vectors = [self] + [v for v in others if v is not None]
-        for v in vectors + [dst]:
+        outs = list(outs)
+        if len(outs) != op.outputs - 1:
+            raise AllocationError(
+                f"{op.value} has {op.outputs} results: pass all but the "
+                f"last as outs= ({len(outs)} given) and the last as dst"
+            )
+        results = outs + [dst]
+        for v in vectors + results:
             if v.handle.num_rows != self.handle.num_rows:
                 raise AllocationError("bitvector operands must have equal row counts")
         driver = self.system.driver
         device = self.device
-        with driver.temp_rows(dst.handle, op.num_temps) as temp_handles:
+        with driver.temp_rows(dst.handle, op.num_temps - len(outs)) as leased:
+            temp_handles = [v.handle for v in outs] + leased
             dst_rows = []
             src_cols = [[] for _ in vectors]
             temp_cols = [[] for _ in temp_handles]
@@ -171,11 +192,17 @@ class BitVector:
                     for col, t in zip(temp_cols, temps):
                         col.append(t)
                     continue
-                if len(strays) > 2:
+                if outs or len(strays) > 2:
+                    # A multi-output op stages nothing, so it raises
+                    # before any chunk runs.
+                    limit = (
+                        "a multi-output op stages none" if outs
+                        else "only 2 scratch rows exist"
+                    )
                     raise AllocationError(
                         f"chunk {i} has {len(strays)} cross-subarray "
-                        f"operands; only 2 scratch rows exist -- allocate "
-                        f"operands with like= to co-locate them"
+                        f"operands; {limit} -- allocate operands with "
+                        f"like= to co-locate them"
                     )
                 for scratch, k in enumerate(strays):
                     srcs[k] = driver.stage_for(
@@ -185,9 +212,10 @@ class BitVector:
             if dst_rows:
                 device.run_rows(op, dst_rows, *src_cols, temps=temp_cols)
         if dst.nbits % device.row_bits:
-            pad, _ = op.eval_rows([np.zeros(1, dtype=np.uint64)] * op.arity)
-            if int(pad[0]):
-                dst._clear_padding()
+            pad, pads = op.eval_rows([np.zeros(1, dtype=np.uint64)] * op.arity)
+            for vector, value in zip(results, [*pads[:len(outs)], pad]):
+                if int(value[0]):
+                    vector._clear_padding()
         return dst
 
     def _binary(self, op: BulkOp, other: "BitVector") -> "BitVector":

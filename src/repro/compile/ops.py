@@ -26,13 +26,19 @@ DCC NOT, materialised once per value and shared.
 Scratch slots are assigned by a linear scan over step liveness, so a
 deep expression reuses a small set of reserved rows instead of one row
 per gate.
+
+:func:`compose` strings whole compiled ops into one multi-output op --
+a bit-serial kernel over all its bit planes, issued as one operation
+as SIMDRAM issues one μProgram.  Its steps are exactly the steps of the
+ops it strings together, in order, so its cost is exactly the sum of
+theirs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compile.ir import Expr
 from repro.compile.netlist import (
@@ -62,6 +68,7 @@ __all__ = [
     "CompiledOp",
     "Step",
     "compile_expr",
+    "compose",
     "without_dual_dcc",
 ]
 
@@ -75,6 +82,9 @@ class CompiledOp(StepProgram):
     steps: Tuple[Step, ...]
     num_temps: int
     fingerprint: str
+    #: Results: the first ``outputs - 1`` scratch slots, then the
+    #: destination (see :class:`~repro.core.microprograms.StepProgram`).
+    outputs: int = 1
 
     @property
     def value(self) -> str:
@@ -154,6 +164,80 @@ def without_dual_dcc(op: StepProgram) -> CompiledOp:
         steps=tuple(steps),
         num_temps=op.num_temps + 2,
         fingerprint=_fingerprint(inputs, steps),
+        outputs=op.outputs,
+    )
+
+
+def compose(
+    name: str,
+    inputs: Sequence[str],
+    calls: Sequence[Tuple[StepProgram, Sequence[str], str]],
+    outputs: Sequence[str],
+) -> CompiledOp:
+    """String single-output ops into one op with ``len(outputs)`` results.
+
+    ``inputs`` names the composed op's inputs, in order.  Each call
+    ``(op, args, result)`` runs ``op``'s steps, in order, with its
+    inputs bound to the values named ``args`` (in ``op``'s input order)
+    and its destination to a new value named ``result``; its scratch
+    rows are its own.  ``outputs`` names the results: the first
+    ``len(outputs) - 1`` land in the leading scratch slots and the last
+    in :data:`DST_SLOT`, which no later call may read.  Every other
+    value -- a ripple carry, an op's internal scratch -- takes a
+    scratch slot from the liveness scan behind :func:`compile_expr`.
+
+    Nothing is re-synthesised: the composed steps are the calls' steps
+    one for one, so its cost is exactly the sum of the calls' costs.
+    """
+    arity = len(inputs)
+    first = arity + len(outputs) - 1  # the first slot the scan hands out
+    slots: Dict[str, int] = {value: i for i, value in enumerate(inputs)}
+    slots.update((value, arity + k) for k, value in enumerate(outputs[:-1]))
+    slots[outputs[-1]] = DST_SLOT
+    if len(slots) != arity + len(outputs):
+        raise CompileError(f"{name}: input and output names must be unique")
+    written = set(inputs)
+    virtual = first
+    steps: List[Step] = []
+    for op, args, result in calls:
+        if op.outputs != 1 or len(args) != op.arity:
+            raise CompileError(
+                f"{name}: {op.value} takes {op.arity} arguments and "
+                f"writes one result; got {len(args)} arguments, "
+                f"{op.outputs} results"
+            )
+        unknown = sorted(set(args) - written)
+        if unknown or outputs[-1] in args or result in written:
+            raise CompileError(
+                f"{name}: {op.value} reads {list(args)} and writes "
+                f"{result!r}; a call reads inputs and earlier results "
+                f"other than the destination, and writes a new value"
+            )
+        written.add(result)
+        if result not in slots:
+            slots[result] = virtual
+            virtual += 1
+        # The op's slots -> the composed op's; each write of a scratch
+        # slot takes a fresh virtual slot, as the liveness scan expects.
+        local = {slot: slots[value] for slot, value in enumerate(args)}
+        local[DST_SLOT] = slots[result]
+        for step in op.steps:
+            srcs = tuple(local.get(slot, slot) for slot in step.srcs)
+            if step.dst != DST_SLOT:
+                local[step.dst] = virtual
+                virtual += 1
+            steps.append(Step(step.op, local[step.dst], srcs))
+    unwritten = sorted(set(outputs) - written)
+    if unwritten:
+        raise CompileError(f"{name}: no call writes {unwritten}")
+    steps, num_temps = _allocate(steps, first)
+    return CompiledOp(
+        name=name,
+        inputs=tuple(inputs),
+        steps=tuple(steps),
+        num_temps=first - arity + num_temps,
+        fingerprint=_fingerprint(tuple(inputs), steps),
+        outputs=len(outputs),
     )
 
 
@@ -299,19 +383,22 @@ class _Emitter:
         )  # pragma: no cover
 
 
-def _allocate(steps: List[Step], arity: int) -> Tuple[List[Step], int]:
+def _allocate(steps: List[Step], first: int) -> Tuple[List[Step], int]:
     """Map virtual scratch slots to a minimal set of physical ones.
 
-    Linear scan over last-use liveness.  A scratch row freed by its
-    final read may be reallocated as the destination of the *same*
-    step for the TRA-based ops (their microprograms copy every operand
-    into the bitwise group before the result row is written); the
+    Slots from ``first`` up are virtual; lower ones (the inputs, and a
+    composed op's result slots) are kept.  Linear scan over last-use
+    liveness, handing out slots from ``first``; returns the steps and
+    the number of slots handed out.  A scratch row freed by its final
+    read may be reallocated as the destination of the *same* step for
+    the TRA-based ops (their microprograms copy every operand into the
+    bitwise group before the result row is written); the
     single-operand NOT/COPY keep source and destination distinct.
     """
     last_read: Dict[int, int] = {}
     for idx, step in enumerate(steps):
         for src in step.srcs:
-            if src >= arity:
+            if src >= first:
                 last_read[src] = idx
     mapping: Dict[int, int] = {}
     free: List[int] = []
@@ -319,22 +406,22 @@ def _allocate(steps: List[Step], arity: int) -> Tuple[List[Step], int]:
     allocated: List[Step] = []
     for idx, step in enumerate(steps):
         srcs = tuple(
-            mapping[src] if src >= arity else src for src in step.srcs
+            mapping[src] if src >= first else src for src in step.srcs
         )
 
         def _release() -> None:
-            for src in sorted({s for s in step.srcs if s >= arity}):
+            for src in sorted({s for s in step.srcs if s >= first}):
                 if last_read.get(src) == idx:
                     free.append(mapping[src])
 
         in_place_ok = step.op not in (BulkOp.NOT, BulkOp.COPY)
         if in_place_ok:
             _release()
-        if step.dst >= arity:
+        if step.dst >= first:
             if free:
                 phys = free.pop()
             else:
-                phys = arity + used
+                phys = first + used
                 used += 1
             mapping[step.dst] = phys
             dst = phys

@@ -183,7 +183,8 @@ class AmbitDevice:
         work, Section 3.4 footnote).  Either way the copy is credited to
         the accounting record as a ``psm_copy`` execution with the
         commands the chip executed, and each bank it occupies is charged
-        once.
+        once.  Both rows resolve through the runtime repair map, as the
+        host's reads and writes do.
         """
         if (src.bank, src.subarray) == (dst.bank, dst.subarray):
             raise AddressError(
@@ -197,7 +198,7 @@ class AmbitDevice:
         if tracer is not None:
             tracer.begin_op("psm_copy", dst.bank, dst.subarray, start_ns)
         if src.bank != dst.bank:
-            rowclone_psm(self.chip, src, dst)
+            rowclone_psm(self.chip, self._repaired(src), self._repaired(dst))
         else:
             self.write_row(dst, self.read_row(src))
         latency = psm_latency_ns(self.timing, self.geometry.row_bytes)

@@ -58,15 +58,23 @@ class StepProgram:
     Every layer (plan cache, controller, batch engine, sharded device,
     fault-tolerant session) handles an operation only through this
     surface: ``value`` (the label of its statistics, metrics and trace
-    events), ``arity``, ``num_temps``, ``steps``, :meth:`program`,
-    :meth:`eval_rows` and the DCC profile the recovery ladder reads.
+    events), ``arity``, ``num_temps``, ``outputs``, ``steps``,
+    :meth:`program`, :meth:`eval_rows` and the DCC profile the recovery
+    ladder reads.
 
     Slots are inputs ``0..arity-1``, scratch rows
     ``arity..arity+num_temps-1``, and the sentinels :data:`C0_SLOT`,
-    :data:`C1_SLOT` and :data:`DST_SLOT`.
+    :data:`C1_SLOT` and :data:`DST_SLOT`.  An op computes ``outputs``
+    results: the first ``outputs - 1`` scratch slots, then
+    :data:`DST_SLOT`.  Every :class:`BulkOp` and every compiled
+    expression has one; a composed bit-serial kernel
+    (:func:`repro.compile.ops.compose`) has one per result plane.
     """
 
     __slots__ = ()
+
+    #: Results of one execution (see the class docstring).
+    outputs = 1
 
     @property
     def num_aap(self) -> int:
@@ -99,9 +107,10 @@ class StepProgram:
         ``srcs`` are the operand rows in input order and ``temps`` the
         reserved scratch rows, which must be distinct from each other,
         from the operands and from the destination (steps clobber them).
-        The destination may alias an operand: only the final step
-        writes it, after every read.  ``dcc`` routes single-negation
-        steps through the chosen dual-contact row.
+        The destination may alias an operand when only the final step
+        writes it, after every read; otherwise it must be distinct from
+        them too.  ``dcc`` routes single-negation steps through the
+        chosen dual-contact row.
         """
         srcs = tuple(srcs)
         temps = tuple(temps)
@@ -122,6 +131,11 @@ class StepProgram:
             raise AddressError(
                 f"{self.value}: scratch rows must be distinct from each "
                 f"other, the sources and the destination"
+            )
+        if dk in srcs and self._writes_dst_early():
+            raise AddressError(
+                f"{self.value}: the destination is written before the "
+                f"last step, so it must be distinct from the sources"
             )
         rows = srcs + temps
 
@@ -149,7 +163,8 @@ class StepProgram:
 
         Positions index the binding ``(dk, *srcs, *temps)`` that
         :meth:`program` takes.  A scratch row must differ from every
-        other row, and a COPY step's source row from its destination
+        other row, a destination written before the last step from
+        every source, and a COPY step's source row from its destination
         row (:func:`compile_copy`): :meth:`program` raises on any such
         pair.  Plan templates check new bindings against these pairs
         instead of compiling them (:mod:`repro.engine.plan`).
@@ -160,6 +175,8 @@ class StepProgram:
             for temp in range(first_temp, first_temp + self.num_temps)
             for position in range(temp)
         }
+        if self._writes_dst_early():
+            pairs.update((0, position) for position in range(1, first_temp))
 
         def position(slot: int) -> int:
             return 0 if slot == DST_SLOT else 1 + slot
@@ -170,13 +187,19 @@ class StepProgram:
                 pairs.add((min(pair), max(pair)))
         return tuple(sorted(pairs))
 
+    def _writes_dst_early(self) -> bool:
+        """True when a step before the last writes the destination, so
+        a later step would read a clobbered operand were they one row."""
+        return any(step.dst == DST_SLOT for step in self.steps[:-1])
+
     def eval_rows(self, sources: Sequence[np.ndarray]):
         """Interpret the steps over row values.
 
         Returns ``(dst_value, temp_values)``, where ``temp_values`` are
         the *final* contents of each scratch row -- the fused batch
         kernel pokes those too, so fused and per-row execution leave
-        bit-identical memory behind.
+        bit-identical memory behind, and a multi-output op's leading
+        scratch rows hold its results.
         """
         arity = self.arity
         if len(sources) != arity:

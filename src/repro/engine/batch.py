@@ -338,23 +338,24 @@ class BatchEngine:
         subarray = self.chip.bank(bank).subarray(sub)
         start_ns = self.chip.clock_ns
         dst, *operands = group.columns()
-        srcs = operands[:arity]
+        srcs = list(chain.from_iterable(operands[:arity]))
 
-        # Functional effect: the op's steps over the whole group at once.
+        # Functional effect: the op's steps over the whole group at once,
+        # every source column gathered in one read.
         result, temp_values = op.eval_rows(
-            [subarray.peek_batch(col) for col in srcs]
+            subarray.peek_batch(srcs).reshape(arity, len(dst), -1)
         )
         subarray.poke_batch(dst, result, now_ns=start_ns)
         # Scratch rows end a per-row walk holding their final step
-        # values; poke them too so fused and per-row leave identical
-        # memory behind (the dispatch-parity property).
+        # values (a multi-output op's leading ones hold its results);
+        # poke them too so fused and per-row leave identical memory
+        # behind (the dispatch-parity property).
         touched = list(dst)
         for col, values in zip(operands[arity:], temp_values):
             subarray.poke_batch(col, values, now_ns=start_ns)
             touched.extend(col)
         # Source activations restore (and thereby refresh) their rows.
-        for col in srcs:
-            touched.extend(col)
+        touched.extend(srcs)
         subarray.touch_rows(touched, now_ns=start_ns)
 
         self.account_group(group)

@@ -169,8 +169,16 @@ class PlanTemplate:
 
     def check(self, rows: Rows) -> None:
         """Raise unless ``rows`` keeps :attr:`distinct` positions apart,
-        as :meth:`StepProgram.program` would."""
-        for i, j in self.distinct:
+        as :meth:`StepProgram.program` would.
+
+        A binding of distinct rows passes on one set comparison; only
+        one that repeats a row walks the pairs, to tell an alias the op
+        allows (a destination that is also a source) from a clash and to
+        name the clash."""
+        distinct = self.distinct
+        if not distinct or len(set(rows)) == len(rows):
+            return
+        for i, j in distinct:
             if rows[i] == rows[j]:
                 raise AddressError(
                     f"{self.op.value}: binding positions {i} and {j} "

@@ -321,7 +321,15 @@ class FaultTolerantSession:
         before anything changes.  Scratch rows are clobbered by
         construction; those the shadow owns (when something else made
         them interesting) are re-synced to the op's final scratch values.
+        An op with more than one result (``outputs > 1``, a composed
+        bit-serial kernel) keeps results in scratch rows, which are not
+        verified, so it raises :class:`~repro.errors.AddressError` too.
         """
+        if op.outputs > 1:
+            raise AddressError(
+                f"{op.value} writes {op.outputs} results per row; a "
+                f"verified call checks one destination per row"
+            )
         groups = self.device.engine.plan_groups(op, dst, *srcs, temps=temps)
         for group in groups:
             if group.dependent is not None:

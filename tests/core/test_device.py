@@ -167,6 +167,23 @@ class TestValidationAndAccounting:
         assert np.array_equal(device.read_row(loc(5, bank=1)), data)
         assert device.controller.stats.busy_ns > 0
 
+    def test_psm_copy_between_banks_follows_the_repair_map(self, rng):
+        """Both rows resolve through the runtime repair map, as the
+        host's reads and writes do: bank 0 row 3 is retired to spare 12
+        and bank 1 row 5 to spare 13."""
+        device = AmbitDevice(geometry=small_test_geometry(
+            rows=32, row_bytes=64, banks=2, subarrays_per_bank=2
+        ))
+        repair = device.controller.repair
+        for bank, address, spare in ((0, 3, 12), (1, 5, 13)):
+            repair.add_spares(bank, 0, (spare,))
+            assert repair.assign(bank, 0, address) == spare
+        data = _row(rng)
+        device.write_row(loc(3), data)
+        device.psm_copy(loc(3), loc(5, bank=1))
+        assert np.array_equal(device.read_row(loc(5, bank=1)), data)
+        assert np.array_equal(device.chip.peek_row(loc(13, bank=1)), data)
+
     def test_psm_copy_within_one_subarray_is_refused(self, device):
         with pytest.raises(AddressError, match="another subarray"):
             device.psm_copy(loc(0), loc(5))

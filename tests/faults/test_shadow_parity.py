@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compile import compile_expr, parse_expr
+from repro.compile.kernels import select_op
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
@@ -441,6 +442,23 @@ def test_engine_rejects_the_same_shapes(op, dst, srcs, temps, match):
         session,
         lambda: engine.run_rows(op, _bank0(dst), *srcs, temps=temps),
         match,
+    )
+
+
+def test_multi_output_ops_are_refused():
+    """A composed kernel keeps all but its last result in scratch rows,
+    which the session does not verify: a well-formed call of one raises
+    before anything changes."""
+    _, session = twins(seed=9)
+    op = select_op(2)  # two planes and a mask: five inputs, two results
+    assert (op.arity, op.outputs, op.num_temps) == (5, 2, 3)
+    assert_refused(
+        session,
+        lambda: session.run_rows(
+            op, _bank0((8,)), *[_bank0((a,)) for a in (16, 17, 18, 19, 0)],
+            temps=[_bank0((t,)) for t in (30, 31, 32)],
+        ),
+        "writes 2 results",
     )
 
 
