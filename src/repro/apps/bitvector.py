@@ -150,10 +150,9 @@ class BitVector:
         co-located, else :class:`AllocationError` before anything runs.
 
         Co-located chunks execute through the batch engine
-        (:mod:`repro.engine`, or the sharded device when one wraps it):
-        one fused kernel per (bank, subarray) group, issued round-robin
-        across banks, with identical results and identical
-        timing/energy accounting.  An attached tracer sees the same
+        (:mod:`repro.engine`): one fused kernel per (bank, subarray)
+        group, issued round-robin across banks, with identical results
+        and identical timing/energy accounting.  An attached tracer sees the same
         events from them as from the per-row walk.  Bits beyond
         ``dst.nbits`` are cleared again in every result the op maps
         zeros to ones in.

@@ -12,9 +12,9 @@ Usage::
     python -m repro demo                 # quick end-to-end smoke demo
     python -m repro profile [WORKLOAD] [--chrome-trace FILE] [--jsonl FILE]
     python -m repro metrics [WORKLOAD]   # Prometheus/JSON metric exposition
-    python -m repro top [--jobs N]       # per-op + per-worker health view
+    python -m repro top                  # per-op latency + plan-cache view
     python -m repro top --url URL        # same view for a remote server
-    python -m repro bench [--jobs N]     # serial vs multi-process timing
+    python -m repro bench [--jobs N]     # serial vs multi-process Monte Carlo
     python -m repro serve [--port P]     # async bulk-bitwise NDJSON service
     python -m repro loadgen [--clients N]  # deterministic SLO load soak
 
@@ -248,11 +248,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
         print(format_top(registry_from_snapshot(snapshot)))
         return 0
 
+    from repro.core.device import AmbitDevice
     from repro.core.microprograms import BulkOp
     from repro.dram.chip import RowLocation
     from repro.dram.geometry import DramGeometry, SubarrayGeometry
     from repro.obs.metrics import format_top
-    from repro.parallel.device import ShardedDevice
 
     geometry = DramGeometry(
         banks=args.banks,
@@ -260,33 +260,29 @@ def _cmd_top(args: argparse.Namespace) -> int:
         subarray=SubarrayGeometry(rows=64, row_bytes=args.row_bytes),
     )
     rng = np.random.default_rng(11)
-    with ShardedDevice(geometry=geometry, max_workers=args.jobs) as device:
-        words = geometry.subarray.words_per_row
-        rows_per_bank = 6
-        dst, src1, src2 = [], [], []
-        for bank in range(args.banks):
-            for i in range(rows_per_bank):
-                dst.append(RowLocation(bank, 0, 2 + i))
-                src1.append(RowLocation(bank, 0, 2 + rows_per_bank + i))
-                src2.append(RowLocation(bank, 0, 2 + 2 * rows_per_bank + i))
-        for loc in src1 + src2:
-            device.write_row(
-                loc, rng.integers(0, 2**63, size=words, dtype=np.uint64)
-            )
-        for op in (BulkOp.AND, BulkOp.XOR, BulkOp.NOT):
-            device.run_rows(
-                op, dst, src1, src2 if op.arity >= 2 else None
-            )
-        print(f"top: {args.banks}-bank sharded workload, "
-              f"jobs={device.max_workers}\n")
-        print(format_top(device.metrics))
+    device = AmbitDevice(geometry=geometry)
+    words = geometry.subarray.words_per_row
+    rows_per_bank = 6
+    dst, src1, src2 = [], [], []
+    for bank in range(args.banks):
+        for i in range(rows_per_bank):
+            dst.append(RowLocation(bank, 0, 2 + i))
+            src1.append(RowLocation(bank, 0, 2 + rows_per_bank + i))
+            src2.append(RowLocation(bank, 0, 2 + 2 * rows_per_bank + i))
+    for loc in src1 + src2:
+        device.write_row(
+            loc, rng.integers(0, 2**63, size=words, dtype=np.uint64)
+        )
+    for op in (BulkOp.AND, BulkOp.XOR, BulkOp.NOT):
+        device.run_rows(op, dst, src1, src2 if op.arity >= 2 else None)
+    print(f"top: {args.banks}-bank workload\n")
+    print(format_top(device.metrics))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.microprograms import BulkOp
     from repro.parallel.bench import (
         ParallelBenchConfig,
         format_parallel_bench,
@@ -296,10 +292,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     config = ParallelBenchConfig(
         jobs=args.jobs if args.jobs is not None else default_jobs(),
-        banks=args.banks,
-        rows_per_bank=args.rows_per_bank,
-        op=BulkOp(args.op),
-        dispatch=args.dispatch,
         mc_trials=args.trials,
         repeats=args.repeats,
     )
@@ -325,7 +317,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 ops=args.ops,
                 seed=args.seed,
                 fault_rate=args.fault_rate,
-                jobs=args.jobs,
                 banks=args.banks,
                 row_bytes=args.row_bytes,
                 recovery=not args.no_recovery,
@@ -355,7 +346,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         banks=args.banks,
         rows=args.rows,
         row_bytes=args.row_bytes,
-        jobs=args.jobs,
         max_queue=args.max_queue,
         max_batch_ops=args.max_batch_ops,
         max_vectors=args.max_vectors,
@@ -418,7 +408,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             p99_slo_ms=args.p99_slo_ms,
             connect=args.connect,
-            jobs=args.jobs,
             fault_rate=args.fault_rate,
             quota_probe=not args.no_quota_probe,
             burst=args.burst,
@@ -602,8 +591,8 @@ def _cmd_list(args: argparse.Namespace) -> None:
         ("compile", "compile a boolean expression to a MAJ/NOT microprogram"),
         ("profile", "per-op counters + optional Chrome trace"),
         ("metrics", "metrics registry exposition (Prometheus text / JSON)"),
-        ("top", "per-op latency + per-worker health view"),
-        ("bench", "serial vs multi-process wall-clock benchmark"),
+        ("top", "per-op latency + plan-cache view"),
+        ("bench", "serial vs multi-process Monte Carlo benchmark"),
         ("chaos", "fault-injection soak with detection and recovery"),
         ("serve", "NDJSON/TCP bulk-bitwise service (coalescing front door)"),
         ("loadgen", "deterministic client swarm + SLO soak against serve"),
@@ -726,11 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "top",
-        help="run a sharded workload and print the per-op / per-worker "
-             "health view",
+        help="run a small workload and print the per-op latency / "
+             "plan-cache view",
     )
-    p.add_argument("--jobs", type=int, default=4,
-                   help="worker processes for the sharded run")
     p.add_argument("--banks", type=int, default=4)
     p.add_argument("--row-bytes", type=int, default=512)
     p.add_argument("--url", default=None, metavar="URL",
@@ -740,21 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="serial vs multi-process wall-clock benchmark "
-             "(Monte Carlo + sharded bulk ops)",
+        help="serial vs multi-process Monte Carlo wall-clock benchmark",
     )
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: schedulable CPUs)")
     p.add_argument("--trials", type=int, default=8_000_000,
                    help="Monte Carlo trials")
-    p.add_argument("--banks", type=int, default=8)
-    p.add_argument("--rows-per-bank", type=int, default=8)
-    p.add_argument("--op", default="and",
-                   help="bulk op for the sharded arm")
-    p.add_argument("--dispatch", default="sharded",
-                   choices=("sharded", "auto", "fused", "serial"),
-                   help="dispatch tier of the sharded arm (auto = "
-                        "cost-model tuner)")
     p.add_argument("--repeats", type=int, default=3,
                    help="timings per arm; best is kept")
     p.add_argument("--output", default=None, metavar="FILE",
@@ -772,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds the workload and the fault plan")
     p.add_argument("--fault-rate", type=float, default=1e-3,
                    help="expected faults per op per subarray")
-    p.add_argument("--jobs", type=int, default=1,
-                   help=">= 2 runs sharded and adds worker crash/stall "
-                        "fault kinds")
     p.add_argument("--banks", type=int, default=2)
     p.add_argument("--row-bytes", type=int, default=64)
     p.add_argument("--no-recovery", action="store_true",
@@ -798,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=512,
                    help="rows per subarray (capacity)")
     p.add_argument("--row-bytes", type=int, default=512)
-    p.add_argument("--jobs", type=int, default=1,
-                   help=">= 2 serves from a ShardedDevice that asks the "
-                        "dispatch auto-tuner per wave; waves stay in "
-                        "process unless sharding is predicted to win")
     p.add_argument("--max-queue", type=int, default=4096,
                    help="admission queue bound; overflow is rejected "
                         "with a backpressure error")
@@ -858,8 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="target an already-running server instead of "
                         "self-hosting one")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="self-hosted server worker processes")
     p.add_argument("--fault-rate", type=float, default=0.0,
                    help="self-hosted server fault-injection rate")
     p.add_argument("--no-quota-probe", action="store_true",

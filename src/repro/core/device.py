@@ -40,14 +40,6 @@ class AmbitDevice:
     charge_model_factory:
         Optional nullary factory of analog TRA models, one per subarray,
         to run the device with process variation (Section 6).
-    row_store:
-        Optional :class:`~repro.parallel.shm.SharedRowStore` backing all
-        cell state with a shared-memory segment (the multi-process
-        simulator's zero-copy substrate).  The device that *creates* the
-        store owns it: :meth:`close` unlinks the segment.
-    initialize_control_rows:
-        Set False when attaching to an already-initialized shared store
-        (a worker process must not re-stamp C0/C1).
 
     :attr:`metrics` is the device's own
     :class:`~repro.obs.metrics.MetricsRegistry`.  Its op, latency,
@@ -62,29 +54,24 @@ class AmbitDevice:
         timing: Optional[TimingParameters] = None,
         split_decoder: bool = True,
         charge_model_factory: Optional[Callable[[], object]] = None,
-        row_store: Optional[object] = None,
-        initialize_control_rows: bool = True,
     ):
         from repro.obs.metrics import MetricsRegistry
 
         self.geometry = geometry if geometry is not None else DramGeometry()
         self.timing = timing if timing is not None else ddr3_1600()
         self.amap = AmbitAddressMap(self.geometry.subarray)
-        self.row_store = row_store
         self.metrics = MetricsRegistry()
         self.chip = DramChip(
             self.geometry,
             decoder_factory=lambda: self.amap.build_decoder(),
             charge_model_factory=charge_model_factory,
-            row_store=row_store,
         )
         self.controller = AmbitController(
             self.chip, self.timing, split_decoder=split_decoder
         )
         self._engine = None
         self.metrics.register_collector(self._collect_metrics)
-        if initialize_control_rows:
-            self._initialize_control_rows()
+        self._initialize_control_rows()
 
     # ------------------------------------------------------------------
     # Manufacturer initialisation
@@ -149,8 +136,7 @@ class AmbitDevice:
         temps: Sequence[Sequence[RowLocation]] = (),
     ):
         """Execute a row batch through :attr:`engine` (same contract as
-        :meth:`repro.engine.batch.BatchEngine.run_rows`, and as the
-        sharded device's ``run_rows``)."""
+        :meth:`repro.engine.batch.BatchEngine.run_rows`)."""
         return self.engine.run_rows(op, dst, *srcs, temps=temps)
 
     def run_groups(self, op: StepProgram, groups):
@@ -266,42 +252,13 @@ class AmbitDevice:
     def reset_stats(self) -> None:
         """Clear controller statistics, the command trace and the metrics.
 
-        Quiesce-then-reset protocol: when this device's cells back a
-        multi-process :class:`~repro.parallel.device.ShardedDevice`,
-        resetting while shard jobs are in flight would tear counters out
-        from under the deterministic merge.  The sharded facade enforces
-        the protocol (its ``reset_stats`` raises
-        :class:`~repro.errors.ConcurrencyError` until ``quiesce()``
-        drains the pool); call reset only through it.
-
-        The metrics registry resets with the statistics: counters,
-        per-op histograms, and worker gauges all restart from zero in
-        the same call, and the folded families read the restarted
-        statistics, so metrics and counters can never describe
-        different epochs.
+        The metrics registry resets with the statistics: counters and
+        per-op histograms restart from zero in the same call, and the
+        folded families read the restarted statistics, so metrics and
+        counters can never describe different epochs.
         """
         self.controller.reset_stats()
         self.metrics.reset()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release external resources (idempotent).
-
-        A device over a :class:`~repro.parallel.shm.SharedRowStore`
-        unlinks the shared-memory segment it owns; a GC finalizer on the
-        store covers devices that are dropped without closing.  Plain
-        in-process devices need no cleanup.
-        """
-        if self.row_store is not None:
-            self.row_store.release()
-
-    def __enter__(self) -> "AmbitDevice":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Observability

@@ -55,8 +55,8 @@ class Step:
 class StepProgram:
     """The op protocol: a bulk operation as a program of Figure-8 steps.
 
-    Every layer (plan cache, controller, batch engine, sharded device,
-    fault-tolerant session) handles an operation only through this
+    Every layer (plan cache, controller, batch engine, fault-tolerant
+    session) handles an operation only through this
     surface: ``value`` (the label of its statistics, metrics and trace
     events), ``arity``, ``num_temps``, ``outputs``, ``steps``,
     :meth:`program`, :meth:`eval_rows` and the DCC profile the recovery

@@ -89,7 +89,7 @@ class RowRepairMap:
     This class is the *runtime* counterpart for faults that surface in
     the field: the controller rewrites D-group addresses before
     compiling or issuing anything, so every layer below (plan cache,
-    batch engine, sharded workers) sees only healthy rows.  Spares live
+    batch engine) sees only healthy rows.  Spares live
     in the same subarray, per Section 5.5.3 -- RowClone/TRA cannot cross
     sense-amplifier stripes.
 

@@ -123,16 +123,12 @@ def build_bank(
     geometry: DramGeometry,
     decoder_factory=None,
     charge_model_factory=None,
-    row_store=None,
 ) -> Bank:
     """Construct a bank from a device geometry.
 
     ``decoder_factory``/``charge_model_factory`` are nullary callables
     producing a fresh decoder / analog model per subarray (or ``None``
-    for commodity defaults).  ``row_store`` is an optional
-    :class:`~repro.parallel.shm.SharedRowStore`; when given, every
-    subarray is built over its shared-memory views instead of private
-    arrays.
+    for commodity defaults).
     """
     subarrays = [
         Subarray(
@@ -141,11 +137,7 @@ def build_bank(
             charge_model=(
                 charge_model_factory() if charge_model_factory is not None else None
             ),
-            cells=row_store.cells(index, s) if row_store is not None else None,
-            last_restore=(
-                row_store.restore(index, s) if row_store is not None else None
-            ),
         )
-        for s in range(geometry.subarrays_per_bank)
+        for _ in range(geometry.subarrays_per_bank)
     ]
     return Bank(index, subarrays)

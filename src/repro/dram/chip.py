@@ -54,10 +54,6 @@ class DramChip:
     charge_model_factory:
         Nullary callable building an analog TRA model per subarray
         (``None`` for ideal behaviour).
-    row_store:
-        Optional :class:`~repro.parallel.shm.SharedRowStore`; when
-        given, all subarray cell state lives in its shared-memory
-        segment so other processes can attach to the same address space.
     """
 
     def __init__(
@@ -65,12 +61,10 @@ class DramChip:
         geometry: DramGeometry,
         decoder_factory: Optional[Callable[[], object]] = None,
         charge_model_factory: Optional[Callable[[], object]] = None,
-        row_store: Optional[object] = None,
     ):
         self.geometry = geometry
-        self.row_store = row_store
         self.banks: List[Bank] = [
-            build_bank(i, geometry, decoder_factory, charge_model_factory, row_store)
+            build_bank(i, geometry, decoder_factory, charge_model_factory)
             for i in range(geometry.banks)
         ]
         self.trace = CommandTrace()

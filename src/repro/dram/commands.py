@@ -189,8 +189,8 @@ class CommandTrace:
     """Exact counts of the issued commands, and captures for their readers.
 
     The chip tallies every command it executes by :data:`CommandKind`.
-    Rows whose commands are not executed one by one (a fused or sharded
-    batch) are *charged* instead: one count per group of rows against the
+    Rows whose commands are not executed one by one (a fused batch) are
+    *charged* instead: one count per group of rows against the
     op totals their plan template carries
     (:class:`repro.engine.plan.OpTotals`), which the folds multiply out
     only when read.  A row walked command by command is *credited* with

@@ -50,13 +50,6 @@ class Subarray:
         Optional analog TRA resolution model (see
         :mod:`repro.circuit.senseamp_dynamics`).  ``None`` = ideal
         majority behaviour.
-    cells / last_restore:
-        Optional externally owned backing arrays (e.g. views into a
-        :class:`~repro.parallel.shm.SharedRowStore` segment) of shape
-        ``(storage_rows, words_per_row)`` uint64 and ``(storage_rows,)``
-        float64.  When given, all cell state lives in (and is observed
-        through) those buffers; by default the subarray allocates its
-        own zero-filled arrays.
     """
 
     def __init__(
@@ -64,8 +57,6 @@ class Subarray:
         geometry: SubarrayGeometry,
         decoder: Optional[RowDecoder] = None,
         charge_model: Optional[object] = None,
-        cells: Optional[np.ndarray] = None,
-        last_restore: Optional[np.ndarray] = None,
     ):
         self.geometry = geometry
         self.decoder = decoder if decoder is not None else DirectRowDecoder(
@@ -75,33 +66,18 @@ class Subarray:
         #: Packed cell contents, one uint64 row per storage row.  For a
         #: DCC row, the stored value is the one observed through the
         #: d-wordline.
-        cells_shape = (geometry.storage_rows, geometry.words_per_row)
-        if cells is None:
-            cells = np.zeros(cells_shape, dtype=np.uint64)
-        elif cells.shape != cells_shape or cells.dtype != np.uint64:
-            raise AddressError(
-                f"external cell buffer must be uint64 {cells_shape}; "
-                f"got {cells.dtype} {cells.shape}"
-            )
-        self.cells = cells
+        self.cells = np.zeros(
+            (geometry.storage_rows, geometry.words_per_row), dtype=np.uint64
+        )
         #: Wordlines currently raised (empty when precharged).
         self.raised: List[Wordline] = []
         #: Last refresh/restore time per storage row, in nanoseconds.
         #: Any activation that restores a row refreshes it (Section 3.3:
         #: "each copy operation refreshes the cells of the destination
         #: row").
-        if last_restore is None:
-            last_restore = np.zeros(geometry.storage_rows, dtype=np.float64)
-        elif (
-            last_restore.shape != (geometry.storage_rows,)
-            or last_restore.dtype != np.float64
-        ):
-            raise AddressError(
-                f"external restore buffer must be float64 "
-                f"({geometry.storage_rows},); got "
-                f"{last_restore.dtype} {last_restore.shape}"
-            )
-        self.last_restore_ns = last_restore
+        self.last_restore_ns = np.zeros(
+            geometry.storage_rows, dtype=np.float64
+        )
         #: Injected stuck-at faults: storage row -> the value its cells
         #: are stuck at.  Restores and pokes cannot change a stuck row,
         #: modelling the hard faults the manufacturing test hunts for

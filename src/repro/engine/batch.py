@@ -23,8 +23,8 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    comparing serialized vs bank-interleaved makespan.
 
 Every batch is planned once, by :meth:`BatchEngine.plan_groups`, and run
-from that plan by ``run_groups`` -- the engine's, the device's or the
-sharded device's.  The plan checks the batch (:func:`group_rows`),
+from that plan by ``run_groups`` -- the engine's or the device's.  The
+plan checks the batch (:func:`group_rows`),
 resolves each (bank, subarray) group's rows through the runtime repair
 map while keeping the caller's addresses, tests the rows' independence
 once (:func:`dependent_row`) and binds every row to a template, which
@@ -90,8 +90,6 @@ class BatchReport:
     fallback_rows: int
     #: Serialized-vs-interleaved makespan comparison for the batch.
     parallelism: ParallelismReport
-    #: Worker processes the batch was sharded across (1 = in-process).
-    shards: int = 1
 
 
 class RowGroup:
@@ -215,10 +213,10 @@ class BatchEngine:
 
         Timing, energy, statistics, and the command trace are charged
         exactly as the per-row path would.  ``fuse=False`` forces every
-        group down the per-row command walk -- the dispatch auto-tuner's
-        "serial" tier.  The observable outcome is identical either way
-        (that is the engine's core parity property); only wall-clock
-        changes.
+        group down the per-row command walk, the reference the parity
+        tests compare against.  The observable outcome is identical
+        either way (that is the engine's core parity property); only
+        wall-clock changes.
         """
         if not groups:
             return BatchReport(
@@ -371,11 +369,7 @@ class BatchEngine:
         loop sums it; a group of per-row templates is charged row by
         row.  Busy time and the clock advance once per group.  The
         result equals walking every row through the controller.  The
-        fused kernel calls this after its numpy work; the sharded device
-        calls it for groups whose *functional* effect ran in a worker
-        process -- accounting always happens in the process that owns
-        the stats, so merged counters, energy, and golden traces stay
-        exact.
+        fused kernel calls this after its numpy work.
 
         Only an attached tracer or an open capture binds the rows'
         command schedules: the tracer's events equal those the per-row

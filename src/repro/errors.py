@@ -60,15 +60,6 @@ class SimulationError(ReproError):
     """The system-level cost simulator was driven with inconsistent inputs."""
 
 
-class ConcurrencyError(ReproError):
-    """A multi-process invariant of the sharded simulator was violated.
-
-    Raised when statistics are reset while shard jobs are in flight
-    (quiesce first -- see ``docs/SCALING.md``), or when a worker process
-    dies mid-batch and the shared row store may hold partial results.
-    """
-
-
 class FaultError(ReproError):
     """The fault-recovery layer could not restore correct operation.
 

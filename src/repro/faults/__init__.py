@@ -13,7 +13,7 @@ This package closes the loop at *runtime*:
 * :class:`FaultPlan` / :class:`FaultInjector` -- a deterministic,
   seed-driven schedule of faults (stuck rows, variation-induced TRA bit
   flips sampled from :mod:`repro.circuit.montecarlo`, DCC n-wordline
-  failures, worker crashes/stalls) injected into live devices;
+  failures) injected into live devices;
 * :mod:`repro.faults.detect` -- paper-style verify-row checks and
   command-path probes that localise a fault after a result mismatch;
 * :class:`FaultTolerantSession` -- per-op result verification against a

@@ -15,9 +15,6 @@ Injection mechanics per kind:
   Section 6).
 * ``dcc`` -- :meth:`Subarray.inject_dcc_fault` on the chosen
   dual-contact row's storage row (its n-wordline stops negating).
-* ``worker_crash`` / ``worker_stall`` -- submits a
-  :func:`~repro.parallel.worker.crash` / ``stall`` job to the sharded
-  device's pool (ignored, with a note, on plain devices).
 """
 
 from __future__ import annotations
@@ -61,24 +58,18 @@ class FaultInjector:
         self._counters = fault_counters(
             metrics if metrics is not None else device.metrics
         )
-        #: Events actually applied, in application order.
+        #: Events applied, in application order.
         self.applied: List[FaultEvent] = []
-        #: Pool events skipped because the device has no worker pool.
-        self.skipped: List[FaultEvent] = []
 
     # ------------------------------------------------------------------
     def before_op(self, op_index: int) -> List[FaultEvent]:
         """Apply every event scheduled for ``op_index``; returns them."""
         events = self._by_op.pop(op_index, [])
-        applied = []
         for event in events:
-            if self._apply(event):
-                self._counters["injected"].labels(kind=event.kind).inc()
-                self.applied.append(event)
-                applied.append(event)
-            else:
-                self.skipped.append(event)
-        return applied
+            self._apply(event)
+            self._counters["injected"].labels(kind=event.kind).inc()
+            self.applied.append(event)
+        return events
 
     def drain(self) -> List[FaultEvent]:
         """Events whose op index was never reached (for reports)."""
@@ -90,7 +81,7 @@ class FaultInjector:
     def _subarray(self, event: FaultEvent):
         return self.device.chip.bank(event.bank).subarray(event.subarray)
 
-    def _apply(self, event: FaultEvent) -> bool:
+    def _apply(self, event: FaultEvent) -> None:
         if event.kind == "stuck_row":
             sub = self._subarray(event)
             words = sub.geometry.words_per_row
@@ -102,7 +93,7 @@ class FaultInjector:
             repair = self.device.controller.repair
             physical = repair.translate(event.bank, event.subarray, event.row)
             sub.inject_stuck_row(physical, value)
-            return True
+            return
         if event.kind == "tra_flip":
             sub = self._subarray(event)
             mask = flip_mask(event.flip_bits, sub.geometry.words_per_row)
@@ -112,20 +103,8 @@ class FaultInjector:
                 return _mask
 
             sub.tra_fault_hook = hook
-            return True
+            return
         if event.kind == "dcc":
             self._subarray(event).inject_dcc_fault(self.amap.row_dcc(event.dcc))
-            return True
-        if event.kind in ("worker_crash", "worker_stall"):
-            ensure_pool = getattr(self.device, "_ensure_pool", None)
-            if ensure_pool is None:
-                return False
-            from repro.parallel.worker import crash, stall
-
-            pool = ensure_pool()
-            if event.kind == "worker_crash":
-                pool.submit(crash, 1)
-            else:
-                pool.submit(stall, event.stall_s)
-            return True
+            return
         raise ValueError(f"unknown fault kind {event.kind!r}")

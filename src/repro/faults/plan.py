@@ -24,11 +24,8 @@ import numpy as np
 from repro.circuit.montecarlo import tra_failure_rate
 from repro.errors import ConfigError
 
-#: Fault kinds a plan can schedule against a plain device.
+#: Fault kinds a plan can schedule.
 DEVICE_KINDS = ("stuck_row", "tra_flip", "dcc")
-
-#: Additional kinds that need a live worker pool (sharded devices).
-POOL_KINDS = ("worker_crash", "worker_stall")
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,6 @@ class FaultEvent:
     flip_bits: Tuple[int, ...] = ()
     #: Which dual-contact row breaks (``dcc`` events).
     dcc: int = 0
-    #: Sleep injected into a worker (``worker_stall`` events), seconds.
-    stall_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class FaultPlan:
         kinds: Sequence[str] = DEVICE_KINDS,
         variation_level: float = 0.15,
         mc_trials: int = 2048,
-        stall_s: float = 0.1,
     ) -> "FaultPlan":
         """Draw a schedule of ``~ops * fault_rate * len(rows)`` events.
 
@@ -96,8 +90,7 @@ class FaultPlan:
         row_bits:
             Row width in bits (bounds TRA flip positions).
         kinds:
-            Fault kinds to draw from; include :data:`POOL_KINDS` only
-            for sharded runs.
+            Fault kinds to draw from (a subset of :data:`DEVICE_KINDS`).
 
         The event count is drawn from a Poisson of the expected rate
         but floored at **one**: a soak whose plan happens to contain
@@ -112,7 +105,7 @@ class FaultPlan:
             raise ConfigError("a fault plan needs at least one target subarray")
         if not kinds:
             raise ConfigError("a fault plan needs at least one fault kind")
-        unknown = set(kinds) - set(DEVICE_KINDS) - set(POOL_KINDS)
+        unknown = set(kinds) - set(DEVICE_KINDS)
         if unknown:
             raise ConfigError(f"unknown fault kinds: {sorted(unknown)}")
         rng = np.random.default_rng(seed)
@@ -162,7 +155,7 @@ class FaultPlan:
                         flip_bits=tuple(int(b) for b in bits),
                     )
                 )
-            elif kind == "dcc":
+            else:  # dcc
                 dcc_taken.add((bank, subarray))
                 events.append(
                     FaultEvent(
@@ -171,22 +164,6 @@ class FaultPlan:
                         bank=bank,
                         subarray=subarray,
                         dcc=int(rng.integers(0, 2)),
-                    )
-                )
-            elif kind == "worker_crash":
-                events.append(
-                    FaultEvent(
-                        op_index=op_index, kind=kind, bank=bank, subarray=subarray
-                    )
-                )
-            else:  # worker_stall
-                events.append(
-                    FaultEvent(
-                        op_index=op_index,
-                        kind=kind,
-                        bank=bank,
-                        subarray=subarray,
-                        stall_s=stall_s,
                     )
                 )
         events.sort(key=lambda e: e.op_index)

@@ -1,9 +1,9 @@
 """Verified execution with a recovery ladder (Sections 5.5.3 / 6).
 
-:class:`FaultTolerantSession` wraps a device (plain or sharded) and
-maintains a host-side *shadow* of every row the workload owns: one
-``(storage_rows, words_per_row)`` image per (bank, subarray), shaped
-like the subarray's own cell array, plus a mask of the rows it owns.
+:class:`FaultTolerantSession` wraps a device and maintains a host-side
+*shadow* of every row the workload owns: one ``(storage_rows,
+words_per_row)`` image per (bank, subarray), shaped like the subarray's
+own cell array, plus a mask of the rows it owns.
 The images are advanced by each op's ``eval_rows`` -- the same
 interpreter over :func:`~repro.core.microprograms.apply_bulk_op` the
 fused kernels and property tests use -- and never by the chip's cells.
@@ -157,11 +157,6 @@ class FaultTolerantSession:
         session.run_rows(BulkOp.AND, dsts, srcs1, srcs2)
         session.run_rows(cop, dsts, *operand_rows, temps=scratch_rows)
         assert session.unrecovered_count == 0
-
-    Works identically over :class:`~repro.core.device.AmbitDevice` and
-    :class:`~repro.parallel.device.ShardedDevice` (recovery itself runs
-    in the parent process either way; only the healthy fast path
-    shards).
     """
 
     def __init__(self, device, policy: Optional[RecoveryPolicy] = None):
@@ -294,7 +289,7 @@ class FaultTolerantSession:
             return False
         # The retired physical row is unreachable from here on, so lifting
         # its fault flag is safe, and ``has_faults`` stops gating
-        # fused/sharded execution for the whole subarray.
+        # fused execution for the whole subarray.
         subarray = self.device.chip.bank(loc.bank).subarray(loc.subarray)
         subarray.clear_stuck_row(retired)
         return True

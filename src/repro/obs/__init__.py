@@ -9,10 +9,9 @@ artifact beyond the counts ``chip.trace`` keeps:
   choke point (:meth:`repro.dram.chip.DramChip.execute`), it turns every
   ACT/PRE/RD/WR/REF plus every AAP/AP primitive and bulk operation into
   a typed :class:`~repro.obs.events.TraceEvent` carrying the issue
-  clock, latency and energy, fanned out to pluggable sinks.  Fused and
-  sharded batches emit the same events from command schedules bound
-  from their plan templates, in the parent process, so tracing never
-  changes the execution path.
+  clock, latency and energy, fanned out to pluggable sinks.  Fused
+  batches emit the same events from command schedules bound from their
+  plan templates, so tracing never changes the execution path.
 * Sinks (:mod:`repro.obs.sinks`) -- in-memory ring buffer, JSON-lines
   file, and Chrome ``trace_event`` format (load the output in
   ``chrome://tracing`` or https://ui.perfetto.dev), plus a streaming
@@ -25,7 +24,7 @@ artifact beyond the counts ``chip.trace`` keeps:
   and per-bulk-op summaries over a region of work.
 * :class:`~repro.obs.metrics.MetricsRegistry` -- live counters, gauges
   and fixed-bucket latency histograms threaded through the controller,
-  plan cache, batch engine and worker pool, with Prometheus-text /
+  plan cache and batch engine, with Prometheus-text /
   JSON / JSON-lines exposition (``repro metrics``, ``repro top``).
 * :mod:`repro.obs.spans` -- end-to-end *request* spans for the serving
   layer: per-request critical-path breakdowns that tile the wall clock,

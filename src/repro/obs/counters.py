@@ -171,22 +171,6 @@ class CounterSet:
         """An independent snapshot of the current values."""
         return self + CounterSet()
 
-    @classmethod
-    def merge(cls, parts: Iterable["CounterSet"]) -> "CounterSet":
-        """Combine per-shard counter sets into one total.
-
-        The deterministic merge rule of the sharded device: every count,
-        ``busy_ns``, and ``energy_pj`` is a plain sum (counter addition
-        is associative and commutative, so shard order cannot matter).
-        Makespan-style quantities are *not* counters and never live in a
-        :class:`CounterSet`; elapsed time merges as a max over shards in
-        :class:`repro.core.controller.ControllerStats` instead.
-        """
-        total = cls()
-        for part in parts:
-            total = total + part
-        return total
-
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------

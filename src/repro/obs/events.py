@@ -47,10 +47,6 @@ class TraceEvent:
     #: Wordlines raised by an ACTIVATE (1, 2 for DCC rows, 3 for a TRA).
     wordlines: int = 1
     energy_pj: float = 0.0
-    #: OS pid of the shard worker a ``shard`` span ran in (``None`` for
-    #: everything else).  The Chrome sink renders each pid as its own
-    #: process lane.
-    pid: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
@@ -62,7 +58,7 @@ class TraceEvent:
             "ts_ns": self.ts_ns,
             "dur_ns": self.dur_ns,
         }
-        for key in ("bank", "subarray", "row", "column", "pid"):
+        for key in ("bank", "subarray", "row", "column"):
             value = getattr(self, key)
             if value is not None:
                 record[key] = value

@@ -11,10 +11,7 @@ whole execution stack:
   latency, busy time and plan-cache traffic from its statistics and
   plan cache whenever the registry is read,
 * the :class:`~repro.engine.batch.BatchEngine` counts batches and
-  fused-vs-fallback rows,
-* the :class:`~repro.parallel.pool.WorkerPool` maintains per-worker
-  health gauges (heartbeat, batches served, busy-ns, RSS) and crash
-  counters fed by shard telemetry.
+  fused-vs-fallback rows.
 
 Exposition is pull-based and dependency-free: Prometheus text format
 (:meth:`MetricsRegistry.render_prometheus`), a JSON snapshot
@@ -36,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from bisect import bisect_left
 from typing import (
     IO,
@@ -112,7 +108,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (worker RSS, heartbeat, ...)."""
+    """A value that can go up and down (queue depth, free slots, ...)."""
 
     __slots__ = ("value",)
 
@@ -306,12 +302,6 @@ class MetricFamily:
                 child = self._children.setdefault(key, self._factory())
         return child
 
-    def remove(self, **labels: object) -> None:
-        """Drop one child (e.g. a retired worker's gauges); no-op if absent."""
-        key = tuple(str(labels[n]) for n in self.label_names)
-        with self._lock:
-            self._children.pop(key, None)
-
     @property
     def children(self) -> Dict[LabelValues, MetricInstance]:
         return dict(self._children)
@@ -483,10 +473,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every metric; registrations and collectors survive.
 
-        This is the metrics half of the device's ``reset_stats``
-        protocol -- the sharded facade additionally requires the worker
-        pool to be quiesced first so half-merged worker telemetry can
-        never survive into the fresh epoch.
+        This is the metrics half of the device's ``reset_stats``.
         """
         for family in self._families.values():
             family.reset()
@@ -775,18 +762,16 @@ def registry_from_snapshot(snapshot: Dict[str, Any]) -> MetricsRegistry:
 # ----------------------------------------------------------------------
 # The "repro top" view
 # ----------------------------------------------------------------------
-def format_top(registry: MetricsRegistry, now: Optional[float] = None) -> str:
+def format_top(registry: MetricsRegistry) -> str:
     """Render a ``top``-style text view of a device registry.
 
-    Four sections: per-op accounted latency (count + p50/p95/p99 from
+    Three sections: per-op accounted latency (count + p50/p95/p99 from
     the fixed-bucket histograms, sorted by total busy time), the plan
-    cache, the serving layer (per-command request counts and latency
-    quantiles, coalescing and flow-control totals), and per-worker
-    health (batches served, busy-ns, RSS, heartbeat age).  Sections
+    cache, and the serving layer (per-command request counts and
+    latency quantiles, coalescing and flow-control totals).  Sections
     with no data are elided.
     """
     registry.collect()
-    now = time.time() if now is None else now
     lines: List[str] = []
 
     latency = registry.get("ambit_op_latency_ns")
@@ -897,34 +882,6 @@ def format_top(registry: MetricsRegistry, now: Optional[float] = None) -> str:
                     f"repro spans {best[1]} --connect HOST:PORT"
                 )
 
-    batches = registry.get("ambit_worker_batches_total")
-    if batches is not None and batches.children:
-        busy = registry.get("ambit_worker_busy_ns_total")
-        rss = registry.get("ambit_worker_rss_bytes")
-        beat = registry.get("ambit_worker_heartbeat_ts")
-        last = registry.get("ambit_worker_last_batch")
-        lines.append("")
-        lines.append(
-            f"{'worker':>10} {'batches':>8} {'busy ns':>13} {'rss MiB':>9} "
-            f"{'beat age s':>11} {'last batch':>11}"
-        )
-        for (pid,), child in sorted(batches.children.items()):
-            def _val(family: Optional[MetricFamily]) -> float:
-                if family is None:
-                    return 0.0
-                inner = family.children.get((pid,))
-                return inner.value if inner is not None else 0.0  # type: ignore[union-attr]
-
-            beat_ts = _val(beat)
-            age = now - beat_ts if beat_ts else math.nan
-            lines.append(
-                f"{pid:>10} {int(child.value):>8} {_val(busy):>13.1f} "  # type: ignore[union-attr]
-                f"{_val(rss) / 2**20:>9.1f} {age:>11.2f} {int(_val(last)):>11}"
-            )
-        crashes = registry.get("ambit_worker_crashes_total")
-        if crashes is not None and crashes.value:
-            lines.append(f"worker crashes: {int(crashes.value)}")
-
     if not lines:
         lines.append("(no metrics recorded yet)")
     return "\n".join(lines)
@@ -933,25 +890,14 @@ def format_top(registry: MetricsRegistry, now: Optional[float] = None) -> str:
 # ----------------------------------------------------------------------
 # Fault-lifecycle metric families (see docs/RELIABILITY.md)
 # ----------------------------------------------------------------------
-
-#: Fault kinds the injection/recovery layer labels events with.
-FAULT_KINDS = (
-    "stuck_row",
-    "tra_flip",
-    "dcc",
-    "worker_crash",
-    "worker_stall",
-)
-
-
 def fault_counters(registry: MetricsRegistry) -> Dict[str, MetricFamily]:
     """The four ``ambit_faults_*`` counter families, keyed by stage.
 
-    Every layer that observes a fault event (the injector, the
-    fault-tolerant session, the sharded device's crash-retry loop)
-    registers through this helper so the families always carry the same
-    ``kind`` label schema -- the registry rejects mismatched re-
-    registration, so a single definition point keeps them coherent.
+    Every layer that observes a fault event (the injector and the
+    fault-tolerant session) registers through this helper so the
+    families always carry the same ``kind`` label schema -- the registry
+    rejects mismatched re-registration, so a single definition point
+    keeps them coherent.
     """
     return {
         "injected": registry.counter(

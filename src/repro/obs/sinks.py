@@ -103,26 +103,22 @@ class ChromeTraceSink(TraceSink):
     """Accumulate Chrome ``trace_event`` records; write JSON on close.
 
     The output loads directly in ``chrome://tracing`` and Perfetto.
-    Layout: one process per execution context -- pid 0 ("ambit-device")
-    for in-process events, and one process lane per shard-worker OS pid
-    ("worker-<pid>") for the ``shard`` spans of a sharded batch
-    (:class:`repro.parallel.device.ShardedDevice`).  Inside each
-    process: per bank, a command lane (tid ``2*bank``) carrying the raw
-    ACT/PRE/RD/WR events and an operation lane (tid ``2*bank + 1``)
-    carrying primitive and bulk-op spans.  Timestamps convert from model
-    nanoseconds to the format's microseconds.
+    Layout: one process, pid 0 ("ambit-device"), holding per bank a
+    command lane (tid ``2*bank``) carrying the raw ACT/PRE/RD/WR events
+    and an operation lane (tid ``2*bank + 1``) carrying primitive and
+    bulk-op spans.  Timestamps convert from model nanoseconds to the
+    format's microseconds.
     """
 
     #: tid used for events with no bank (REF, scheduler-level spans).
     GLOBAL_LANE = 10_000
-    #: Chrome pid of in-process (parent) events.
-    PARENT_PID = 0
+    #: Chrome pid of every event.
+    PID = 0
 
     def __init__(self, target: Union[str, IO[str]]):
         self._target = target
         self._records: List[dict] = []
         self._lanes_seen: set = set()
-        self._pids_seen: set = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -133,10 +129,8 @@ class ChromeTraceSink(TraceSink):
 
     def emit(self, event: TraceEvent) -> None:
         """Buffer the event as a Chrome "complete" ("X") record."""
-        pid = self.PARENT_PID if event.pid is None else event.pid
         lane = self._lane(event)
-        self._pids_seen.add(pid)
-        self._lanes_seen.add((pid, lane, event.bank, event.kind))
+        self._lanes_seen.add((lane, event.bank, event.kind))
         args = {"kind": event.kind, "seq": event.seq}
         for key in ("subarray", "row", "column"):
             value = getattr(event, key)
@@ -154,7 +148,7 @@ class ChromeTraceSink(TraceSink):
                 "ph": "X",  # complete event: ts + dur
                 "ts": event.ts_ns / 1000.0,
                 "dur": max(event.dur_ns, 0.001) / 1000.0,
-                "pid": pid,
+                "pid": self.PID,
                 "tid": lane,
                 "args": args,
             }
@@ -162,17 +156,16 @@ class ChromeTraceSink(TraceSink):
 
     def _metadata(self) -> List[dict]:
         records = []
-        for pid in sorted(self._pids_seen):
-            name = "ambit-device" if pid == self.PARENT_PID else f"worker-{pid}"
+        if self._lanes_seen:
             records.append(
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": pid,
-                    "args": {"name": name},
+                    "pid": self.PID,
+                    "args": {"name": "ambit-device"},
                 }
             )
-        for pid, lane, bank, kind in sorted(self._lanes_seen):
+        for lane, bank, kind in sorted(self._lanes_seen):
             if lane == self.GLOBAL_LANE:
                 label = "global"
             else:
@@ -181,7 +174,7 @@ class ChromeTraceSink(TraceSink):
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": self.PID,
                     "tid": lane,
                     "args": {"name": label},
                 }

@@ -6,9 +6,8 @@ every executed bus command; the Ambit controller reports each AAP/AP
 primitive with its accounted latency and brackets whole bulk operations
 with :meth:`Tracer.begin_op` / :meth:`Tracer.end_op`, so op-level events
 carry exact per-instance aggregates (AAPs, APs, commands, energy).  For
-rows that skip the per-row walk (fused in process, or run on a shard
-worker), the batch engine makes the same calls from command schedules
-bound from their plan templates
+fused rows, which skip the per-row walk, the batch engine makes the
+same calls from command schedules bound from their plan templates
 (:meth:`repro.engine.batch.BatchEngine.account_group`).
 
 Per-command durations and energies are *nominal*: durations come from
@@ -243,14 +242,9 @@ class Tracer:
         start_ns: float,
         dur_ns: float,
         bank: Optional[int] = None,
-        pid: Optional[int] = None,
         **attrs: Any,
     ) -> None:
-        """Record a free-form span (scheduler jobs, memory requests).
-
-        ``pid`` names the OS process the span ran in when that is not
-        this one (a shard worker); Chrome traces give it its own lane.
-        """
+        """Record a free-form span (scheduler jobs, memory requests)."""
         self._emit(
             TraceEvent(
                 kind=KIND_SPAN,
@@ -259,7 +253,6 @@ class Tracer:
                 dur_ns=dur_ns,
                 seq=self._next_seq(),
                 bank=bank,
-                pid=pid,
                 attrs=attrs,
             )
         )

@@ -1,41 +1,21 @@
-"""Multi-process sharded simulation (the ``repro.parallel`` package).
+"""Deterministic process-parallel experiments (``repro.parallel``).
 
-Ambit's headline property is bank-level parallelism; this package makes
-the *simulator* parallel too:
+Ambit's bank-level parallelism is charged in modelled time by the batch
+scheduler (:mod:`repro.engine.scheduler`); every bulk batch runs in
+process.  This package parallelises the *experiments* instead:
 
-* :class:`~repro.parallel.shm.SharedRowStore` -- every subarray's cell
-  arrays in one ``multiprocessing.shared_memory`` segment (zero-copy
-  across processes);
-* :class:`~repro.parallel.device.ShardedDevice` -- an
-  ``AmbitDevice``-compatible facade that shards bulk operations by bank
-  across a persistent :class:`~repro.parallel.pool.WorkerPool` and
-  merges counters/clock/energy deterministically;
 * :func:`~repro.parallel.pmap.parallel_map` +
   :func:`~repro.parallel.pmap.spawn_rngs` -- the deterministic
   experiment harness (Monte Carlo trials, figure sweeps);
+* :func:`~repro.parallel.pmap.plan_mc_dispatch` -- how many processes
+  a Monte Carlo run is worth;
 * :func:`~repro.parallel.bench.run_parallel_bench` -- the wall-clock
   benchmark behind ``repro bench`` and ``BENCH_parallel.json``.
-
-See ``docs/SCALING.md`` for the shard model, worker lifecycle, and
-determinism guarantees.
 """
 
-from repro.parallel.accounting import SharedAccountingBlock
-from repro.parallel.device import ShardedDevice
 from repro.parallel.pmap import default_jobs, parallel_map, spawn_rngs, spawn_seeds
-from repro.parallel.pool import PoolIOStats, WorkerPool
-from repro.parallel.shm import SharedRowStore
-from repro.parallel.tuner import AutoTuner, CostModel, DispatchTier
 
 __all__ = [
-    "AutoTuner",
-    "CostModel",
-    "DispatchTier",
-    "PoolIOStats",
-    "ShardedDevice",
-    "SharedAccountingBlock",
-    "SharedRowStore",
-    "WorkerPool",
     "default_jobs",
     "parallel_map",
     "spawn_rngs",

@@ -1,72 +1,38 @@
-"""Wall-clock benchmark of the multi-process simulation paths.
+"""Wall-clock benchmark of the multi-process Monte Carlo path.
 
-Two workloads, each timed serial-versus-parallel on the same inputs:
-
-* **Monte Carlo** -- :func:`repro.circuit.montecarlo.
-  tra_failure_rate_parallel` with a fixed chunk count, run at ``jobs=1``
-  and ``jobs=N``; the failure counts must match bit-for-bit (chunk count
-  is experiment configuration, job count is not).
-* **Bulk operations** -- :func:`repro.perf.throughput.
-  measure_ambit_batched` on a plain device versus
-  :func:`repro.perf.throughput.measure_ambit_sharded` on a
-  :class:`~repro.parallel.device.ShardedDevice`; the result cells and
-  the accounted ``elapsed_ns`` must match bit-for-bit.
+:func:`repro.circuit.montecarlo.tra_failure_rate_parallel` runs with a
+fixed chunk count at ``jobs=1`` and at the worker count
+:func:`~repro.parallel.pmap.plan_mc_dispatch` picks for ``jobs=N``; the
+failure counts must match bit-for-bit (chunk count is experiment
+configuration, job count is not).  Bulk bitwise batches have no arm
+here: they run in process, and the paper's bank-level parallelism is
+charged in modelled time by the batch scheduler.
 
 :func:`run_parallel_bench` returns a JSON-ready payload (written to
 ``benchmarks/results/BENCH_parallel.json`` by the benchmark test and by
 ``repro bench``); speedups are computed from the *best* of ``repeats``
 timings, the standard defence against scheduler noise.  On boxes with
 fewer cores than ``jobs`` the speedup simply reflects what the host can
-give -- correctness checks run regardless.
-
-The bulk-op arm measures the *steady state*: both devices are built --
-and the sharded one's worker pool, resident plan, and worker-side plan
-caches warmed by one untimed batch -- before the timed repeats.  That
-is the regime the accelerator paper's batched pipeline targets
-(one-time setup amortized over bulk work), and it is what the
-dispatch-budget tests gate: after warm-up a batch costs O(1) pickled
-bytes per shard, which the payload's ``bulk_ops.io`` section records.
+give -- the determinism check runs regardless.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Any, Callable, Dict, Optional
 
 from repro.circuit.montecarlo import tra_failure_rate_parallel
-from repro.core.device import AmbitDevice
-from repro.core.microprograms import BulkOp
-from repro.dram.geometry import DramGeometry, SubarrayGeometry
 from repro.errors import ConfigError
-from repro.parallel.device import ShardedDevice
-from repro.parallel.pmap import default_jobs
-from repro.perf.throughput import measure_ambit_batched, measure_ambit_sharded
+from repro.parallel.pmap import default_jobs, plan_mc_dispatch
 
 
 @dataclass(frozen=True)
 class ParallelBenchConfig:
-    """Shape of one benchmark run (the default mirrors an 8-bank chip)."""
+    """Shape of one benchmark run."""
 
-    #: Worker processes for the parallel arms.
+    #: Worker processes requested for the parallel arm.
     jobs: int = 8
-    #: Chip geometry for the bulk-op arm.  Large rows make the numpy
-    #: kernel (not Python dispatch) the dominant cost, which is the
-    #: regime sharding accelerates: at 128 KiB rows the per-batch byte
-    #: work is ~8 MiB and the warm dispatch overhead is a few percent
-    #: of the serial arm, so every extra core shows through.
-    banks: int = 8
-    subarrays_per_bank: int = 2
-    rows: int = 32
-    row_bytes: int = 131072
-    #: Destination rows per bank in the bulk-op arm.
-    rows_per_bank: int = 8
-    op: BulkOp = BulkOp.AND
-    #: Dispatch mode of the sharded arm (``sharded``/``auto``/``fused``/
-    #: ``serial``) -- ``auto`` also reports the tuner's decisions.
-    dispatch: str = "sharded"
     #: Monte Carlo arm: trials at one Table 2 variation level.  Sized so
     #: per-chunk compute dwarfs worker-pool startup; smaller counts
     #: understate the parallel arm on every host.
@@ -76,16 +42,6 @@ class ParallelBenchConfig:
     mc_seed: int = 42
     #: Timings per arm; the best is kept.
     repeats: int = 3
-
-    def geometry(self) -> DramGeometry:
-        """The chip geometry of the bulk-op arm."""
-        return DramGeometry(
-            banks=self.banks,
-            subarrays_per_bank=self.subarrays_per_bank,
-            subarray=SubarrayGeometry(
-                rows=self.rows, row_bytes=self.row_bytes
-            ),
-        )
 
 
 def _best_of(repeats: int, fn: Callable[[], Any]) -> tuple[float, Any]:
@@ -100,15 +56,13 @@ def _best_of(repeats: int, fn: Callable[[], Any]) -> tuple[float, Any]:
 
 
 def _bench_montecarlo(config: ParallelBenchConfig) -> Dict[str, Any]:
-    from repro.parallel.tuner import plan_mc_dispatch
-
     kwargs = dict(
         trials=config.mc_trials,
         chunks=config.mc_chunks,
         seed=config.mc_seed,
     )
     # Chunk count is experiment configuration (it pins the RNG streams
-    # and therefore the failure count); the tuner only decides how many
+    # and therefore the failure count); the plan only decides how many
     # workers share those chunks -- and whether fanning out is worth the
     # pool spin-up at all.  A declined fan-out runs the "parallel" arm
     # in-process and records an explicit waiver instead of publishing a
@@ -154,141 +108,24 @@ def _bench_montecarlo(config: ParallelBenchConfig) -> Dict[str, Any]:
     return result
 
 
-def _dispatch_stats(device: ShardedDevice) -> Dict[str, Any]:
-    """The dispatch-path accounting of the sharded arm's timed repeats.
-
-    ``tier`` comes from the ``ambit_dispatch_total`` counter, which the
-    per-repeat ``reset_stats`` leaves holding exactly the last batch's
-    decision; the tuner's cumulative decision counts survive resets on
-    the tuner object itself.
-    """
-    stats: Dict[str, Any] = {
-        "mode": device.dispatch,
-        "resident_plans": device.resident_plans,
-    }
-    family = device.metrics.get("ambit_dispatch_total")
-    if family is not None:
-        executed = [
-            labels[0]
-            for labels, child in family.children.items()
-            if child.value > 0
-        ]
-        if executed:
-            stats["tier"] = executed[-1]
-    if device.dispatch == "auto":
-        stats["tuner_decisions"] = dict(device.tuner.decisions)
-        stats["cost_model"] = device.tuner.model.describe()
-    return stats
-
-
-def _bench_bulk_ops(config: ParallelBenchConfig) -> Dict[str, Any]:
-    geometry = config.geometry()
-    serial_device = AmbitDevice(geometry=geometry)
-    with ShardedDevice(
-        geometry=geometry, max_workers=config.jobs, dispatch=config.dispatch
-    ) as device:
-        # Warm both arms before the clock starts: plan caches, the
-        # worker pool, the plan-board entry, and the workers' own
-        # engines all populate on the first batch.  Timing the cold
-        # batch would measure process startup, not the dispatch path.
-        measure_ambit_batched(
-            serial_device, config.op, rows_per_bank=config.rows_per_bank
-        )
-        measure_ambit_sharded(
-            device, config.op, rows_per_bank=config.rows_per_bank
-        )
-        device.quiesce()
-        io_before = device.pool.io.snapshot() if device.pool else None
-
-        serial_s, serial = _best_of(
-            config.repeats,
-            lambda: measure_ambit_batched(
-                serial_device, config.op, rows_per_bank=config.rows_per_bank
-            ),
-        )
-        parallel_s, parallel = _best_of(
-            config.repeats,
-            lambda: measure_ambit_sharded(
-                device, config.op, rows_per_bank=config.rows_per_bank
-            ),
-        )
-        device.quiesce()
-
-        dispatch = _dispatch_stats(device)
-        if device.pool is not None and io_before is not None:
-            io = device.pool.io.delta(io_before)
-            dispatch["io"] = {
-                "batches": config.repeats,
-                "submitted_jobs": io.submitted_jobs,
-                "submitted_bytes": io.submitted_bytes,
-                "max_submission_bytes": io.max_submission_bytes,
-                "received_bytes": io.received_bytes,
-            }
-
-        serial_gops, serial_report = serial
-        parallel_gops, parallel_report = parallel
-        expected = [
-            serial_device.read_row(loc)
-            for loc in _dst_rows(serial_device, config)
-        ]
-        cells = [device.read_row(loc) for loc in _dst_rows(device, config)]
-        exact = all(
-            np.array_equal(a, b) for a, b in zip(expected, cells)
-        ) and serial_gops == parallel_gops
-    if not exact:
-        raise ConfigError(
-            "sharded bulk-op run diverged from the serial engine "
-            "(cells or accounted throughput differ)"
-        )
-    return {
-        "op": config.op.value,
-        "rows": config.banks * config.rows_per_bank,
-        "row_bytes": config.row_bytes,
-        "shards": parallel_report.shards,
-        "accounted_gops": serial_gops,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
-        "bit_exact": True,
-        "dispatch": dispatch,
-    }
-
-
-def _dst_rows(device, config: ParallelBenchConfig) -> List:
-    from repro.dram.chip import RowLocation
-
-    return [
-        RowLocation(bank, 0, 2 + i)
-        for bank in range(config.banks)
-        for i in range(config.rows_per_bank)
-    ]
-
-
 def run_parallel_bench(config: Optional[ParallelBenchConfig] = None) -> Dict[str, Any]:
-    """Run both arms; returns the ``BENCH_parallel.json`` payload."""
+    """Run the Monte Carlo arm; returns the ``BENCH_parallel.json``
+    payload."""
     config = config if config is not None else ParallelBenchConfig()
     montecarlo = _bench_montecarlo(config)
-    bulk = _bench_bulk_ops(config)
-    speedups = [montecarlo["speedup"], bulk["speedup"]]
-    payload = {
+    return {
         "bench": "parallel",
         "cpu_count": default_jobs(),
         "jobs": config.jobs,
         "repeats": config.repeats,
-        "config": {
-            k: (v.value if isinstance(v, BulkOp) else v)
-            for k, v in asdict(config).items()
-        },
+        "config": asdict(config),
         "montecarlo": montecarlo,
-        "bulk_ops": bulk,
-        "best_speedup": max(speedups),
     }
-    return payload
 
 
 def format_parallel_bench(payload: Dict[str, Any]) -> str:
     """Render the payload as a small table."""
-    mc, bulk = payload["montecarlo"], payload["bulk_ops"]
+    mc = payload["montecarlo"]
     lines = [
         f"Parallel bench: jobs={payload['jobs']} on "
         f"{payload['cpu_count']} schedulable core(s), "
@@ -296,11 +133,7 @@ def format_parallel_bench(payload: Dict[str, Any]) -> str:
         f"{'workload':>12} {'serial s':>10} {'parallel s':>12} {'speedup':>9}",
         f"{'montecarlo':>12} {mc['serial_s']:>10.3f} "
         f"{mc['parallel_s']:>12.3f} {mc['speedup']:>8.2f}x",
-        f"{'bulk ops':>12} {bulk['serial_s']:>10.3f} "
-        f"{bulk['parallel_s']:>12.3f} {bulk['speedup']:>8.2f}x",
-        f"montecarlo deterministic: {mc['deterministic']}; "
-        f"bulk ops bit-exact: {bulk['bit_exact']} "
-        f"({bulk['shards']} shard(s))",
+        f"montecarlo deterministic: {mc['deterministic']}",
     ]
     mc_tier = mc.get("speedup_tier", "")
     if mc_tier.startswith("waived"):
@@ -308,19 +141,4 @@ def format_parallel_bench(payload: Dict[str, Any]) -> str:
             f"montecarlo fan-out waived ({mc_tier}): "
             f"{mc.get('waiver_reason', 'no reason recorded')}"
         )
-    dispatch = bulk.get("dispatch", {})
-    if dispatch:
-        line = (
-            f"dispatch: mode={dispatch.get('mode')} "
-            f"tier={dispatch.get('tier', 'n/a')} "
-            f"resident plans={dispatch.get('resident_plans')}"
-        )
-        io = dispatch.get("io")
-        if io and io["submitted_jobs"]:
-            line += (
-                f"; {io['submitted_bytes'] / io['submitted_jobs']:.0f} B/job "
-                f"over {io['submitted_jobs']} jobs "
-                f"(max {io['max_submission_bytes']} B)"
-            )
-        lines.append(line)
     return "\n".join(lines)

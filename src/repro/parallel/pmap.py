@@ -13,13 +13,19 @@ are drawn whether the items run serially, across 2 processes, or across
 64.  The rule for every parallel experiment in this repo: **chunk count
 is part of the experiment configuration, job count is not** -- changing
 ``jobs`` may change wall-clock time but never a single result bit.
+
+:func:`plan_mc_dispatch` decides how many processes a Monte Carlo run
+is worth, from a small cost model (:class:`McCostModel`); it never
+touches the chunk count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,6 +41,16 @@ def default_jobs() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def default_start_method() -> str:
+    """``REPRO_MP_START`` override, else fork where available (fork
+    skips the per-worker import cost)."""
+    override = os.environ.get("REPRO_MP_START")
+    if override:
+        return override
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else methods[0]
 
 
 def spawn_seeds(seed: int, n: int) -> List[np.random.SeedSequence]:
@@ -72,9 +88,6 @@ def parallel_map(
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from repro.parallel.pool import default_start_method
-    import multiprocessing
-
     context = multiprocessing.get_context(
         start_method or default_start_method()
     )
@@ -82,3 +95,108 @@ def parallel_map(
         max_workers=min(jobs, len(items)), mp_context=context
     ) as executor:
         return list(executor.map(fn, items))
+
+
+@dataclass(frozen=True)
+class McCostModel:
+    """Cost constants of the Monte Carlo fan-out, in seconds.
+
+    The chunk count is *experiment configuration* (it fixes the RNG
+    streams), so the decision may only pick the worker count, never the
+    chunking.  The decision is therefore one-dimensional: is dividing
+    the per-trial compute across ``jobs`` processes worth the pool
+    spin-up plus per-chunk submit/collect overhead?
+    """
+
+    #: Per-trial compute of the vectorised variation deck.
+    trial_s: float = 2.4e-7
+    #: Per-chunk overhead: child-rng spawn, submit, pickle, collect.
+    chunk_s: float = 5e-4
+    #: One-time pool creation cost (fork/spawn + imports), paid by
+    #: every parallel run because the MC path builds a fresh pool.
+    pool_spinup_s: float = 0.35
+
+    def describe(self) -> Dict[str, float]:
+        """The constants as a plain dict (for bench payloads / docs)."""
+        return {
+            "trial_s": self.trial_s,
+            "chunk_s": self.chunk_s,
+            "pool_spinup_s": self.pool_spinup_s,
+        }
+
+
+#: Reference-host defaults for the Monte Carlo arm.
+DEFAULT_MC_COST_MODEL = McCostModel()
+
+
+@dataclass(frozen=True)
+class McDispatchDecision:
+    """Worker-count decision for one Monte Carlo run (for surfacing)."""
+
+    trials: int
+    chunks: int
+    jobs_requested: int
+    cores: int
+    #: Worker count to actually run with (1 = stay in-process).
+    jobs: int
+    serial_est_s: float
+    parallel_est_s: float
+    #: True when fanning out is predicted to beat the in-process run.
+    worthwhile: bool
+    #: Why fanning out was declined ("" when it was not declined).
+    reason: str
+
+
+def plan_mc_dispatch(
+    trials: int,
+    chunks: int,
+    jobs: int,
+    cores: Optional[int] = None,
+    model: Optional[McCostModel] = None,
+) -> McDispatchDecision:
+    """Pick the Monte Carlo worker count from the cost model.
+
+    Chunk count is left untouched -- it is part of the experiment's
+    identity (the failure count is a function of ``(chunks, seed)``) --
+    so the only free variable is how many processes share the chunks.
+    On a single schedulable core, or whenever the predicted parallel
+    time (pool spin-up + chunk overhead + divided trial work) exceeds
+    the in-process time, the decision is ``jobs=1`` with a stated
+    reason; the bench records that reason as an explicit waiver instead
+    of publishing a sub-1x "speedup" that is really a dispatch tax.
+    """
+    model = model if model is not None else DEFAULT_MC_COST_MODEL
+    if cores is None:
+        cores = default_jobs()
+    effective = max(1, min(jobs, cores, chunks))
+    work_s = trials * model.trial_s
+    serial_est = work_s
+    parallel_est = (
+        model.pool_spinup_s + chunks * model.chunk_s + work_s / effective
+    )
+    worthwhile = effective >= 2 and parallel_est < serial_est
+    if worthwhile:
+        reason = ""
+    elif min(jobs, cores) < 2:
+        reason = (
+            f"single-core host ({cores} schedulable core(s)); "
+            f"fan-out cannot win"
+        )
+    else:
+        reason = (
+            f"dispatch-bound: predicted parallel {parallel_est:.3f}s "
+            f">= serial {serial_est:.3f}s at {effective} worker(s) "
+            f"(pool spin-up + {chunks} chunk submissions dominate "
+            f"{trials:,} trials)"
+        )
+    return McDispatchDecision(
+        trials=trials,
+        chunks=chunks,
+        jobs_requested=jobs,
+        cores=cores,
+        jobs=effective if worthwhile else 1,
+        serial_est_s=serial_est,
+        parallel_est_s=parallel_est,
+        worthwhile=worthwhile,
+        reason=reason,
+    )

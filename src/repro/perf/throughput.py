@@ -164,27 +164,6 @@ def measure_ambit_batched(
     return total_bytes / device.elapsed_ns, report
 
 
-def measure_ambit_sharded(
-    device: "ShardedDevice", op: BulkOp, rows_per_bank: int = 4
-) -> Tuple[float, BatchReport]:
-    """Measured Ambit throughput through a sharded device (GOps/s).
-
-    The multi-process analogue of :func:`measure_ambit_batched`: the
-    same operand rows, executed via
-    :meth:`repro.parallel.device.ShardedDevice.run_rows` so banks are
-    split across worker processes.  The *accounted* throughput is
-    bit-identical to the batched path (the sharded device merges
-    deterministically); only host wall-clock changes.  Returns
-    ``(throughput_gops, batch_report)``; ``report.shards`` tells how
-    many workers participated.
-    """
-    device.reset_stats()
-    dst, src1, src2 = throughput_rows(device, op, rows_per_bank)
-    report = device.run_rows(op, dst, src1, src2)
-    total_bytes = device.geometry.banks * rows_per_bank * device.row_bytes
-    return total_bytes / device.elapsed_ns, report
-
-
 _OP_LABELS = {
     BulkOp.NOT: "not",
     BulkOp.AND: "and/or",

@@ -8,9 +8,10 @@ in **slots**: one slot is one local D-group address reserved across
 ``i % stripes`` -- the walk starts at stripe 0 for *every* vector,
 because the engine pairs operands row-by-row and each (dst, src1, ...)
 triple must share a (bank, subarray); a per-vector offset would
-misalign triples the moment two vectors appear in one ``op``.  Multi-row vectors still fan across banks (row 0 on bank 0,
-row 1 on bank 1, ...), preserving bank-level parallelism for the
-sharded dispatch tiers.
+misalign triples the moment two vectors appear in one ``op``.
+Multi-row vectors still fan across banks (row 0 on bank 0, row 1 on
+bank 1, ...), preserving the bank-level parallelism the batch
+scheduler charges in modelled time.
 
 Consequences the serving layer relies on:
 

@@ -5,8 +5,8 @@ row-activation sequences over huge bitvectors in the paper, plan
 compilation and batch dispatch in this stack.  A service front door
 inverts the shape: thousands of clients each submit *one* small
 operation at a time, and executing them one-per-batch pays the full
-per-batch overhead (engine planning/report, executor hand-off, dispatch
-tier selection) per row triple.  The coalescer restores the bulk shape:
+per-batch overhead (engine planning/report, executor hand-off) per row
+triple.  The coalescer restores the bulk shape:
 
 1. every ``op`` request lands in one bounded :class:`asyncio.Queue`
    (overflow = ``backpressure`` error, the client retries -- admission
@@ -16,8 +16,8 @@ tier selection) per row triple.  The coalescer restores the bulk shape:
    share one :class:`~repro.core.microprograms.BulkOp` and are mutually
    hazard-free;
 3. each wave executes as *one* ``run_rows`` batch on the device --
-   through the fault-tolerant session, the plan cache, and the sharded
-   device's dispatch tiers -- and every member request's future
+   through the fault-tolerant session, the plan cache and the batch
+   engine -- and every member request's future
    resolves from the wave's outcome.
 
 Hazard rules make coalescing safe under arbitrary concurrency: queue

@@ -69,7 +69,6 @@ class LoadGenConfig:
     concurrency: int = 128         # clients active at once (fd bound)
     p99_slo_ms: float = 500.0
     connect: Optional[str] = None  # "host:port"; None = self-hosted
-    jobs: int = 1                  # self-hosted device workers
     fault_rate: float = 0.0        # self-hosted fault injection
     quota_probe: bool = True
     burst: int = 96                # pipelined ops in the burst (0 = off)
@@ -124,7 +123,6 @@ class LoadGenConfig:
             banks=4,
             rows=slots + 24,  # + 18 reserved + scratch/spares + slack
             row_bytes=row_bytes,
-            jobs=self.jobs,
             max_queue=16,
             max_batch_ops=512,
             max_vectors=len(VECTOR_NAMES) + 4,

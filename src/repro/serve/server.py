@@ -39,6 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.geometry import DramGeometry, small_test_geometry
 from repro.errors import ConfigError
@@ -96,10 +97,12 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                    # 0 = ephemeral, report after bind
     banks: int = 4
-    subarrays: int = 1
     rows: int = 512
     row_bytes: int = 512
-    jobs: int = 1                    # >= 2 -> ShardedDevice, auto-tuned tier
+    #: Ignored: every value serves from one in-process device.  Kept
+    #: only because ``bench/workloads.py`` reads it; remove with the
+    #: benchmark change that drops it.
+    jobs: int = 1
     max_queue: int = 4096
     max_batch_ops: int = 512
     max_vectors: int = 16
@@ -118,8 +121,8 @@ class ServeConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ConfigError` on bad settings."""
-        if self.banks < 1 or self.subarrays < 1:
-            raise ConfigError("banks and subarrays must be >= 1")
+        if self.banks < 1:
+            raise ConfigError("banks must be >= 1")
         if self.rows < 22:
             raise ConfigError(
                 f"rows must be >= 22 (18 reserved + scratch + data); "
@@ -143,12 +146,13 @@ class ServeConfig:
             raise ConfigError("slo_ms must be >= 0")
 
     def geometry(self) -> DramGeometry:
-        """The device geometry this configuration describes."""
+        """The device geometry this configuration describes: one
+        subarray per bank."""
         return small_test_geometry(
             rows=self.rows,
             row_bytes=self.row_bytes,
             banks=self.banks,
-            subarrays_per_bank=self.subarrays,
+            subarrays_per_bank=1,
         )
 
     def quota(self) -> TenantQuota:
@@ -161,24 +165,13 @@ class ServeConfig:
 
 
 class BulkBitwiseServer:
-    """One listening service over one (possibly sharded) device."""
+    """One listening service over one in-process device."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config = config if config is not None else ServeConfig()
         config.validate()
         geometry = config.geometry()
-        if config.jobs >= 2:
-            from repro.parallel.device import ShardedDevice
-
-            # The tuner keeps a wave in process unless sharding it is
-            # predicted to win (docs/SCALING.md).
-            self.device = ShardedDevice(
-                geometry=geometry, max_workers=config.jobs, dispatch="auto"
-            )
-        else:
-            from repro.core.device import AmbitDevice
-
-            self.device = AmbitDevice(geometry=geometry)
+        self.device = AmbitDevice(geometry=geometry)
         self.metrics = self.device.metrics
         self.allocator = StripedAllocator(
             geometry, scratch_rows=2, spare_rows=config.spare_rows
@@ -282,7 +275,7 @@ class BulkBitwiseServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop listening, stop the coalescer, release the device."""
+        """Stop listening and stop the coalescer."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -291,7 +284,6 @@ class BulkBitwiseServer:
         self.executor.shutdown(wait=True)
         if self.metrics_server is not None:
             self.metrics_server.close()
-        self.device.close()
 
     # ------------------------------------------------------------------
     # Connection handling

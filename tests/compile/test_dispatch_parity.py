@@ -1,9 +1,9 @@
 """Cross-tier differential tests for compiled operations.
 
-A compiled op must be bit-exact on every dispatch tier -- the serial
-per-row walk, the in-process fused engine, and the multi-process
-sharded pool -- and observationally identical where the architecture
-promises it (elapsed clock, command trace).  The plan-cache tests pin
+A compiled op must be bit-exact on both execution tiers -- the serial
+per-row walk (``fuse=False``) and the fused engine -- and
+observationally identical (elapsed clock, command trace).  The
+plan-cache tests pin
 the per-op-label statistics bugfix: compiled plans get their own
 ``c:<name>`` hit/miss counters instead of colliding into a fixed enum.
 """
@@ -16,14 +16,26 @@ from repro.compile import compile_expr, evaluate, parse_expr, variables
 from repro.core.device import AmbitDevice
 from repro.dram.geometry import small_test_geometry
 from repro.obs import CommandLog
-from repro.parallel.device import ShardedDevice
 
 EXPR = "mux(c, a ^ b, maj(a, b, c))"
 
-#: Striped-vector geometry: 4 rows per vector across 4 banks, so the
-#: sharded tier actually shards and the plan cache sees repeated local
-#: addresses.
+#: Striped-vector geometry: 4 rows per vector across 4 banks, so every
+#: batch spans banks and the plan cache sees repeated local addresses.
 GEO = dict(rows=64, row_bytes=32, banks=4, subarrays_per_bank=2)
+
+
+def _device(tier):
+    """A device whose row batches take ``tier``: ``"fused"`` as built,
+    ``"serial"`` through ``engine.run_rows(..., fuse=False)``."""
+    device = AmbitDevice(geometry=small_test_geometry(**GEO))
+    if tier == "serial":
+        def run_rows(op, dst, *srcs, temps=()):
+            return device.engine.run_rows(
+                op, dst, *srcs, temps=temps, fuse=False
+            )
+
+        device.run_rows = run_rows
+    return device
 
 
 def _workload(device, expr_text=EXPR, seed=3):
@@ -44,69 +56,39 @@ def _workload(device, expr_text=EXPR, seed=3):
 
 
 class TestTierParity:
-    def test_serial_fused_sharded_bit_exact(self):
+    def test_serial_fused_bit_exact(self):
         # Two expressions in turn, the third compute re-binding the
         # first one's templates.
         outcomes = {}
-        for tier in ("serial", "fused", "sharded"):
-            with ShardedDevice(
-                geometry=small_test_geometry(**GEO),
-                max_workers=2,
-                dispatch=tier,
-            ) as device:
-                runs = [
-                    _workload(device, text)
-                    for text in (EXPR, "a & ~b", EXPR)
-                ]
-                for got, want, _ in runs:
-                    assert np.array_equal(got, want), tier
-                outcomes[tier] = (
-                    b"".join(got.tobytes() for got, _, _ in runs),
-                    runs[-1][2],
-                )
-        assert len({bits for bits, _ in outcomes.values()}) == 1
-        # Fused and sharded account identically (the sharded parent
-        # re-derives time from its own plan cache).
-        assert outcomes["fused"][1] == outcomes["sharded"][1]
+        for tier in ("serial", "fused"):
+            device = _device(tier)
+            runs = [_workload(device, text) for text in (EXPR, "a & ~b", EXPR)]
+            for got, want, _ in runs:
+                assert np.array_equal(got, want), tier
+            outcomes[tier] = (
+                b"".join(got.tobytes() for got, _, _ in runs),
+                runs[-1][2],
+            )
+        assert outcomes["serial"] == outcomes["fused"]
 
-    def test_plain_device_matches_sharded(self):
-        plain = AmbitDevice(geometry=small_test_geometry(**GEO))
-        got_plain, want, _ = _workload(plain)
-        with ShardedDevice(
-            geometry=small_test_geometry(**GEO), max_workers=2
-        ) as sharded:
-            got_sharded, _, _ = _workload(sharded)
-        assert np.array_equal(got_plain, want)
-        assert np.array_equal(got_plain, got_sharded)
-
-    def test_traced_sharded_run_is_byte_identical(self):
+    def test_traced_serial_run_is_byte_identical(self):
         texts = {}
-        for kind in ("plain", "sharded"):
-            if kind == "plain":
-                device = AmbitDevice(geometry=small_test_geometry(**GEO))
-                closer = lambda: None  # noqa: E731
-            else:
-                device = ShardedDevice(
-                    geometry=small_test_geometry(**GEO), max_workers=2
-                )
-                closer = device.close
-            try:
-                system = AmbitBitSystem(device=device)
-                cop = compile_expr(parse_expr("a ^ b"), name="parity")
-                nbits = 4 * device.row_bits
-                rng = np.random.default_rng(9)
-                ba = rng.integers(0, 2, nbits).astype(bool)
-                bb = rng.integers(0, 2, nbits).astype(bool)
-                a = system.from_bits(ba)
-                b = system.from_bits(bb, like=a)
-                log = CommandLog(device)
-                out = a.compute(cop, a=a, b=b)
-                texts[kind] = log.text()
-                log.detach()
-                assert np.array_equal(out.to_bits(), ba ^ bb)
-            finally:
-                closer()
-        assert texts["plain"] == texts["sharded"]
+        for tier in ("serial", "fused"):
+            device = _device(tier)
+            system = AmbitBitSystem(device=device)
+            cop = compile_expr(parse_expr("a ^ b"), name="parity")
+            nbits = 4 * device.row_bits
+            rng = np.random.default_rng(9)
+            ba = rng.integers(0, 2, nbits).astype(bool)
+            bb = rng.integers(0, 2, nbits).astype(bool)
+            a = system.from_bits(ba)
+            b = system.from_bits(bb, like=a)
+            log = CommandLog(device)
+            out = a.compute(cop, a=a, b=b)
+            texts[tier] = log.text()
+            log.detach()
+            assert np.array_equal(out.to_bits(), ba ^ bb)
+        assert texts["serial"] == texts["fused"]
 
 
 class TestCompiledPlanCacheStats:
@@ -182,31 +164,27 @@ class TestCompiledPlanCacheStats:
 class TestKernelsAcrossTiers:
     """Acceptance: add and popcount match numpy on every tier."""
 
-    @pytest.mark.parametrize("tier", ["serial", "fused", "sharded"])
+    @pytest.mark.parametrize("tier", ["serial", "fused"])
     def test_add_and_popcount(self, tier):
         from repro.compile.kernels import BitColumn, add, popcount
 
-        with ShardedDevice(
-            geometry=small_test_geometry(**GEO),
-            max_workers=2,
-            dispatch=tier,
-        ) as device:
-            system = AmbitBitSystem(device=device)
-            rng = np.random.default_rng(6)
-            n = device.row_bits  # single-row planes keep the soak fast
-            bits = 5
-            lhs = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-            rhs = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-            a = BitColumn.from_ints(system, lhs, bits)
-            b = BitColumn.from_ints(system, rhs, bits, like=a.planes[0])
-            total = add(a, b)
-            assert np.array_equal(
-                total.to_ints(), (lhs + rhs) % (1 << bits)
-            ), tier
+        device = _device(tier)
+        system = AmbitBitSystem(device=device)
+        rng = np.random.default_rng(6)
+        n = device.row_bits  # single-row planes keep the soak fast
+        bits = 5
+        lhs = rng.integers(0, 1 << bits, n, dtype=np.uint64)
+        rhs = rng.integers(0, 1 << bits, n, dtype=np.uint64)
+        a = BitColumn.from_ints(system, lhs, bits)
+        b = BitColumn.from_ints(system, rhs, bits, like=a.planes[0])
+        total = add(a, b)
+        assert np.array_equal(
+            total.to_ints(), (lhs + rhs) % (1 << bits)
+        ), tier
 
-            planes = [rng.integers(0, 2, n).astype(bool) for _ in range(6)]
-            vectors = [system.from_bits(p) for p in planes]
-            counts = popcount(vectors)
-            assert np.array_equal(
-                counts.to_ints(), np.sum(planes, axis=0).astype(np.uint64)
-            ), tier
+        planes = [rng.integers(0, 2, n).astype(bool) for _ in range(6)]
+        vectors = [system.from_bits(p) for p in planes]
+        counts = popcount(vectors)
+        assert np.array_equal(
+            counts.to_ints(), np.sum(planes, axis=0).astype(np.uint64)
+        ), tier

@@ -8,30 +8,6 @@ from repro.core.device import AmbitDevice
 from repro.dram.geometry import DramGeometry, SubarrayGeometry, small_test_geometry
 
 
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Every test must leave zero shared-memory segments behind.
-
-    A leaked ``/dev/shm`` entry survives the interpreter and silently
-    eats physical memory, so leak checking is an invariant, not a
-    feature test: after each test (and a GC pass, to exercise the
-    finalizer path), no segment created by this process may remain
-    registered or on disk.
-    """
-    from repro.parallel.shm import live_segment_names, system_segments
-
-    before = live_segment_names()
-    yield
-    import gc
-
-    gc.collect()
-    leaked = live_segment_names() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-    assert not system_segments(), (
-        f"stale /dev/shm entries: {system_segments()}"
-    )
-
-
 @pytest.fixture
 def tiny_geo() -> DramGeometry:
     """2 banks x 2 subarrays x 32 rows x 64-byte rows."""

@@ -403,46 +403,34 @@ class TestRemappedRows:
             g.dependent is None and len(g.templates) == 1 for g in groups
         )
 
-    @pytest.mark.parametrize("path", ["fused", "sharded", "session"])
+    @pytest.mark.parametrize("path", ["fused", "session"])
     def test_every_path_equals_the_per_row_walk(self, path):
         from repro.faults.recover import FaultTolerantSession
-        from repro.parallel import ShardedDevice
 
         walked, device = _twin_devices(seed=53)
-        if path == "sharded":
-            device = ShardedDevice(
-                geometry=GEO, max_workers=2, dispatch="sharded"
-            )
-            _CAPTURED[device.chip.trace] = device.chip.trace.open_capture()
-            _fill(device, np.random.default_rng(53))
         call = _remapped_call()
-        try:
-            for dev in (walked, device):
-                _remap(dev)
-            walked.engine.run_rows(BulkOp.XOR, *call, fuse=False)
-            if path == "session":
-                session = FaultTolerantSession(device)
-                session.run_rows(BulkOp.XOR, *call)
-                assert not session.log and session.verify_all() == []
-            else:
-                report = device.run_rows(BulkOp.XOR, *call)
-                assert report.fused_rows == report.rows == len(call[0])
-                assert report.shards == (2 if path == "sharded" else 1)
-            # Every data row, the retired rows and the spares included
-            # (the fused kernel leaves B-group rows stale by design).
-            for bank in range(GEO.banks):
-                for sub in range(GEO.subarrays_per_bank):
-                    np.testing.assert_array_equal(
-                        device.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
-                        walked.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
-                    )
-            _assert_equivalent(walked, device)
-            assert device.chip.trace.record().commands() == (
-                walked.chip.trace.record().commands()
-            )
-            assert _runs(device) == _runs(walked)
-            assert device.busy_ns == walked.busy_ns
-            assert device.elapsed_ns == walked.elapsed_ns
-        finally:
-            if path == "sharded":
-                device.close()
+        for dev in (walked, device):
+            _remap(dev)
+        walked.engine.run_rows(BulkOp.XOR, *call, fuse=False)
+        if path == "session":
+            session = FaultTolerantSession(device)
+            session.run_rows(BulkOp.XOR, *call)
+            assert not session.log and session.verify_all() == []
+        else:
+            report = device.run_rows(BulkOp.XOR, *call)
+            assert report.fused_rows == report.rows == len(call[0])
+        # Every data row, the retired rows and the spares included
+        # (the fused kernel leaves B-group rows stale by design).
+        for bank in range(GEO.banks):
+            for sub in range(GEO.subarrays_per_bank):
+                np.testing.assert_array_equal(
+                    device.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
+                    walked.chip.bank(bank).subarray(sub).cells[:DATA_ROWS],
+                )
+        _assert_equivalent(walked, device)
+        assert device.chip.trace.record().commands() == (
+            walked.chip.trace.record().commands()
+        )
+        assert _runs(device) == _runs(walked)
+        assert device.busy_ns == walked.busy_ns
+        assert device.elapsed_ns == walked.elapsed_ns

@@ -7,7 +7,7 @@ from repro.core.device import AmbitDevice
 from repro.dram.geometry import small_test_geometry
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector, flip_mask
-from repro.faults.plan import DEVICE_KINDS, POOL_KINDS, FaultPlan
+from repro.faults.plan import DEVICE_KINDS, FaultPlan
 
 ROWS = {(0, 0): list(range(8)), (1, 0): list(range(8))}
 
@@ -62,9 +62,11 @@ class TestPlan:
         assert all(count == 1 for count in per_sub.values())
 
     def test_pool_kinds_rejected_only_if_unknown(self):
-        make_plan(kinds=DEVICE_KINDS + POOL_KINDS)  # valid
-        with pytest.raises(ConfigError):
-            make_plan(kinds=("bitrot",))
+        make_plan(kinds=DEVICE_KINDS)  # valid
+        # The worker-pool kinds went with the multi-process tier.
+        for kinds in (("bitrot",), ("worker_crash",), ("worker_stall",)):
+            with pytest.raises(ConfigError):
+                make_plan(kinds=kinds)
 
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
@@ -116,15 +118,6 @@ class TestInjector:
         np.testing.assert_array_equal(
             mask, flip_mask(event.flip_bits, 4)
         )
-
-    def test_pool_faults_skipped_on_plain_device(self):
-        device = self.make_device()
-        plan = make_plan(kinds=("worker_crash", "worker_stall"))
-        injector = FaultInjector(device, plan)
-        for event in plan.events:
-            injector.before_op(event.op_index)
-        assert injector.applied == []
-        assert len(injector.skipped) == len(plan)
 
     def test_injected_counter_tracks_applied(self):
         device = self.make_device()

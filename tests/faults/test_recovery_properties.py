@@ -3,13 +3,12 @@
 For every bulk operation (all nine), a single injected stuck-row or
 variation-induced TRA bit flip must leave the workload bit-exact
 against the numpy reference after recovery, with zero unrecovered
-faults -- on a plain :class:`~repro.core.device.AmbitDevice` and on a
-:class:`~repro.parallel.device.ShardedDevice`.
+faults.
 
-The serial half is hypothesis-driven (operation, fault target, seed and
-flip positions are all drawn); the sharded half sweeps every operation
-deterministically inside one live device so the suite does not pay a
-process-pool spawn per example.
+The one-bank half is hypothesis-driven (operation, fault target, seed
+and flip positions are all drawn); the two-bank half sweeps every
+operation deterministically inside one device, with the fault in one
+bank and the other bank healthy.
 """
 
 import numpy as np
@@ -201,12 +200,13 @@ class TestSerialProperties:
         assert session.verify_all() == []
 
 
-class TestShardedProperties:
-    """The same single-fault property over a live worker pool.
+class TestTwoBankProperties:
+    """The same single-fault property with a healthy bank beside it.
 
-    One device per fault kind; bank 0 carries the fault (recovered
-    in-process by the session), bank 1 stays healthy (sharded fast
-    path), so every op exercises both execution routes in one call.
+    One device per fault kind; bank 0 carries the fault (its group
+    takes the per-row walk and the session recovers it), bank 1 stays
+    healthy (the fused kernel), so every op exercises both execution
+    routes in one call.
     """
 
     BANKS = 2
@@ -248,49 +248,41 @@ class TestShardedProperties:
         assert session.scrub() == []
 
     def test_stuck_row_every_op(self):
-        from repro.parallel.device import ShardedDevice
-
         rng = np.random.default_rng(101)
-        with ShardedDevice(
-            geometry=make_geometry(banks=self.BANKS), max_workers=2
-        ) as device:
-            for i, op in enumerate(ALL_OPS):
-                session, images = self._reset(device, rng)
-                target = used_rows(op)[i % len(used_rows(op))]
-                subarray = device.chip.bank(0).subarray(0)
-                physical = device.controller.repair.translate(0, 0, target)
-                subarray.inject_stuck_row(physical, ~images[0][target])
-                self._run_all_banks(session, op, images)
-                assert any(
-                    r.action == "remapped" for r in session.log
-                ), f"{op.value}: stuck row not remapped"
+        device = AmbitDevice(geometry=make_geometry(banks=self.BANKS))
+        for i, op in enumerate(ALL_OPS):
+            session, images = self._reset(device, rng)
+            target = used_rows(op)[i % len(used_rows(op))]
+            subarray = device.chip.bank(0).subarray(0)
+            physical = device.controller.repair.translate(0, 0, target)
+            subarray.inject_stuck_row(physical, ~images[0][target])
+            self._run_all_banks(session, op, images)
+            assert any(
+                r.action == "remapped" for r in session.log
+            ), f"{op.value}: stuck row not remapped"
 
     def test_tra_flip_every_op(self):
-        from repro.parallel.device import ShardedDevice
-
         rng = np.random.default_rng(202)
-        with ShardedDevice(
-            geometry=make_geometry(banks=self.BANKS), max_workers=2
-        ) as device:
-            words = device.geometry.subarray.words_per_row
-            mask = np.full(words, np.uint64(0xFFFFFFFFFFFFFFFF))
-            for op in ALL_OPS:
-                session, images = self._reset(device, rng)
-                subarray = device.chip.bank(0).subarray(0)
+        device = AmbitDevice(geometry=make_geometry(banks=self.BANKS))
+        words = device.geometry.subarray.words_per_row
+        mask = np.full(words, np.uint64(0xFFFFFFFFFFFFFFFF))
+        for op in ALL_OPS:
+            session, images = self._reset(device, rng)
+            subarray = device.chip.bank(0).subarray(0)
 
-                def hook(sensed, _sub=subarray, _mask=mask):
-                    _sub.tra_fault_hook = None
-                    return _mask
+            def hook(sensed, _sub=subarray, _mask=mask):
+                _sub.tra_fault_hook = None
+                return _mask
 
-                subarray.tra_fault_hook = hook
-                self._run_all_banks(session, op, images)
-                if op in TRA_OPS:
-                    assert any(
-                        r.kind == "tra_flip" and r.action == "retried"
-                        for r in session.log
-                    ), f"{op.value}: TRA flip not retried"
-                else:
-                    subarray.tra_fault_hook = None
+            subarray.tra_fault_hook = hook
+            self._run_all_banks(session, op, images)
+            if op in TRA_OPS:
+                assert any(
+                    r.kind == "tra_flip" and r.action == "retried"
+                    for r in session.log
+                ), f"{op.value}: TRA flip not retried"
+            else:
+                subarray.tra_fault_hook = None
 
 
 class TestRecoveryDisabled:

@@ -23,7 +23,6 @@ from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
 from repro.dram.geometry import small_test_geometry
-from repro.parallel import ShardedDevice
 
 LAYERS_FILE = pathlib.Path(__file__).resolve().parents[2] / "bench" / "layers.py"
 
@@ -66,35 +65,29 @@ def test_layer_target_resolves_like_install(layer, module_name, path):
     assert callable(owner.__dict__[attr])
 
 
-@pytest.mark.parametrize("sharded", (False, True), ids=("plain", "sharded"))
-def test_device_counters_count_one_batch(sharded):
+def test_device_counters_count_one_batch():
     """After one batch, every row is one plan-cache lookup and the
-    command count is the trace's, on the plain and the sharded device."""
+    command count is the trace's."""
     geometry = small_test_geometry(
         rows=32, row_bytes=64, banks=2, subarrays_per_bank=1
     )
-    if sharded:
-        device = ShardedDevice(geometry=geometry, max_workers=2)
-    else:
-        device = AmbitDevice(geometry=geometry)
-    with device:
-        rng = np.random.default_rng(3)
-        for bank in range(geometry.banks):
-            for addr in range(8):
-                device.write_row(
-                    RowLocation(bank, 0, addr),
-                    rng.integers(
-                        0, 2**63, size=geometry.subarray.words_per_row,
-                        dtype=np.uint64,
-                    ),
-                )
-        dst, src1, src2 = (
-            [RowLocation(bank, 0, 3 * j + k)
-             for bank in range(geometry.banks) for j in range(2)]
-            for k in range(3)
-        )
-        report = device.run_rows(BulkOp.AND, dst, src1, src2)
-        counters = LAYERS.device_counters(device)
-        assert report.shards == (2 if sharded else 1)
-        assert counters["plan_hits"] + counters["plan_misses"] == len(dst)
-        assert counters["commands"] == len(device.chip.trace) > 0
+    device = AmbitDevice(geometry=geometry)
+    rng = np.random.default_rng(3)
+    for bank in range(geometry.banks):
+        for addr in range(8):
+            device.write_row(
+                RowLocation(bank, 0, addr),
+                rng.integers(
+                    0, 2**63, size=geometry.subarray.words_per_row,
+                    dtype=np.uint64,
+                ),
+            )
+    dst, src1, src2 = (
+        [RowLocation(bank, 0, 3 * j + k)
+         for bank in range(geometry.banks) for j in range(2)]
+        for k in range(3)
+    )
+    device.run_rows(BulkOp.AND, dst, src1, src2)
+    counters = LAYERS.device_counters(device)
+    assert counters["plan_hits"] + counters["plan_misses"] == len(dst)
+    assert counters["commands"] == len(device.chip.trace) > 0

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
-from repro.dram.geometry import small_test_geometry
+from repro.dram.geometry import (
+    DramGeometry,
+    SubarrayGeometry,
+    small_test_geometry,
+)
 from repro.errors import ConfigError
 from repro.perf.systems import (
     FIGURE9_OPS,
@@ -19,6 +23,7 @@ from repro.perf.systems import (
 from repro.perf.throughput import (
     figure9_experiment,
     format_figure9,
+    measure_ambit_batched,
     measure_ambit_functional,
 )
 
@@ -122,3 +127,17 @@ class TestFunctionalCrossCheck:
             "check", timing=device.timing, banks=4, row_bytes=8192
         )
         assert measured == pytest.approx(model.throughput_gops(op), rel=1e-6)
+
+    def test_accounted_throughput_is_pinned(self):
+        """AND on 8 rows per bank over 8 banks of 512 B rows (2 subarrays
+        of 32 rows each).  Accounted throughput scales exactly with row
+        size: this is 5349.877551020408 GOPS x 512 / 131072."""
+        geometry = DramGeometry(
+            banks=8,
+            subarrays_per_bank=2,
+            subarray=SubarrayGeometry(rows=32, row_bytes=512),
+        )
+        gops, _ = measure_ambit_batched(
+            AmbitDevice(geometry=geometry), BulkOp.AND, rows_per_bank=8
+        )
+        assert gops == 20.897959183673468

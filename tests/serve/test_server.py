@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.device import AmbitDevice
 from repro.serve.protocol import pack_bits, unpack_bits
 from repro.serve.server import BulkBitwiseServer, ServeConfig
 
@@ -134,13 +135,9 @@ def test_all_nine_ops_bit_exact(jobs):
                 assert np.array_equal(
                     await read_vector(client, name), models[name]
                 )
-        if jobs >= 2:
-            # The tuner keeps these small waves in process: no wave
-            # shards, so the worker pool never starts.
-            dispatch = server.metrics.get("ambit_dispatch_total")
-            assert dispatch.labels(tier="sharded").value == 0
-            assert dispatch.labels(tier="fused").value > 0
-            assert server.device.pool is None
+        # ``jobs`` is accepted and ignored: every value serves from one
+        # in-process device.
+        assert type(server.device) is AmbitDevice
 
     run(scenario, small_config(jobs=jobs))
 
