@@ -12,6 +12,7 @@ Its ``device_counters()`` reads public counters by name, which a change
 to the plan cache or the command trace could leave reading zero.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import pathlib
@@ -65,9 +66,11 @@ def test_layer_target_resolves_like_install(layer, module_name, path):
     assert callable(owner.__dict__[attr])
 
 
-def test_device_counters_count_one_batch():
+@pytest.mark.parametrize("profiled", (False, True), ids=("plain", "profiled"))
+def test_device_counters_count_one_batch(profiled):
     """After one batch, every row is one plan-cache lookup and the
-    command count is the trace's."""
+    command count is the trace's, on a plain device and inside
+    ``device.profile()`` (as the lib-profiled workload runs)."""
     geometry = small_test_geometry(
         rows=32, row_bytes=64, banks=2, subarrays_per_bank=1
     )
@@ -87,7 +90,9 @@ def test_device_counters_count_one_batch():
          for bank in range(geometry.banks) for j in range(2)]
         for k in range(3)
     )
-    device.run_rows(BulkOp.AND, dst, src1, src2)
-    counters = LAYERS.device_counters(device)
+    profile = device.profile() if profiled else contextlib.nullcontext()
+    with profile:
+        device.run_rows(BulkOp.AND, dst, src1, src2)
+        counters = LAYERS.device_counters(device)
     assert counters["plan_hits"] + counters["plan_misses"] == len(dst)
     assert counters["commands"] == len(device.chip.trace) > 0
